@@ -2,9 +2,13 @@
 
 Verbs: check, footprint, rf, search, duc-demo, train, eval.
 
-Exit codes: 0 success (schedule valid for `check`), 2 schedule invalid
-(gridding holes predicted), 1 usage error. All output is deterministic for
-fixed flags and seed; numbers are printed in shortest round-trip form.
+Exit codes: 0 success (for `check`: schedule valid); 1 usage error (bad
+flags, an image size or class count that does not fit the net, a malformed
+net.json) or a file that cannot be read or written; 2 schedule invalid
+(`check`, gridding holes predicted) or a failed equivalence (`duc-demo`);
+3 training diverged (non-finite loss). Every failure prints one line to
+stderr. All output is deterministic for fixed flags and seed; numbers are
+printed in shortest round-trip form.
 
 The SEGCONV_OUT environment variable overrides the default output directory
 used when --out is not given.
@@ -24,17 +28,24 @@ from . import __version__
 from .data import gen_thin_structures, write_sample_pgm
 from .hdc import (
     DilationSchedule,
-    common_factor_check,
     coverage_report,
     footprint,
-    max_distance,
     rf_increase_for_rates,
     schedule_report,
     schedule_search,
     write_footprint,
 )
-from .tensor import Rng, Tensor, he_init
-from .train import SgdConfig, ToyNet, evaluate, load_net, poly_lr, save_net, train
+from .tensor import Rng, he_init
+from .train import (
+    SgdConfig,
+    ToyNet,
+    TrainingDiverged,
+    evaluate,
+    load_net,
+    poly_lr,
+    save_net,
+    train,
+)
 from .upsample import (
     DucSpec,
     TransposedConvLayer,
@@ -49,6 +60,7 @@ from .upsample import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
+EXIT_DIVERGED = 3
 
 
 class UsageError(Exception):
@@ -78,6 +90,13 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+def _check_size(size: int, d: int) -> None:
+    """Unless d divides the image side, the logits miss the label grid."""
+    if size % d:
+        raise UsageError(f"--size {size} is not a multiple of the net's "
+                         f"downsampling factor d={d}")
+
+
 # ---------------------------------------------------------------------------
 # verbs
 # ---------------------------------------------------------------------------
@@ -85,16 +104,9 @@ def _emit(payload: dict) -> None:
 
 def cmd_check(args) -> int:
     sched = DilationSchedule(rates=_parse_rates(args.rates), kernel=args.kernel)
-    m_values, valid = max_distance(sched)
-    _emit({
-        "rates": list(sched.rates),
-        "K": sched.kernel,
-        "M_values": m_values,
-        "valid": valid,
-        "rf_increase": rf_increase_for_rates(sched.rates, sched.kernel),
-        "gcd_flag": common_factor_check(sched.rates),
-    })
-    return EXIT_OK if valid else EXIT_INVALID
+    report = schedule_report(sched, include_footprint=False)
+    _emit(report)
+    return EXIT_OK if report["valid"] else EXIT_INVALID
 
 
 def cmd_footprint(args) -> int:
@@ -191,6 +203,10 @@ def _gen_dataset(count, args, seed):
 
 def cmd_train(args) -> int:
     sched = DilationSchedule(rates=_parse_rates(args.schedule), kernel=args.kernel)
+    net = ToyNet.build(d=args.d, schedule=sched, decoder=args.decoder,
+                       classes=args.classes, seed=args.seed,
+                       width=args.channels, cell=args.cell)
+    _check_size(args.size, net.d)
     out = Path(args.out) if args.out else _default_out("train")
     out.mkdir(parents=True, exist_ok=True)
 
@@ -201,13 +217,12 @@ def cmd_train(args) -> int:
         for i, s in enumerate(data):
             write_sample_pgm(s, dump / f"sample{i:04d}")
 
-    net = ToyNet.build(d=args.d, schedule=sched, decoder=args.decoder,
-                       classes=args.classes, seed=args.seed,
-                       width=args.channels, cell=args.cell)
     cfg = SgdConfig(base_lr=args.lr, power=0.9, max_iter=args.iters,
                     momentum=args.momentum, weight_decay=args.weight_decay,
                     batch=args.batch, seed=args.seed, mean_loss=args.mean_loss)
-    curve = train(net, data, cfg) if args.iters > 0 else []
+    # TrainingDiverged reports a blow-up; numpy's overflow warnings would bury it
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve = train(net, data, cfg) if args.iters > 0 else []
 
     lines = ["iteration,lr,loss"]
     for it, loss in enumerate(curve):
@@ -237,11 +252,15 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     net = load_net(Path(args.net) / "net" if (Path(args.net) / "net").exists()
                    else args.net)
-    samples = _gen_dataset(args.eval_size, args, args.data_seed)
-    per_class, mean = evaluate(net, samples, oracle=args.oracle)
-
+    _check_size(args.size, net.d)
+    if args.classes != net.classes:
+        raise UsageError(f"--classes {args.classes} does not match the net's "
+                         f"{net.classes} classes")
     out = Path(args.out) if args.out else _default_out("eval")
     out.mkdir(parents=True, exist_ok=True)
+
+    samples = _gen_dataset(args.eval_size, args, args.data_seed)
+    per_class, mean = evaluate(net, samples, oracle=args.oracle)
     lines = ["class,iou"]
     for c, iou in enumerate(per_class):
         lines.append(f"{c},{iou!r}")
@@ -342,12 +361,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, ValueError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as e:
-        print(f"usage error: {e}", file=sys.stderr)
+    except OSError as e:
+        print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except TrainingDiverged as e:
+        print(f"training diverged: {e}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 def entrypoint() -> None:  # console script

@@ -14,17 +14,18 @@ Conventions, fixed once here:
 * Accumulation order inside one output element is channel-major then
   (ky, kx), identical between the shipped vectorized loops and a plain
   scalar loop, so the two are bitwise comparable.
+
+Layers have no file format of their own; train.save_net writes them as part
+of a whole net.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-import json
 
 import numpy as np
 
-from .tensor import Rng, Tensor, he_init, load_tensor, save_tensor
+from .tensor import Rng, Tensor, he_init
 
 
 def dilated_kernel_size(k: int, r: int) -> int:
@@ -203,32 +204,3 @@ def conv2d_backward(x: Tensor, layer: ConvLayer, grad_out: Tensor):
     grad_xp = _scatter_input_grad(g, layer.weights.data, r, s, (h + 2 * p, w + 2 * p))
     grad_x = grad_xp[:, :, p : p + h, p : p + w] if p else grad_xp
     return Tensor(grad_x), Tensor(grad_w), grad_b
-
-
-# ---------------------------------------------------------------------------
-# layer serialization: weights in the tensor binary format, spec and bias in
-# a JSON sidecar next to it
-# ---------------------------------------------------------------------------
-
-
-def save_layer(path_prefix, layer: ConvLayer) -> None:
-    prefix = Path(path_prefix)
-    save_tensor(prefix.with_suffix(".bin"), layer.weights)
-    spec = layer.spec
-    sidecar = {
-        "k": spec.k, "r": spec.r, "stride": spec.stride,
-        "c_in": spec.c_in, "c_out": spec.c_out, "pad": spec.pad,
-        "bias": [float(b) for b in layer.bias],
-    }
-    prefix.with_suffix(".json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=1) + "\n", encoding="ascii"
-    )
-
-
-def load_layer(path_prefix) -> ConvLayer:
-    prefix = Path(path_prefix)
-    meta = json.loads(prefix.with_suffix(".json").read_text(encoding="ascii"))
-    spec = ConvSpec(k=meta["k"], r=meta["r"], stride=meta["stride"],
-                    c_in=meta["c_in"], c_out=meta["c_out"], pad=meta["pad"])
-    weights = load_tensor(prefix.with_suffix(".bin"))
-    return ConvLayer(spec, weights, np.asarray(meta["bias"], dtype=np.float64))

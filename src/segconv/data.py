@@ -77,17 +77,6 @@ def gen_thin_structures(n: int, height: int, width: int, thickness: int,
     return samples
 
 
-def class_frequencies(samples, classes: int) -> np.ndarray:
-    """Fraction of (non-ignored) pixels per class over a sample list."""
-    counts = np.zeros(classes, dtype=np.int64)
-    total = 0
-    for s in samples:
-        valid = s.labels != IGNORE_LABEL
-        counts += np.bincount(s.labels[valid].ravel(), minlength=classes)[:classes]
-        total += int(valid.sum())
-    return counts / max(total, 1)
-
-
 # ---------------------------------------------------------------------------
 # PGM dump of (image, label) pairs, for inspection with any image viewer
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Dense 4-axis tensor substrate: shape-checked float64 storage, elementwise
-arithmetic, deterministic random initialization, and flat binary / CSV I/O.
+"""Dense 4-axis tensor substrate: shape-checked float64 storage,
+deterministic random initialization, and a flat binary file format.
 
 Layout is fixed: row-major (batch, channel, row, col), 64-bit floats. Every
 index formula elsewhere in the package assumes this ordering.
@@ -58,60 +58,10 @@ class Tensor:
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy())
 
-    @staticmethod
-    def from_flat(shape, flat) -> "Tensor":
-        shape = _check_shape(shape)
-        flat = np.asarray(flat, dtype=np.float64).ravel()
-        n, c, h, w = shape
-        if flat.size != n * c * h * w:
-            raise ValueError(
-                f"flat data has {flat.size} elements, shape {shape} needs {n*c*h*w}"
-            )
-        return Tensor(flat.reshape(shape))
-
-    # convenience arithmetic; the module-level functions do the checking
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, other)
-
-    __rmul__ = __mul__
-
 
 def new_tensor(shape, fill: float = 0.0) -> Tensor:
     shape = _check_shape(shape)
     return Tensor(np.full(shape, float(fill), dtype=np.float64))
-
-
-def _pair(a: Tensor, b: Tensor):
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a.data, b.data
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    x, y = _pair(a, b)
-    return Tensor(x + y)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    x, y = _pair(a, b)
-    return Tensor(x - y)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    x, y = _pair(a, b)
-    return Tensor(x * y)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    return Tensor(a.data * float(s))
 
 
 class Rng:
@@ -214,18 +164,3 @@ def save_tensor(path, t: Tensor) -> None:
 
 def load_tensor(path) -> Tensor:
     return tensor_from_bytes(Path(path).read_bytes())
-
-
-def tensor_to_csv(t: Tensor) -> str:
-    """One CSV row per (n, c) plane; each row is the plane in row-major order."""
-    lines = []
-    n, c, _, _ = t.shape
-    for i in range(n):
-        for j in range(c):
-            plane = t.data[i, j].ravel()
-            lines.append(",".join(repr(float(v)) for v in plane))
-    return "\n".join(lines) + "\n"
-
-
-def save_tensor_csv(path, t: Tensor) -> None:
-    Path(path).write_text(tensor_to_csv(t), encoding="ascii")

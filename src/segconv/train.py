@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .conv import ConvLayer, ConvSpec, conv2d_backward, conv2d_forward, same_padding
-from .data import IGNORE_LABEL, SegSample
+from .data import IGNORE_LABEL
 from .hdc import DilationSchedule
 from .tensor import Rng, Tensor, load_tensor, save_tensor
 from .upsample import (
@@ -165,7 +165,17 @@ class ToyNet:
 
     Inputs are centered and rescaled by fixed constants before the first
     layer (the synthetic images live in roughly 0..1; tanh layers train far
-    better on a zero-mean signal)."""
+    better on a zero-mean signal).
+
+    The forward pass is one ordered stage list, built once in __init__ and
+    the only place outside build() that depends on the decoder. A stage is
+    (param name, forward(x), backward(x, g) -> (gx, gw, gb), tanh after?):
+    conv+tanh per encoder layer; DUC; bilinear as conv then fixed upsampling;
+    or transposed convs with tanh on all but the last. The stage functions
+    are lambdas that look up conv2d_forward, duc_backward, ... in this
+    module's globals at call time, with the raw layer object as the second
+    argument, so replacing one of those module attributes (to trace calls,
+    say) reaches every stage of every existing net."""
 
     INPUT_OFFSET = 0.3
     INPUT_SCALE = 2.0
@@ -186,7 +196,30 @@ class ToyNet:
         self.img_channels = img_channels
         self.encoder_layers = encoder_layers      # list[ConvLayer]
         self.decoder_layers = decoder_layers      # ConvLayer(s) or TransposedConvLayer(s)
-        self.duc_spec = DucSpec(d=d, classes=classes, cell=cell) if decoder == "duc" else None
+
+        self.stages = [
+            (f"enc{i}", lambda x, L=L: conv2d_forward(x, L),
+             lambda x, g, L=L: conv2d_backward(x, L, g), True)
+            for i, L in enumerate(encoder_layers)
+        ]
+        if decoder == "duc":
+            L, spec = decoder_layers[0], DucSpec(d=d, classes=classes, cell=cell)
+            self.stages.append(("dec0", lambda x: duc_forward(x, L, spec),
+                                lambda x, g: duc_backward(x, L, spec, g), False))
+        elif decoder == "bilinear":
+            L = decoder_layers[0]
+            self.stages.append((
+                "dec0", lambda x: bilinear_upsample(conv2d_forward(x, L), d),
+                lambda x, g: conv2d_backward(
+                    x, L, bilinear_backward(g, x.shape[2:], d)),
+                False))
+        else:
+            last = len(decoder_layers) - 1
+            self.stages += [
+                (f"dec{i}", lambda x, L=L: transposed_conv_forward(x, L),
+                 lambda x, g, L=L: transposed_conv_backward(x, L, g), i < last)
+                for i, L in enumerate(decoder_layers)
+            ]
 
     @staticmethod
     def build(d: int, schedule: DilationSchedule, decoder: str, classes: int,
@@ -229,90 +262,43 @@ class ToyNet:
 
     # -- parameters ---------------------------------------------------------
 
+    def named_layers(self) -> list:
+        """(name, layer) for every layer: enc0.., then dec0.."""
+        return ([(f"enc{i}", L) for i, L in enumerate(self.encoder_layers)]
+                + [(f"dec{i}", L) for i, L in enumerate(self.decoder_layers)])
+
     def params(self) -> dict:
         """Live views of every learnable array, keyed by layer name."""
         out = {}
-        for i, layer in enumerate(self.encoder_layers):
-            out[f"enc{i}.w"] = layer.weights.data
-            out[f"enc{i}.b"] = layer.bias
-        for i, layer in enumerate(self.decoder_layers):
-            out[f"dec{i}.w"] = layer.weights.data
-            out[f"dec{i}.b"] = layer.bias
+        for name, layer in self.named_layers():
+            out[f"{name}.w"] = layer.weights.data
+            out[f"{name}.b"] = layer.bias
         return out
 
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x: Tensor):
-        """Returns (logits, cache); tanh after every layer except the last."""
+        """Returns (logits, cache); the cache holds (name, backward, input,
+        activation or None) per stage."""
         cache = []
         cur = Tensor((x.data - self.INPUT_OFFSET) * self.INPUT_SCALE)
-        for layer in self.encoder_layers:
-            pre = conv2d_forward(cur, layer)
-            act = Tensor(np.tanh(pre.data))
-            cache.append(("conv", layer, cur, act))
-            cur = act
-        if self.decoder == "duc":
-            layer = self.decoder_layers[0]
-            out = duc_forward(cur, layer, self.duc_spec)
-            cache.append(("duc", layer, cur, None))
+        for name, fwd, bwd, tanh in self.stages:
+            out = fwd(cur)
+            if tanh:
+                out = Tensor(np.tanh(out.data))
+            cache.append((name, bwd, cur, out if tanh else None))
             cur = out
-        elif self.decoder == "bilinear":
-            layer = self.decoder_layers[0]
-            pre = conv2d_forward(cur, layer)
-            cache.append(("bilinear_conv", layer, cur, None))
-            out = bilinear_upsample(pre, self.d)
-            cache.append(("bilinear", self.d, pre, None))
-            cur = out
-        else:
-            for i, layer in enumerate(self.decoder_layers):
-                pre = transposed_conv_forward(cur, layer)
-                if i == len(self.decoder_layers) - 1:
-                    cache.append(("tconv", layer, cur, None))
-                    cur = pre
-                else:
-                    act = Tensor(np.tanh(pre.data))
-                    cache.append(("tconv_act", layer, cur, act))
-                    cur = act
         return cur, cache
 
     def backward(self, cache, grad_logits: Tensor) -> dict:
         grads = {}
         g = grad_logits
-        n_enc = len(self.encoder_layers)
-        dec_i = len(self.decoder_layers)
-        for entry in reversed(cache):
-            kind, obj, inp, act = entry
-            if kind == "conv":
+        for name, bwd, inp, act in reversed(cache):
+            if act is not None:
                 g = Tensor(g.data * (1.0 - act.data * act.data))
-                gx, gw, gb = conv2d_backward(inp, obj, g)
-                n_enc -= 1
-                grads[f"enc{n_enc}.w"] = gw.data
-                grads[f"enc{n_enc}.b"] = gb
-                g = gx
-            elif kind == "duc":
-                gx, gw, gb = duc_backward(inp, obj, self.duc_spec, g)
-                dec_i -= 1
-                grads[f"dec{dec_i}.w"] = gw.data
-                grads[f"dec{dec_i}.b"] = gb
-                g = gx
-            elif kind == "bilinear":
-                g = bilinear_backward(g, inp.shape[2:], obj)
-            elif kind == "bilinear_conv":
-                gx, gw, gb = conv2d_backward(inp, obj, g)
-                dec_i -= 1
-                grads[f"dec{dec_i}.w"] = gw.data
-                grads[f"dec{dec_i}.b"] = gb
-                g = gx
-            elif kind in ("tconv", "tconv_act"):
-                if kind == "tconv_act":
-                    g = Tensor(g.data * (1.0 - act.data * act.data))
-                gx, gw, gb = transposed_conv_backward(inp, obj, g)
-                dec_i -= 1
-                grads[f"dec{dec_i}.w"] = gw.data
-                grads[f"dec{dec_i}.b"] = gb
-                g = gx
-            else:  # pragma: no cover - construction guarantees known kinds
-                raise RuntimeError(f"unknown cache entry {kind}")
+            g, gw, gb = bwd(inp, g)
+            grads[f"{name}.w"] = gw.data
+            grads[f"{name}.b"] = gb
         return grads
 
     def predict(self, image: Tensor) -> np.ndarray:
@@ -360,70 +346,69 @@ def train(net: ToyNet, data, cfg: SgdConfig):
     return curve
 
 
-def _confusion(preds: np.ndarray, labels: np.ndarray, classes: int):
-    """Per-class (tp, fp, fn) counts, skipping ignored pixels."""
+def _confusion(preds: np.ndarray, labels: np.ndarray, classes: int) -> np.ndarray:
+    """(classes, classes) pixel counts, row = label, column = prediction;
+    ignored pixels are skipped."""
     valid = labels != IGNORE_LABEL
     p, t = preds[valid], labels[valid]
-    tp = np.zeros(classes, dtype=np.int64)
-    fp = np.zeros(classes, dtype=np.int64)
-    fn = np.zeros(classes, dtype=np.int64)
-    for c in range(classes):
-        tp[c] = int(np.sum((p == c) & (t == c)))
-        fp[c] = int(np.sum((p == c) & (t != c)))
-        fn[c] = int(np.sum((p != c) & (t == c)))
-    return tp, fp, fn
+    if p.size and (min(p.min(), t.min()) < 0 or max(p.max(), t.max()) >= classes):
+        raise ValueError(f"predictions or labels outside 0..{classes - 1}")
+    flat = np.bincount(t * classes + p, minlength=classes * classes)
+    return flat.reshape(classes, classes)
+
+
+def _iou(conf: np.ndarray):
+    """Per-class IoU tp / (tp + fp + fn) and their mean; classes absent from
+    both prediction and label are nan and excluded from the mean."""
+    tp = np.diag(conf)
+    with np.errstate(invalid="ignore"):
+        iou = tp / (conf.sum(axis=0) + conf.sum(axis=1) - tp)
+    present = iou[~np.isnan(iou)]
+    return iou.tolist(), float(np.mean(present)) if present.size else float("nan")
 
 
 def miou(preds: np.ndarray, labels: np.ndarray, classes: int):
-    """Per-class IoU and their mean; classes absent from both prediction and
-    label are reported as nan and excluded from the mean."""
+    """Per-class IoU and their mean for one prediction (see _iou)."""
     if preds.shape != labels.shape:
         raise ValueError(f"shape mismatch {preds.shape} vs {labels.shape}")
-    tp, fp, fn = _confusion(preds, labels, classes)
-    per_class = []
-    included = []
-    for c in range(classes):
-        denom = tp[c] + fp[c] + fn[c]
-        if denom == 0:
-            per_class.append(float("nan"))
-        else:
-            iou = tp[c] / denom
-            per_class.append(float(iou))
-            included.append(iou)
-    mean = float(np.mean(included)) if included else float("nan")
-    return per_class, mean
+    return _iou(_confusion(preds, labels, classes))
 
 
 def evaluate(net: ToyNet, samples, oracle: bool = False):
     """Dataset IoU with counts aggregated over all samples. With oracle=True
     the labels are scored against themselves (pipeline sanity mode)."""
-    classes = net.classes
-    tp = np.zeros(classes, dtype=np.int64)
-    fp = np.zeros(classes, dtype=np.int64)
-    fn = np.zeros(classes, dtype=np.int64)
+    conf = np.zeros((net.classes, net.classes), dtype=np.int64)
     for s in samples:
         pred = s.labels.copy() if oracle else net.predict(s.image)
-        a, b, c = _confusion(pred, s.labels, classes)
-        tp += a
-        fp += b
-        fn += c
-    per_class = []
-    included = []
-    for c in range(classes):
-        denom = tp[c] + fp[c] + fn[c]
-        if denom == 0:
-            per_class.append(float("nan"))
-        else:
-            iou = tp[c] / denom
-            per_class.append(float(iou))
-            included.append(iou)
-    mean = float(np.mean(included)) if included else float("nan")
-    return per_class, mean
+        conf += _confusion(pred, s.labels, net.classes)
+    return _iou(conf)
 
 
 # ---------------------------------------------------------------------------
 # net serialization: JSON topology plus one binary tensor file per weight
 # ---------------------------------------------------------------------------
+
+
+def _layer_entry(layer) -> dict:
+    """net.json entry of one layer; its weights go to a separate .bin file."""
+    s = layer.spec
+    entry = {
+        "k": s.k, "stride": s.stride, "c_in": s.c_in, "c_out": s.c_out,
+        "pad": s.pad, "bias": [float(v) for v in layer.bias],
+        "transposed": isinstance(layer, TransposedConvLayer),
+    }
+    if not entry["transposed"]:
+        entry["r"] = s.r
+    return entry
+
+
+def _layer_from_entry(meta: dict, weights: Tensor):
+    geometry = dict(k=meta["k"], stride=meta["stride"], c_in=meta["c_in"],
+                    c_out=meta["c_out"], pad=meta["pad"])
+    bias = np.asarray(meta["bias"], dtype=np.float64)
+    if meta.get("transposed", False):
+        return TransposedConvLayer(TransposedConvSpec(**geometry), weights, bias)
+    return ConvLayer(ConvSpec(r=meta["r"], **geometry), weights, bias)
 
 
 def save_net(dirpath, net: ToyNet) -> None:
@@ -437,56 +422,28 @@ def save_net(dirpath, net: ToyNet) -> None:
         "cell": net.cell,
         "img_channels": net.img_channels,
         "schedule": {"rates": list(net.schedule.rates), "kernel": net.schedule.kernel},
-        "encoder": [], "decoder_layers": [],
+        "encoder": [_layer_entry(L) for L in net.encoder_layers],
+        "decoder_layers": [_layer_entry(L) for L in net.decoder_layers],
     }
-    for i, layer in enumerate(net.encoder_layers):
-        s = layer.spec
-        topo["encoder"].append({
-            "k": s.k, "r": s.r, "stride": s.stride, "c_in": s.c_in,
-            "c_out": s.c_out, "pad": s.pad,
-            "bias": [float(v) for v in layer.bias],
-        })
-        save_tensor(d / f"enc{i}.bin", layer.weights)
-    for i, layer in enumerate(net.decoder_layers):
-        s = layer.spec
-        entry = {
-            "k": s.k, "stride": s.stride, "c_in": s.c_in, "c_out": s.c_out,
-            "pad": s.pad, "bias": [float(v) for v in layer.bias],
-            "transposed": isinstance(layer, TransposedConvLayer),
-        }
-        if not entry["transposed"]:
-            entry["r"] = s.r
-        topo["decoder_layers"].append(entry)
-        save_tensor(d / f"dec{i}.bin", layer.weights)
+    for name, layer in net.named_layers():
+        save_tensor(d / f"{name}.bin", layer.weights)
     (d / "net.json").write_text(
         json.dumps(topo, sort_keys=True, indent=1) + "\n", encoding="ascii"
     )
 
 
 def load_net(dirpath) -> ToyNet:
+    """Read a directory written by save_net; a malformed net.json raises ValueError."""
     d = Path(dirpath)
     topo = json.loads((d / "net.json").read_text(encoding="ascii"))
-    schedule = DilationSchedule(rates=tuple(topo["schedule"]["rates"]),
-                                kernel=topo["schedule"]["kernel"])
-    enc = []
-    for i, meta in enumerate(topo["encoder"]):
-        spec = ConvSpec(k=meta["k"], r=meta["r"], stride=meta["stride"],
-                        c_in=meta["c_in"], c_out=meta["c_out"], pad=meta["pad"])
-        enc.append(ConvLayer(spec, load_tensor(d / f"enc{i}.bin"),
-                             np.asarray(meta["bias"], dtype=np.float64)))
-    dec = []
-    for i, meta in enumerate(topo["decoder_layers"]):
-        w = load_tensor(d / f"dec{i}.bin")
-        b = np.asarray(meta["bias"], dtype=np.float64)
-        if meta["transposed"]:
-            tspec = TransposedConvSpec(k=meta["k"], stride=meta["stride"],
-                                       c_in=meta["c_in"], c_out=meta["c_out"],
-                                       pad=meta["pad"])
-            dec.append(TransposedConvLayer(tspec, w, b))
-        else:
-            spec = ConvSpec(k=meta["k"], r=meta["r"], stride=meta["stride"],
-                            c_in=meta["c_in"], c_out=meta["c_out"],
-                            pad=meta["pad"])
-            dec.append(ConvLayer(spec, w, b))
-    return ToyNet(topo["d"], schedule, topo["decoder"], topo["classes"],
-                  topo["width"], topo["cell"], topo["img_channels"], enc, dec)
+    try:
+        schedule = DilationSchedule(rates=tuple(topo["schedule"]["rates"]),
+                                    kernel=topo["schedule"]["kernel"])
+        enc = [_layer_from_entry(meta, load_tensor(d / f"enc{i}.bin"))
+               for i, meta in enumerate(topo["encoder"])]
+        dec = [_layer_from_entry(meta, load_tensor(d / f"dec{i}.bin"))
+               for i, meta in enumerate(topo["decoder_layers"])]
+        return ToyNet(topo["d"], schedule, topo["decoder"], topo["classes"],
+                      topo["width"], topo["cell"], topo["img_channels"], enc, dec)
+    except (KeyError, TypeError, IndexError) as e:
+        raise ValueError(f"malformed {d / 'net.json'}: {e!r}") from e

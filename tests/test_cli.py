@@ -1,16 +1,36 @@
 import json
+import shutil
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
-from segconv.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
+import segconv
+from segconv.cli import EXIT_DIVERGED, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 from segconv.hdc import read_pgm
+
+SCHEMAS = Path(segconv.__file__).parent / "schemas"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out.strip()
     return code, (json.loads(out.splitlines()[-1]) if out else None)
+
+
+def fails(capsys, code, *argv):
+    """Run a verb that must fail with `code` and one line on stderr."""
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in lines[0]
+    return lines[0]
+
+
+def schema(name):
+    return json.loads((SCHEMAS / name).read_text())
 
 
 # -- check ------------------------------------------------------------------
@@ -35,6 +55,12 @@ def test_check_gcd_flag(capsys):
     code, rep = run(capsys, "check", "--rates", "2,4,8", "--kernel", "3")
     assert code == EXIT_INVALID
     assert rep["gcd_flag"] is True
+
+
+@pytest.mark.parametrize("rates", ["1,2,5", "1,2,9", "2,4,8", "1"])
+def test_check_stdout_matches_schema(capsys, rates):
+    _, rep = run(capsys, "check", "--rates", rates)
+    jsonschema.validate(rep, schema("check_report.schema.json"))
 
 
 def test_check_usage_error_on_bad_rates(capsys):
@@ -82,6 +108,21 @@ def test_footprint_json_report(tmp_path, capsys):
     assert code == EXIT_OK
     rep = json.loads(out.read_text())
     assert rep["M_values"] == [2, 5] and rep["holes"] == 0
+
+
+@pytest.mark.parametrize("rates", ["1,2,5", "2,2,2"])
+def test_footprint_stdout_matches_schema(tmp_path, capsys, rates):
+    _, rep = run(capsys, "footprint", "--rates", rates,
+                 "--out", str(tmp_path / "fp.pgm"))
+    jsonschema.validate(rep, schema("footprint_summary.schema.json"))
+
+
+def test_footprint_unwritable_out_is_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    msg = fails(capsys, EXIT_USAGE, "footprint", "--rates", "1,2,3",
+                "--out", str(blocker / "fp.pgm"))
+    assert msg.startswith("i/o error:")
 
 
 # -- rf / search ---------------------------------------------------------------
@@ -211,3 +252,48 @@ def test_byte_identical_reruns(tmp_path):
     for rel in ("loss_curve.csv", "config.json", "net/net.json", "net/enc0.bin",
                 "net/dec0.bin"):
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+
+
+# -- train / eval failures ----------------------------------------------------------
+
+
+def test_train_size_not_multiple_of_d_fails_before_work(tmp_path, capsys):
+    out = tmp_path / "t"
+    msg = fails(capsys, EXIT_USAGE, "train", "--size", "18", "--d", "4",
+                "--out", str(out))
+    assert "--size 18" in msg and "d=4" in msg
+    assert not out.exists()
+
+
+def test_train_divergence_has_its_own_exit_code(tmp_path, capsys):
+    msg = fails(capsys, EXIT_DIVERGED, "train", "--lr", "1e8", "--iters", "300",
+                "--train-size", "1", "--size", "16", "--out", str(tmp_path / "t"))
+    assert msg.startswith("training diverged: non-finite loss at iteration")
+
+
+@pytest.mark.parametrize("flags,needle", [
+    (("--size", "30"), "--size 30"),
+    (("--classes", "5"), "--classes 5"),
+])
+def test_eval_geometry_mismatch_fails_before_work(trained_dir, tmp_path, capsys,
+                                                  flags, needle):
+    out = tmp_path / "eval"
+    msg = fails(capsys, EXIT_USAGE, "eval", "--net", str(trained_dir),
+                "--eval-size", "2", "--out", str(out), *flags)
+    assert needle in msg
+    assert not out.exists()
+
+
+def test_eval_missing_net_dir_is_io_error(tmp_path, capsys):
+    msg = fails(capsys, EXIT_USAGE, "eval", "--net", str(tmp_path / "absent"),
+                "--out", str(tmp_path / "eval"))
+    assert msg.startswith("i/o error:")
+
+
+@pytest.mark.parametrize("text", ["{", "{}", '{"schedule": 3}'])
+def test_eval_malformed_net_json_is_usage_error(trained_dir, tmp_path, capsys, text):
+    net = tmp_path / "net"
+    shutil.copytree(trained_dir / "net", net)
+    (net / "net.json").write_text(text)
+    fails(capsys, EXIT_USAGE, "eval", "--net", str(net), "--size", "16",
+          "--out", str(tmp_path / "eval"))

@@ -9,9 +9,7 @@ from segconv.conv import (
     conv2d_backward,
     conv2d_forward,
     dilated_kernel_size,
-    load_layer,
     same_padding,
-    save_layer,
 )
 from segconv.tensor import Rng, Tensor, he_init, new_tensor
 
@@ -267,12 +265,3 @@ def test_gradient_sweep_over_kernel_and_rate():
             pad = same_padding(k, r)
             _fd_check_conv(rng, k=k, r=r, h=5, w=6, c_in=2, c_out=2, pad=pad)
 
-
-def test_layer_serialization_roundtrip(tmp_path):
-    rng = Rng(22)
-    layer = random_layer(rng, k=3, r=2, c_in=2, c_out=3, pad=2)
-    save_layer(tmp_path / "layer", layer)
-    back = load_layer(tmp_path / "layer")
-    assert back.spec == layer.spec
-    assert np.array_equal(back.weights.data, layer.weights.data)
-    assert np.array_equal(back.bias, layer.bias)

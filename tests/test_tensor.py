@@ -4,15 +4,10 @@ import pytest
 from segconv.tensor import (
     Rng,
     Tensor,
-    add,
     he_init,
-    mul,
     new_tensor,
-    scale,
-    sub,
     tensor_from_bytes,
     tensor_to_bytes,
-    tensor_to_csv,
 )
 
 # frozen from the documented splitmix64 + Box-Muller recipe; regression only
@@ -42,37 +37,11 @@ def test_invalid_dims_rejected(shape):
         new_tensor(shape, 0.0)
 
 
-def test_elementwise_add_sub_mul_scale():
-    a = Tensor.from_flat((1, 1, 1, 2), [1.0, 2.0])
-    b = Tensor.from_flat((1, 1, 1, 2), [3.0, 4.0])
-    assert list(add(a, b).flatten()) == [4.0, 6.0]
-    assert list(sub(b, a).flatten()) == [2.0, 2.0]
-    assert list(mul(a, b).flatten()) == [3.0, 8.0]
-    assert list(scale(a, 0.0).flatten()) == [0.0, 0.0]
-    # inputs unmodified
-    assert list(a.flatten()) == [1.0, 2.0]
-
-
-def test_elementwise_shape_mismatch():
-    a = new_tensor((1, 1, 2, 2))
-    b = new_tensor((1, 1, 3, 3))
-    with pytest.raises(ValueError):
-        mul(a, b)
-
-
 def test_flatten_reshape_roundtrip_bit_exact():
     rng = Rng(5)
     t = he_init((2, 3, 4, 5), 7, rng)
-    back = Tensor.from_flat(t.shape, t.flatten())
+    back = Tensor(t.flatten().reshape(t.shape))
     assert np.array_equal(back.data, t.data)
-
-
-def test_elementwise_commutes_with_flattening():
-    rng = Rng(6)
-    a = he_init((2, 2, 3, 3), 4, rng)
-    b = he_init((2, 2, 3, 3), 4, rng)
-    flat = add(a, b).flatten()
-    assert np.array_equal(flat, a.flatten() + b.flatten())
 
 
 def test_rng_equal_seeds_equal_streams():
@@ -132,9 +101,3 @@ def test_binary_rejects_truncated_blob():
     blob = tensor_to_bytes(new_tensor((1, 1, 2, 2)))
     with pytest.raises(ValueError):
         tensor_from_bytes(blob[:-8])
-
-
-def test_csv_export_one_row_per_plane():
-    t = Tensor.from_flat((1, 2, 2, 2), [1, 2, 3, 4, 5, 6, 7, 8])
-    lines = tensor_to_csv(t).strip().splitlines()
-    assert lines == ["1.0,2.0,3.0,4.0", "5.0,6.0,7.0,8.0"]

@@ -349,15 +349,17 @@ def test_overfit_loss_monotone_over_windows(overfit_curve):
         assert overfit_curve[i + 200] <= overfit_curve[i]
 
 
-def test_net_save_load_roundtrip(tmp_path):
+@pytest.mark.parametrize("decoder,cell", [("duc", 1), ("bilinear", 1),
+                                          ("deconv", 1), ("duc", 2)])
+def test_net_save_load_roundtrip(tmp_path, decoder, cell):
     data = gen_thin_structures(1, 16, 16, 1, 3, Rng(9))
-    net = small_net("deconv", seed=2)
+    net = small_net(decoder, seed=2, cell=cell)
     cfg = SgdConfig(base_lr=2.5e-4, max_iter=5, momentum=0.9,
                     weight_decay=5e-4, batch=1, seed=0)
     train(net, data, cfg)
     save_net(tmp_path / "net", net)
     back = load_net(tmp_path / "net")
-    assert back.decoder == net.decoder and back.d == net.d
+    assert back.decoder == net.decoder and back.d == net.d and back.cell == net.cell
     x = data[0].image
     assert np.array_equal(back.predict(x), net.predict(x))
     la, _ = net.forward(x)
