@@ -87,7 +87,7 @@ def _default_out(sub: str) -> Path:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True, allow_nan=False))
 
 
 def _check_size(size: int, d: int) -> None:
@@ -130,12 +130,12 @@ def cmd_footprint(args) -> int:
 
 
 def cmd_rf(args) -> int:
-    rates = _parse_rates(args.rates)
+    sched = DilationSchedule(rates=_parse_rates(args.rates), kernel=args.kernel)
     _emit({
-        "rates": list(rates),
-        "K": args.kernel,
-        "rf_increase": rf_increase_for_rates(rates, args.kernel),
-        "per_layer": [(args.kernel - 1) * r for r in rates],
+        "rates": list(sched.rates),
+        "K": sched.kernel,
+        "rf_increase": rf_increase_for_rates(sched.rates, sched.kernel),
+        "per_layer": [(sched.kernel - 1) * r for r in sched.rates],
     })
     return EXIT_OK
 
@@ -249,7 +249,14 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _json_iou(v: float):
+    """IoU for stdout: nan (class absent from labels and predictions) is null."""
+    return None if np.isnan(v) else v
+
+
 def cmd_eval(args) -> int:
+    if args.eval_size < 1:
+        raise UsageError(f"--eval-size must be >= 1, got {args.eval_size}")
     net = load_net(Path(args.net) / "net" if (Path(args.net) / "net").exists()
                    else args.net)
     _check_size(args.size, net.d)
@@ -267,8 +274,8 @@ def cmd_eval(args) -> int:
     lines.append(f"mean,{mean!r}")
     (out / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
     _emit({
-        "per_class_iou": per_class,
-        "miou": mean,
+        "per_class_iou": [_json_iou(v) for v in per_class],
+        "miou": _json_iou(mean),
         "oracle": args.oracle,
         "samples": args.eval_size,
         "out": str(out),

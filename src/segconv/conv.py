@@ -11,9 +11,21 @@ Conventions, fixed once here:
   0 while i + r*L stays in range, so len(g) = len(f) - r*L. Note the l=1
   origin shifts taps one dilation step to the right of the centered 2-D
   convention; both forms are kept because both are useful references.
-* Accumulation order inside one output element is channel-major then
-  (ky, kx), identical between the shipped vectorized loops and a plain
-  scalar loop, so the two are bitwise comparable.
+* Two ops have a pinned accumulation order, and tests compare them bit for
+  bit. conv2d_forward sums each output element channel-major then (ky, kx),
+  exactly as a plain scalar loop does (test_forward_matches_naive_loop_bitwise
+  and test_forward_r1_matches_naive_loop_on_random_instances in
+  tests/test_conv.py). _scatter_input_grad sums each target element over
+  c_out in ascending order; conv grad_x and the transposed conv forward both
+  run on it (test_transposed_equals_conv_input_gradient and
+  test_duc_reproduces_nonoverlapping_transposed_conv_bitwise in
+  tests/test_upsample.py, and acceptance criterion 7).
+* grad_w, here and in the transposed conv, is one BLAS contraction over a
+  strided window view and has no order contract; its tests use a tolerance.
+  numpy's reductions (sum, add.reduce, tensordot, einsum, matmul) do not
+  promise a sequential order: pairwise summation, SIMD lanes and BLAS
+  blocking all reorder, depending on shape. So a pinned op stays a loop of
+  elementwise updates.
 
 Layers have no file format of their own; train.save_net writes them as part
 of a whole net.
@@ -24,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Rng, Tensor, he_init
 
@@ -155,8 +168,10 @@ def _scatter_input_grad(g: np.ndarray, wgt: np.ndarray, r: int, s: int,
 
     Distributes g (n, c_out, ho, wo) back onto a padded input canvas of shape
     (n, c_in, *padded_hw) through weights (c_out, c_in, k, k). Accumulation
-    per target element runs over c_out in ascending order; the transposed
-    convolution relies on that order for its exact-equivalence contract.
+    per target element runs over c_out in ascending order, one elementwise
+    update at a time; a numpy reduction would not keep that order. The
+    transposed conv forward, and through it DUC's exact equivalence, relies
+    on this order (see the module docstring for the tests that pin it).
     """
     n, c_out, ho, wo = g.shape
     _, c_in, k, _ = wgt.shape
@@ -186,20 +201,16 @@ def conv2d_backward(x: Tensor, layer: ConvLayer, grad_out: Tensor):
         raise ValueError(
             f"grad_out shape {grad_out.shape} != {(n, spec.c_out, ho, wo)}"
         )
-    p, r, s, k = spec.pad, spec.r, spec.stride, spec.k
+    p, r, s = spec.pad, spec.r, spec.stride
     g = grad_out.data
 
     grad_b = g.sum(axis=(0, 2, 3))
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    grad_w = np.zeros_like(layer.weights.data)
-    for ci in range(spec.c_in):
-        for ky in range(k):
-            for kx in range(k):
-                win = xp[:, ci,
-                         ky * r : ky * r + (ho - 1) * s + 1 : s,
-                         kx * r : kx * r + (wo - 1) * s + 1 : s]
-                grad_w[:, ci, ky, kx] = np.tensordot(g, win, axes=([0, 2, 3], [0, 1, 2]))
+    # win[n, ci, oy, ox, ky, kx] == xp[n, ci, oy*s + ky*r, ox*s + kx*r]
+    win = sliding_window_view(xp, (spec.k_d, spec.k_d), axis=(2, 3))[
+        :, :, ::s, ::s, ::r, ::r]
+    grad_w = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
 
     grad_xp = _scatter_input_grad(g, layer.weights.data, r, s, (h + 2 * p, w + 2 * p))
     grad_x = grad_xp[:, :, p : p + h, p : p + w] if p else grad_xp

@@ -160,8 +160,9 @@ def _deconv_factors(d: int) -> list[int]:
 
 
 class ToyNet:
-    """Strided stem down to factor d, dilated body carrying a rate schedule,
-    and one of the three decoders producing (n, L, H, W) logits.
+    """Strided 3x3 stem down to factor d, dilated body carrying a rate
+    schedule (one K x K conv per rate, K = schedule.kernel), and one of the
+    three decoders producing (n, L, H, W) logits.
 
     Inputs are centered and rescaled by fixed constants before the first
     layer (the synthetic images live in roughly 0..1; tanh layers train far
@@ -235,9 +236,10 @@ class ToyNet:
             spec = ConvSpec(k=3, r=1, stride=2, c_in=c_prev, c_out=cw, pad=1)
             enc.append(ConvLayer.initialized(spec, rng))
             c_prev = cw
+        k = schedule.kernel
         for rate in schedule.rates:
-            spec = ConvSpec(k=3, r=rate, stride=1, c_in=c_prev, c_out=c_prev,
-                            pad=same_padding(3, rate))
+            spec = ConvSpec(k=k, r=rate, stride=1, c_in=c_prev, c_out=c_prev,
+                            pad=same_padding(k, rate))
             enc.append(ConvLayer.initialized(spec, rng))
 
         dec = []

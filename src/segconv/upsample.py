@@ -12,8 +12,10 @@ reshape away.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .conv import ConvLayer, ConvSpec, _scatter_input_grad, conv2d_backward, conv2d_forward
 from .tensor import Rng, Tensor, he_init
@@ -102,8 +104,11 @@ def duc_backward(features: Tensor, layer: ConvLayer, spec: DucSpec,
 # ---------------------------------------------------------------------------
 
 
+@lru_cache
 def _bilinear_matrix(n_in: int, factor: int) -> np.ndarray:
-    """Row-stochastic (n_in*factor, n_in) interpolation matrix for one axis."""
+    """Row-stochastic (n_in*factor, n_in) interpolation matrix for one axis.
+
+    Cached per (n_in, factor) and shared by every caller, so read-only."""
     n_out = n_in * factor
     m = np.zeros((n_out, n_in), dtype=np.float64)
     for o in range(n_out):
@@ -114,6 +119,7 @@ def _bilinear_matrix(n_in: int, factor: int) -> np.ndarray:
         i1c = min(max(i0 + 1, 0), n_in - 1)
         m[o, i0c] += 1.0 - w1
         m[o, i1c] += w1
+    m.flags.writeable = False
     return m
 
 
@@ -230,19 +236,12 @@ def transposed_conv_backward(x: Tensor, layer: TransposedConvLayer,
     grad_b = g.sum(axis=(0, 2, 3))
 
     gp = np.pad(g, ((0, 0), (0, 0), (p, p), (p, p))) if p else g
-    # forward scattered x onto gp's canvas; the adjoint gathers gp back
-    grad_x = np.zeros_like(x.data)
-    grad_w = np.zeros_like(layer.weights.data)
-    wgt = layer.weights.data
-    for ky in range(k):
-        for kx in range(k):
-            win = gp[:, :,
-                     ky : ky + (h - 1) * s + 1 : s,
-                     kx : kx + (w - 1) * s + 1 : s]  # (n, c_out, h, w)
-            grad_x += np.einsum("nohw,io->nihw", win, wgt[:, :, ky, kx])
-            grad_w[:, :, ky, kx] = np.tensordot(
-                x.data, win, axes=([0, 2, 3], [0, 2, 3])
-            )
+    # forward scattered x onto gp's canvas; the adjoint gathers gp back:
+    # win[n, co, y, x, ky, kx] == gp[n, co, y*s + ky, x*s + kx], (y, x) < (h, w)
+    win = sliding_window_view(gp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    grad_x = np.tensordot(layer.weights.data, win,
+                          axes=([1, 2, 3], [1, 4, 5])).transpose(1, 0, 2, 3)
+    grad_w = np.tensordot(x.data, win, axes=([0, 2, 3], [0, 2, 3]))
     return Tensor(grad_x), Tensor(grad_w), grad_b
 
 

@@ -71,6 +71,36 @@ def naive_transposed_conv2d(x, w, b, stride, pad):
     return out + b[None, :, None, None]
 
 
+def naive_conv2d_grad_w(x, g, k, stride=1, pad=0, dilation=1):
+    """Scalar loop for the weight gradient of naive_conv2d: grad_w[co, ci,
+    ky, kx] sums g[n, co, oy, ox] * xpad[n, ci, oy*stride + ky*dilation,
+    ox*stride + kx*dilation] over (n, oy, ox); the output grid is g's.
+
+    With x and g swapped it is also the weight gradient of
+    naive_transposed_conv2d (dilation 1), whose output is the padded input
+    of the conv read here."""
+    n, c_in, h, wdt = x.shape
+    _, c_out, ho, wo = g.shape
+    xp = np.zeros((n, c_in, h + 2 * pad, wdt + 2 * pad))
+    xp[:, :, pad : pad + h, pad : pad + wdt] = x
+    grad_w = np.zeros((c_out, c_in, k, k))
+    for co in range(c_out):
+        for ci in range(c_in):
+            for ky in range(k):
+                for kx in range(k):
+                    acc = 0.0
+                    for ni in range(n):
+                        for oy in range(ho):
+                            for ox in range(wo):
+                                acc += (
+                                    g[ni, co, oy, ox]
+                                    * xp[ni, ci, oy * stride + ky * dilation,
+                                         ox * stride + kx * dilation]
+                                )
+                    grad_w[co, ci, ky, kx] = acc
+    return grad_w
+
+
 def fd_gradient(fn, arr, step=1e-6):
     """Central finite differences of a scalar function w.r.t. every entry."""
     grad = np.zeros_like(arr, dtype=np.float64)

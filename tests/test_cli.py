@@ -135,6 +135,12 @@ def test_rf_reports_increase(capsys):
     assert rep["per_layer"] == [2, 4, 6]
 
 
+@pytest.mark.parametrize("kernel", ["1", "2", "4"])
+def test_rf_rejects_kernel_like_check(capsys, kernel):
+    msg = fails(capsys, EXIT_USAGE, "rf", "--rates", "1,2,3", "--kernel", kernel)
+    assert f"got {kernel}" in msg
+
+
 def test_search_includes_canonical_ramp(capsys):
     code, rep = run(capsys, "search", "--layers", "3", "--kernel", "3",
                     "--rf-target", "12")
@@ -210,6 +216,25 @@ def test_eval_oracle_mode_gives_perfect_miou(trained_dir, tmp_path, capsys):
     assert rep["miou"] == 1.0
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_eval_stdout_is_strict_json_when_a_class_is_absent(tmp_path, capsys):
+    # class 3 never occurs in the generated labels, so with --oracle it is
+    # absent from labels and predictions alike and its IoU is undefined
+    out = tmp_path / "untrained"
+    assert main(["train", "--iters", "0", "--classes", "4", "--train-size", "1",
+                 "--size", "16", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", "--net", str(out), "--oracle", "--classes", "4",
+                 "--eval-size", "2", "--size", "16",
+                 "--out", str(tmp_path / "eval")]) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert rep["per_class_iou"] == [1.0, 1.0, 1.0, None]
+    assert rep["miou"] == 1.0
+
+
 def test_train_zero_iters_evaluates_near_chance(tmp_path, capsys):
     out = tmp_path / "untrained"
     code, rep = run(capsys, "train", "--decoder", "bilinear", "--iters", "0",
@@ -239,6 +264,17 @@ def test_out_dir_env_override(tmp_path, capsys, monkeypatch):
     code, rep = run(capsys, "footprint", "--rates", "1", "--format", "csv")
     assert code == EXIT_OK
     assert rep["out"].startswith(str(tmp_path / "envout"))
+
+
+def test_train_kernel_sets_the_dilated_body_kernel(tmp_path):
+    out = tmp_path / "k5"
+    assert main(["train", "--kernel", "5", "--iters", "1", "--train-size", "2",
+                 "--size", "16", "--out", str(out)]) == EXIT_OK
+    topo = json.loads((out / "net" / "net.json").read_text())
+    stem, body = topo["encoder"][:2], topo["encoder"][2:]
+    assert [e["r"] for e in body] == [1, 2, 3]
+    assert all(e["k"] == 5 and e["pad"] == 2 * e["r"] for e in body)
+    assert all(e["k"] == 3 for e in stem + topo["decoder_layers"])
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -281,6 +317,14 @@ def test_eval_geometry_mismatch_fails_before_work(trained_dir, tmp_path, capsys,
     msg = fails(capsys, EXIT_USAGE, "eval", "--net", str(trained_dir),
                 "--eval-size", "2", "--out", str(out), *flags)
     assert needle in msg
+    assert not out.exists()
+
+
+def test_eval_empty_eval_set_fails_before_work(trained_dir, tmp_path, capsys):
+    out = tmp_path / "eval"
+    msg = fails(capsys, EXIT_USAGE, "eval", "--net", str(trained_dir),
+                "--eval-size", "0", "--size", "16", "--out", str(out))
+    assert "--eval-size" in msg
     assert not out.exists()
 
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import fd_gradient, max_rel_err, naive_conv1d, naive_conv2d
+from oracles import (
+    fd_gradient,
+    max_rel_err,
+    naive_conv1d,
+    naive_conv2d,
+    naive_conv2d_grad_w,
+)
 from segconv.conv import (
     ConvLayer,
     ConvSpec,
@@ -265,3 +271,25 @@ def test_gradient_sweep_over_kernel_and_rate():
             pad = same_padding(k, r)
             _fd_check_conv(rng, k=k, r=r, h=5, w=6, c_in=2, c_out=2, pad=pad)
 
+
+def test_backward_is_exact_adjoint_over_geometry_sweep():
+    # with zero bias the conv is bilinear in (x, w), so
+    # <g, f(x, w)> == <x, grad_x> == <w, grad_w> up to rounding; a window
+    # read one stride or one dilation step off breaks both identities
+    rng = Rng(22)
+    for k in (1, 3, 5):
+        for r in (1, 2, 3):
+            for stride in (1, 2, 3):
+                for pad in (0, 1, 2):
+                    layer = random_layer(rng, k=k, r=r, c_in=2, c_out=3,
+                                         stride=stride, pad=pad, bias=False)
+                    x = he_init((2, 2, 14, 13), 3, rng)
+                    g = he_init((2, 3) + layer.spec.out_size(14, 13), 1, rng)
+                    gx, gw, _ = conv2d_backward(x, layer, g)
+                    lhs = float(np.sum(g.data * conv2d_forward(x, layer).data))
+                    tol = 1e-12 * max(1.0, abs(lhs))
+                    assert abs(lhs - float(np.sum(x.data * gx.data))) < tol
+                    assert abs(lhs - float(np.sum(layer.weights.data * gw.data))) < tol
+                    want = naive_conv2d_grad_w(x.data, g.data, k, stride=stride,
+                                               pad=pad, dilation=r)
+                    assert np.allclose(gw.data, want, rtol=1e-12, atol=1e-12)

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
-from oracles import fd_gradient, max_rel_err, naive_transposed_conv2d
+from oracles import (
+    fd_gradient,
+    max_rel_err,
+    naive_conv2d_grad_w,
+    naive_transposed_conv2d,
+)
 from segconv.conv import ConvLayer, ConvSpec, conv2d_backward
 from segconv.tensor import Rng, Tensor, he_init, new_tensor
 from segconv.upsample import (
     DucSpec,
     TransposedConvLayer,
     TransposedConvSpec,
+    _bilinear_matrix,
     bilinear_backward,
     bilinear_upsample,
     duc_backward,
@@ -179,6 +185,15 @@ def test_bilinear_adjoint_consistency():
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
+def test_bilinear_matrix_is_cached_read_only():
+    # one array serves every call with the same geometry; a caller that
+    # wrote to it would change every later upsample
+    m = _bilinear_matrix(3, 4)
+    assert m is _bilinear_matrix(3, 4)
+    with pytest.raises(ValueError):
+        m[0, 0] = 0.0
+
+
 # -- transposed convolution -------------------------------------------------------
 
 
@@ -247,6 +262,26 @@ def test_transposed_gradients_match_finite_differences():
     assert max_rel_err(gx.data, fd_gradient(objective, x.data)) < 1e-4
     assert max_rel_err(gw.data, fd_gradient(objective, layer.weights.data)) < 1e-4
     assert max_rel_err(gb, fd_gradient(objective, layer.bias)) < 1e-4
+
+
+def test_transposed_backward_is_exact_adjoint_over_geometry_sweep():
+    # stride > k leaves canvas positions no input pixel reaches; the window
+    # view must skip them in both gradients
+    rng = Rng(16)
+    for k in (1, 2, 3, 4):
+        for s in (1, 2, 3):
+            for pad in (0, 1):
+                spec = TransposedConvSpec(k=k, stride=s, c_in=2, c_out=3, pad=pad)
+                layer = TransposedConvLayer.initialized(spec, rng)  # zero bias
+                x = he_init((2, 2, 4, 3), 2, rng)
+                g = he_init((2, 3) + spec.out_size(4, 3), 1, rng)
+                gx, gw, _ = transposed_conv_backward(x, layer, g)
+                lhs = float(np.sum(g.data * transposed_conv_forward(x, layer).data))
+                tol = 1e-12 * max(1.0, abs(lhs))
+                assert abs(lhs - float(np.sum(x.data * gx.data))) < tol
+                assert abs(lhs - float(np.sum(layer.weights.data * gw.data))) < tol
+                want = naive_conv2d_grad_w(g.data, x.data, k, stride=s, pad=pad)
+                assert np.allclose(gw.data, want, rtol=1e-12, atol=1e-12)
 
 
 def test_transposed_grad_shape_mismatch_rejected():
