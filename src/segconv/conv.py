@@ -12,14 +12,15 @@ Conventions, fixed once here:
   origin shifts taps one dilation step to the right of the centered 2-D
   convention; both forms are kept because both are useful references.
 * Two ops have a pinned accumulation order, and tests compare them bit for
-  bit. conv2d_forward sums each output element channel-major then (ky, kx),
-  exactly as a plain scalar loop does (test_forward_matches_naive_loop_bitwise
-  and test_forward_r1_matches_naive_loop_on_random_instances in
-  tests/test_conv.py). _scatter_input_grad sums each target element over
-  c_out in ascending order; conv grad_x and the transposed conv forward both
-  run on it (test_transposed_equals_conv_input_gradient and
-  test_duc_reproduces_nonoverlapping_transposed_conv_bitwise in
-  tests/test_upsample.py, and acceptance criterion 7).
+  bit with the scalar loops in tests/oracles.py. conv2d_forward sums each
+  output element channel-major then (ky, kx), as a plain scalar loop does.
+  _scatter_input_grad (conv grad_x and the transposed conv forward) sums
+  each target element over its reaching taps in (ky, kx) order, each tap a
+  sequential sum over c_out. As both ops share the scatter,
+  test_transposed_equals_conv_input_gradient holds exactly; with k ==
+  stride and pad 0 every element gets one tap, so DUC's 1x1 conv and the
+  transposed conv both sum c_in sequentially (acceptance criterion 7 and
+  test_duc_reproduces_nonoverlapping_transposed_conv_bitwise).
 * grad_w, here and in the transposed conv, is one BLAS contraction over a
   strided window view and has no order contract; its tests use a tolerance.
   numpy's reductions (sum, add.reduce, tensordot, einsum, matmul) do not
@@ -137,27 +138,29 @@ def conv1d_dilated(f, h, r: int):
 def conv2d_forward(x: Tensor, layer: ConvLayer) -> Tensor:
     """Dilated cross-correlation of the zero-padded input, plus bias.
 
-    Implemented as a tap loop: one vectorized multiply-add per (c_in, ky, kx)
-    tap, so each output element accumulates in exactly the order a scalar
-    reference loop would. Bias is added once at the end.
+    A tap loop over a tap-major copy of the strided window view, one multiply
+    into a reused buffer and one in-place add per (c_in, ky, kx) tap: each
+    output element sums in a scalar loop's exact order. Bias is added last.
     """
     spec = layer.spec
     n, c, h, w = x.shape
     if c != spec.c_in:
         raise ValueError(f"input has {c} channels, layer expects {spec.c_in}")
     ho, wo = spec.out_size(h, w)
-    p, r, s, k = spec.pad, spec.r, spec.stride, spec.k
+    p, r, s = spec.pad, spec.r, spec.stride
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    wgt = layer.weights.data
+    # taps[(ci, ky, kx), n, 0, oy, ox] == xp[n, ci, oy*s + ky*r, ox*s + kx*r]
+    taps = np.ascontiguousarray(
+        sliding_window_view(xp, (spec.k_d, spec.k_d), axis=(2, 3))[
+            :, :, ::s, ::s, ::r, ::r].transpose(1, 4, 5, 0, 2, 3)
+    ).reshape(-1, n, 1, ho, wo)
+    wgt = layer.weights.data.transpose(1, 2, 3, 0).reshape(-1, spec.c_out, 1, 1)
     out = np.zeros((n, spec.c_out, ho, wo), dtype=np.float64)
-    for ci in range(spec.c_in):
-        for ky in range(k):
-            for kx in range(k):
-                win = xp[:, ci,
-                         ky * r : ky * r + (ho - 1) * s + 1 : s,
-                         kx * r : kx * r + (wo - 1) * s + 1 : s]
-                out += win[:, None, :, :] * wgt[None, :, ci, ky, kx, None, None]
+    prod = np.empty_like(out)
+    for tap, wt in zip(taps, wgt):
+        np.multiply(tap, wt, out=prod)
+        out += prod
     out += layer.bias[None, :, None, None]
     return Tensor(out)
 
@@ -166,23 +169,28 @@ def _scatter_input_grad(g: np.ndarray, wgt: np.ndarray, r: int, s: int,
                         padded_hw: tuple[int, int]) -> np.ndarray:
     """Adjoint of the gather in conv2d_forward.
 
-    Distributes g (n, c_out, ho, wo) back onto a padded input canvas of shape
-    (n, c_in, *padded_hw) through weights (c_out, c_in, k, k). Accumulation
-    per target element runs over c_out in ascending order, one elementwise
-    update at a time; a numpy reduction would not keep that order. The
-    transposed conv forward, and through it DUC's exact equivalence, relies
-    on this order (see the module docstring for the tests that pin it).
+    Distributes g (n, c_out, ho, wo) onto a padded input canvas (n, c_in,
+    *padded_hw) through weights (c_out, c_in, k, k). A column pass sums every
+    tap over c_out in ascending order into cols[ky, kx, n, c_in, ho, wo]; an
+    overlap-add then adds the k*k planes onto the canvas in (ky, kx) order.
+    That is c_out + k*k numpy updates, not c_out*k*k, for two buffers each
+    k*k times the input gradient at stride 1. The module docstring names the
+    tests that pin this order.
     """
     n, c_out, ho, wo = g.shape
     _, c_in, k, _ = wgt.shape
-    acc = np.zeros((n, c_in) + padded_hw, dtype=np.float64)
+    cols = np.zeros((k, k, n, c_in, ho, wo), dtype=np.float64)
+    prod = np.empty_like(cols)
+    # wt[co, ky, kx, 1, ci, 1, 1] == wgt[co, ci, ky, kx]
+    wt = wgt.transpose(0, 2, 3, 1)[:, :, :, None, :, None, None]
     for co in range(c_out):
-        for ky in range(k):
-            for kx in range(k):
-                acc[:, :,
-                    ky * r : ky * r + (ho - 1) * s + 1 : s,
-                    kx * r : kx * r + (wo - 1) * s + 1 : s] += (
-                    g[:, co, None, :, :] * wgt[co, :, ky, kx, None, None])
+        np.multiply(g[:, co, None], wt[co], out=prod)
+        cols += prod
+    acc = np.zeros((n, c_in) + padded_hw, dtype=np.float64)
+    for ky, kx in np.ndindex(k, k):
+        acc[:, :,
+            ky * r : ky * r + (ho - 1) * s + 1 : s,
+            kx * r : kx * r + (wo - 1) * s + 1 : s] += cols[ky, kx]
     return acc
 
 

@@ -1,6 +1,6 @@
 """Dilation-schedule analysis: the max-gap recurrence, hole-free validity,
 receptive-field accounting, sawtooth schedule generation, and an exact
-brute-force footprint oracle that renders gridding patterns.
+footprint oracle that renders gridding patterns.
 
 Validity rule
 -------------
@@ -106,28 +106,18 @@ class FootprintMap:
 
 
 def footprint(schedule: DilationSchedule) -> FootprintMap:
-    """Brute-force oracle: iterated full 2-D convolution of the all-ones
-    K x K kernel indicator masks, dilated by each rate in turn.
-
-    Counts are exact integers; the result is independent of layer order
-    (convolution commutes). Grid side = 1 + sum((K-1) * r_i); total mass =
-    K^(2n).
+    """Exact oracle: contribution counts of the composed stack over its
+    receptive-field square. The all-ones K x K masks are separable, so the
+    grid is the outer product of footprint_1d with itself. Counts are exact
+    integers and independent of layer order (convolution commutes); grid
+    side = 1 + sum((K-1) * r_i), total mass = K^(2n).
     """
-    k = schedule.kernel
-    grid = np.ones((1, 1), dtype=np.int64)
-    for r in schedule.rates:
-        old_h, old_w = grid.shape
-        ext = (k - 1) * r
-        nxt = np.zeros((old_h + ext, old_w + ext), dtype=np.int64)
-        for ky in range(k):
-            for kx in range(k):
-                nxt[ky * r : ky * r + old_h, kx * r : kx * r + old_w] += grid
-        grid = nxt
-    return FootprintMap(grid=grid, schedule=schedule)
+    line = footprint_1d(schedule)
+    return FootprintMap(grid=np.outer(line, line), schedule=schedule)
 
 
 def footprint_1d(schedule: DilationSchedule) -> np.ndarray:
-    """1-D counts along one axis; the 2-D grid is their outer product."""
+    """1-D counts along one axis: the dilated all-ones K-tap masks convolved."""
     k = schedule.kernel
     line = np.ones(1, dtype=np.int64)
     for r in schedule.rates:

@@ -135,14 +135,15 @@ def majority_downsample(labels: np.ndarray, cell: int) -> np.ndarray:
     h, w = labels.shape
     if h % cell or w % cell:
         raise ValueError(f"label grid {h}x{w} not divisible by cell {cell}")
-    out = np.full((h // cell, w // cell), IGNORE_LABEL, dtype=np.int64)
-    for by in range(h // cell):
-        for bx in range(w // cell):
-            block = labels[by * cell : (by + 1) * cell, bx * cell : (bx + 1) * cell]
-            votes = block[block != IGNORE_LABEL]
-            if votes.size:
-                out[by, bx] = np.bincount(votes).argmax()
-    return out
+    bh, bw = h // cell, w // cell
+    block = np.arange(h)[:, None] // cell * bw + np.arange(w) // cell
+    valid = labels != IGNORE_LABEL
+    n_labels = int(labels.max(initial=0, where=valid)) + 1
+    votes = np.bincount(block[valid] * n_labels + labels[valid],
+                        minlength=bh * bw * n_labels).reshape(bh * bw, n_labels)
+    # argmax takes the first maximum, so ties go to the smaller label
+    out = np.where(votes.any(axis=1), votes.argmax(axis=1), IGNORE_LABEL)
+    return out.reshape(bh, bw)
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,54 @@ def naive_conv2d_grad_w(x, g, k, stride=1, pad=0, dilation=1):
     return grad_w
 
 
+def naive_conv2d_grad_x(g, w, in_hw, stride=1, pad=0, dilation=1):
+    """Scalar loop for the input gradient of naive_conv2d, in a pinned
+    order: each padded-input element walks the taps (ky, kx) in raster
+    order and adds, for every tap that reaches it from some output (oy, ox),
+    that tap's sequential sum over c_out of g[n, co, oy, ox] * w[co, ci,
+    ky, kx]; the padding is cropped at the end.
+
+    With g the transposed conv's input and w its (c_in, c_out, k, k)
+    weights, dilation 1 and in_hw its output size, it is also
+    naive_transposed_conv2d with zero bias, in the same order."""
+    n, c_out, ho, wo = g.shape
+    _, c_in, k, _ = w.shape
+    h, wdt = in_hw
+    grad = np.zeros((n, c_in, h + 2 * pad, wdt + 2 * pad))
+    for ni in range(n):
+        for ci in range(c_in):
+            for y in range(h + 2 * pad):
+                for x in range(wdt + 2 * pad):
+                    acc = 0.0
+                    for ky in range(k):
+                        for kx in range(k):
+                            oy, ry = divmod(y - ky * dilation, stride)
+                            ox, rx = divmod(x - kx * dilation, stride)
+                            if ry or rx or not (0 <= oy < ho and 0 <= ox < wo):
+                                continue
+                            tap = 0.0
+                            for co in range(c_out):
+                                tap += g[ni, co, oy, ox] * w[co, ci, ky, kx]
+                            acc += tap
+                    grad[ni, ci, y, x] = acc
+    return grad[:, :, pad : pad + h, pad : pad + wdt]
+
+
+def naive_majority_downsample(labels, cell, ignore):
+    """Per-block loop: each cell x cell block's most frequent label among
+    the pixels that are not `ignore`, ties to the smaller label, `ignore`
+    for a block with no such pixel."""
+    h, w = labels.shape
+    out = np.full((h // cell, w // cell), ignore, dtype=np.int64)
+    for by in range(h // cell):
+        for bx in range(w // cell):
+            block = labels[by * cell : (by + 1) * cell, bx * cell : (bx + 1) * cell]
+            votes = block[block != ignore]
+            if votes.size:
+                out[by, bx] = np.bincount(votes).argmax()
+    return out
+
+
 def fd_gradient(fn, arr, step=1e-6):
     """Central finite differences of a scalar function w.r.t. every entry."""
     grad = np.zeros_like(arr, dtype=np.float64)

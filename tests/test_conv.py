@@ -7,6 +7,7 @@ from oracles import (
     naive_conv1d,
     naive_conv2d,
     naive_conv2d_grad_w,
+    naive_conv2d_grad_x,
 )
 from segconv.conv import (
     ConvLayer,
@@ -142,6 +143,24 @@ def test_forward_r1_matches_naive_loop_on_random_instances():
         expect = naive_conv2d(x.data, layer.weights.data, layer.bias,
                               stride=stride, pad=pad, dilation=1)
         assert np.array_equal(got.data, expect)
+
+
+@pytest.mark.parametrize("k", (1, 3, 5))
+def test_forward_matches_naive_loop_bitwise_over_geometry_sweep(k):
+    # dilation and stride together: the tap-major window copy must read
+    # every tap at oy*stride + ky*r and keep the (c_in, ky, kx) order
+    rng = Rng(30 + k)
+    for r in (1, 2, 3):
+        for stride in (1, 2, 3):
+            for pad in (0, 1, 2):
+                kd = dilated_kernel_size(k, r)
+                x = he_init((2, 2, kd + 3, kd + 2), 3, rng)
+                layer = random_layer(rng, k=k, r=r, c_in=2, c_out=3,
+                                     stride=stride, pad=pad)
+                got = conv2d_forward(x, layer)
+                expect = naive_conv2d(x.data, layer.weights.data, layer.bias,
+                                      stride=stride, pad=pad, dilation=r)
+                assert np.array_equal(got.data, expect), (r, stride, pad)
 
 
 def test_forward_linearity_with_zero_bias():
@@ -293,3 +312,25 @@ def test_backward_is_exact_adjoint_over_geometry_sweep():
                     want = naive_conv2d_grad_w(x.data, g.data, k, stride=stride,
                                                pad=pad, dilation=r)
                     assert np.allclose(gw.data, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", (1, 3, 5))
+def test_backward_grad_x_matches_naive_scatter_order_bitwise(k):
+    # grad_x sums each element's reaching taps in (ky, kx) order, each tap a
+    # sequential sum over c_out; c_out=29 is long enough for any reordering
+    # of that sum to show in the last bits
+    rng = Rng(40 + k)
+    for r in (1, 2, 3):
+        for stride in (1, 2, 3):
+            for pad in (0, 1, 2):
+                for c_out in (1, 3, 29):
+                    kd = dilated_kernel_size(k, r)
+                    hw = (kd + 3, kd + 2)
+                    x = he_init((2, 2) + hw, 3, rng)
+                    layer = random_layer(rng, k=k, r=r, c_in=2, c_out=c_out,
+                                         stride=stride, pad=pad)
+                    g = he_init((2, c_out) + layer.spec.out_size(*hw), 1, rng)
+                    gx, _, _ = conv2d_backward(x, layer, g)
+                    want = naive_conv2d_grad_x(g.data, layer.weights.data, hw,
+                                               stride=stride, pad=pad, dilation=r)
+                    assert np.array_equal(gx.data, want), (r, stride, pad, c_out)

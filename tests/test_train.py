@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import fd_gradient, max_rel_err
+from oracles import fd_gradient, max_rel_err, naive_majority_downsample
 from segconv.data import IGNORE_LABEL, gen_thin_structures
 from segconv.hdc import DilationSchedule, coverage_report, footprint
 from segconv.tensor import Rng, Tensor, new_tensor
@@ -176,6 +176,21 @@ def test_majority_downsample_votes_and_ignores():
 def test_majority_downsample_tie_goes_to_smaller_label():
     labels = np.array([[1, 2], [2, 1]], dtype=np.int64)
     assert majority_downsample(labels, 2).tolist() == [[1]]
+
+
+@pytest.mark.parametrize("cell", (2, 4))
+def test_majority_downsample_matches_block_loop_oracle(cell):
+    # few labels on small blocks make ties common; a high ignore density
+    # leaves some blocks with no vote at all
+    rng = np.random.default_rng(60 + cell)
+    for trial in range(40):
+        bh, bw = 1 + rng.integers(5), 1 + rng.integers(5)
+        labels = rng.integers(0, 1 + rng.integers(4), size=(bh * cell, bw * cell))
+        labels[rng.random(labels.shape) < rng.random()] = IGNORE_LABEL
+        got = majority_downsample(labels, cell)
+        want = naive_majority_downsample(labels, cell, IGNORE_LABEL)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), trial
 
 
 # -- mIoU ---------------------------------------------------------------------------

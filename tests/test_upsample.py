@@ -5,6 +5,7 @@ from oracles import (
     fd_gradient,
     max_rel_err,
     naive_conv2d_grad_w,
+    naive_conv2d_grad_x,
     naive_transposed_conv2d,
 )
 from segconv.conv import ConvLayer, ConvSpec, conv2d_backward
@@ -245,6 +246,23 @@ def test_transposed_equals_conv_input_gradient():
     up = transposed_conv_forward(g, tlayer)
     # the scatter reconstructs only positions reachable from the output grid
     assert np.array_equal(up.data, gx.data[:, :, :up.shape[2], :up.shape[3]])
+
+
+@pytest.mark.parametrize("k", (1, 3, 5))
+def test_transposed_forward_matches_naive_scatter_order_bitwise(k):
+    # the transposed conv runs conv grad_x's scatter, so it keeps the same
+    # pinned order: taps in (ky, kx) order, each a sequential sum over c_in
+    rng = Rng(50 + k)
+    for s in (1, 2, 3):
+        for pad in (0, 1, 2):
+            for c_in in (1, 3, 29):
+                spec = TransposedConvSpec(k=k, stride=s, c_in=c_in, c_out=2, pad=pad)
+                layer = TransposedConvLayer.initialized(spec, rng)  # zero bias
+                x = he_init((2, c_in, 6, 5), 2, rng)
+                got = transposed_conv_forward(x, layer)
+                want = naive_conv2d_grad_x(x.data, layer.weights.data,
+                                           spec.out_size(6, 5), stride=s, pad=pad)
+                assert np.array_equal(got.data, want), (s, pad, c_in)
 
 
 def test_transposed_gradients_match_finite_differences():
