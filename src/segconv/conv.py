@@ -11,22 +11,30 @@ Conventions, fixed once here:
   0 while i + r*L stays in range, so len(g) = len(f) - r*L. Note the l=1
   origin shifts taps one dilation step to the right of the centered 2-D
   convention; both forms are kept because both are useful references.
-* Two ops have a pinned accumulation order, and tests compare them bit for
-  bit with the scalar loops in tests/oracles.py. conv2d_forward sums each
-  output element channel-major then (ky, kx), as a plain scalar loop does.
-  _scatter_input_grad (conv grad_x and the transposed conv forward) sums
-  each target element over its reaching taps in (ky, kx) order, each tap a
-  sequential sum over c_out. As both ops share the scatter,
-  test_transposed_equals_conv_input_gradient holds exactly; with k ==
-  stride and pad 0 every element gets one tap, so DUC's 1x1 conv and the
-  transposed conv both sum c_in sequentially (acceptance criterion 7 and
-  test_duc_reproduces_nonoverlapping_transposed_conv_bitwise).
+* Two ops have a pinned accumulation order, compared bit for bit with the
+  scalar loops in tests/oracles.py. conv2d_forward sums each output element
+  channel-major then (ky, kx). _scatter_input_grad (conv grad_x and the
+  transposed conv forward) sums each target element over its reaching taps
+  in (ky, kx) order, each tap a sequential sum over c_out; sharing it makes
+  test_transposed_equals_conv_input_gradient exact, and k == stride, pad 0
+  (one tap per element) gives acceptance criterion 7 and
+  test_duc_reproduces_nonoverlapping_transposed_conv_bitwise.
+* Both run through _product_sum: the products p[t, j, m] = a[t, m] * b[t, j]
+  of one chunk of j fill a C-contiguous buffer of at most _BUF_ELEMS float64
+  (1 MiB), and one np.add.reduce(axis=0, initial=0.0) over its slowest axis
+  sums them. Along a non-fast axis numpy adds whole slices in index order,
+  so each element gets 0.0 + p0 + p1 + ... as in the scalar loop; it sums
+  pairwise along the fast axis, which a one-element result would use, so
+  that one is accumulated instead. np.einsum writes the products (no summed
+  index: one multiply each; a zero product's sign is invisible to a sum from
+  +0.0) at half the cost of a broadcasting np.multiply on small planes. When
+  one j overflows the buffer the sum is bandwidth-bound and adds one t at a
+  time, in the same order. A numpy that reordered would fail the bitwise
+  tests (with their *_across_buffer_chunks and *_tap_by_tap cases),
+  test_one_pixel_results_keep_the_sequential_order and
+  test_forward_keeps_signed_zeros_of_the_naive_loop.
 * grad_w, here and in the transposed conv, is one BLAS contraction over a
   strided window view and has no order contract; its tests use a tolerance.
-  numpy's reductions (sum, add.reduce, tensordot, einsum, matmul) do not
-  promise a sequential order: pairwise summation, SIMD lanes and BLAS
-  blocking all reorder, depending on shape. So a pinned op stays a loop of
-  elementwise updates.
 
 Layers have no file format of their own; train.save_net writes them as part
 of a whole net.
@@ -34,12 +42,15 @@ of a whole net.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Rng, Tensor, he_init
+
+_BUF_ELEMS = 1 << 17  # float64 per product buffer: 1 MiB, inside a 2 MiB L2 cache
 
 
 def dilated_kernel_size(k: int, r: int) -> int:
@@ -98,23 +109,23 @@ class ConvLayer:
     """ConvSpec plus weights (c_out, c_in, k, k) and per-output-channel bias."""
 
     def __init__(self, spec: ConvSpec, weights: Tensor, bias=None):
-        expected = (spec.c_out, spec.c_in, spec.k, spec.k)
-        if weights.shape != expected:
-            raise ValueError(f"weight shape {weights.shape} != {expected}")
-        if bias is None:
-            bias = np.zeros(spec.c_out, dtype=np.float64)
-        bias = np.asarray(bias, dtype=np.float64).ravel()
-        if bias.size != spec.c_out:
-            raise ValueError(f"bias length {bias.size} != c_out {spec.c_out}")
-        self.spec = spec
-        self.weights = weights
-        self.bias = bias
+        _set_params(self, spec, weights, bias, (spec.c_out, spec.c_in, spec.k, spec.k))
 
     @staticmethod
     def initialized(spec: ConvSpec, rng: Rng) -> "ConvLayer":
         fan_in = spec.c_in * spec.k * spec.k
         w = he_init((spec.c_out, spec.c_in, spec.k, spec.k), fan_in, rng)
         return ConvLayer(spec, w)
+
+
+def _set_params(layer, spec, weights: Tensor, bias, expected: tuple) -> None:
+    """Check weight shape and bias length; set layer.spec, .weights, .bias (zeros if None)."""
+    if weights.shape != expected:
+        raise ValueError(f"weight shape {weights.shape} != {expected}")
+    bias = np.zeros(spec.c_out) if bias is None else np.asarray(bias, dtype=np.float64).ravel()
+    if bias.size != spec.c_out:
+        raise ValueError(f"bias length {bias.size} != c_out {spec.c_out}")
+    layer.spec, layer.weights, layer.bias = spec, weights, bias
 
 
 def conv1d_dilated(f, h, r: int):
@@ -135,32 +146,62 @@ def conv1d_dilated(f, h, r: int):
     return g
 
 
+def _pad(x: np.ndarray, p: int) -> np.ndarray:
+    """A copy of x with p zero rows and columns added on each side."""
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float64)
+    xp[:, :, p : p + h, p : p + w] = x
+    return xp
+
+
+def _window(xp: np.ndarray, k: int, r: int, s: int, ho: int, wo: int) -> np.ndarray:
+    """Read-only view[n, c, oy, ox, ky, kx] == xp[n, c, oy*s + ky*r, ox*s + kx*r];
+    the caller keeps (ho-1)*s + (k-1)*r inside both spatial axes."""
+    sn, sc, sy, sx = xp.strides
+    return as_strided(xp, xp.shape[:2] + (ho, wo, k, k),
+                      (sn, sc, sy * s, sx * s, sy * r, sx * r), writeable=False)
+
+
+def _product_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out[j, m] = 0.0 + p[0, j, m] + p[1, j, m] + ..., summed in index order,
+    for the products p[t, j, m] = a[t, m] * b[t, j] (see the module docstring)."""
+    if a.size > _BUF_ELEMS:  # bandwidth-bound: add one t at a time
+        out[...] = 0.0
+        for at, bt in zip(a, b):
+            out += bt[:, None] * at
+        return
+    step = _BUF_ELEMS // a.size
+    buf = np.empty(a.size * min(step, b.shape[1]), dtype=np.float64)
+    for j in range(0, b.shape[1], step):
+        oj = out[j : j + step]
+        prod = np.einsum("tm,tj->tjm", a, b[:, j : j + step],
+                         out=buf[: a.size * len(oj)].reshape(len(a), len(oj), -1))
+        if oj.size > 1:
+            np.add.reduce(prod, axis=0, out=oj, initial=0.0)
+        else:  # a lone run would be summed pairwise; accumulate keeps the order
+            oj[...] = np.add.accumulate(np.append(0.0, prod))[-1]
+
+
 def conv2d_forward(x: Tensor, layer: ConvLayer) -> Tensor:
     """Dilated cross-correlation of the zero-padded input, plus bias.
 
-    A tap loop over a tap-major copy of the strided window view, one multiply
-    into a reused buffer and one in-place add per (c_in, ky, kx) tap: each
-    output element sums in a scalar loop's exact order. Bias is added last.
+    One ordered product sum over the (c_in, ky, kx) taps of a tap-major copy
+    of the window view gives each output element a scalar loop's exact
+    order. Bias is added last.
     """
     spec = layer.spec
     n, c, h, w = x.shape
     if c != spec.c_in:
         raise ValueError(f"input has {c} channels, layer expects {spec.c_in}")
     ho, wo = spec.out_size(h, w)
-    p, r, s = spec.pad, spec.r, spec.stride
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    # taps[(ci, ky, kx), n, 0, oy, ox] == xp[n, ci, oy*s + ky*r, ox*s + kx*r]
-    taps = np.ascontiguousarray(
-        sliding_window_view(xp, (spec.k_d, spec.k_d), axis=(2, 3))[
-            :, :, ::s, ::s, ::r, ::r].transpose(1, 4, 5, 0, 2, 3)
-    ).reshape(-1, n, 1, ho, wo)
-    wgt = layer.weights.data.transpose(1, 2, 3, 0).reshape(-1, spec.c_out, 1, 1)
-    out = np.zeros((n, spec.c_out, ho, wo), dtype=np.float64)
-    prod = np.empty_like(out)
-    for tap, wt in zip(taps, wgt):
-        np.multiply(tap, wt, out=prod)
-        out += prod
+    win = _window(_pad(x.data, spec.pad), spec.k, spec.r, spec.stride, ho, wo)
+    # taps[(ci, ky, kx), (n, oy, ox)], wgt[(ci, ky, kx), co]
+    taps = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(-1, n * ho * wo)
+    wgt = layer.weights.data.transpose(1, 2, 3, 0).reshape(-1, spec.c_out)
+    out = np.empty((spec.c_out, n * ho * wo), dtype=np.float64)
+    _product_sum(taps, wgt, out)
+    out = np.ascontiguousarray(out.reshape(spec.c_out, n, ho, wo).transpose(1, 0, 2, 3))
     out += layer.bias[None, :, None, None]
     return Tensor(out)
 
@@ -170,27 +211,21 @@ def _scatter_input_grad(g: np.ndarray, wgt: np.ndarray, r: int, s: int,
     """Adjoint of the gather in conv2d_forward.
 
     Distributes g (n, c_out, ho, wo) onto a padded input canvas (n, c_in,
-    *padded_hw) through weights (c_out, c_in, k, k). A column pass sums every
-    tap over c_out in ascending order into cols[ky, kx, n, c_in, ho, wo]; an
-    overlap-add then adds the k*k planes onto the canvas in (ky, kx) order.
-    That is c_out + k*k numpy updates, not c_out*k*k, for two buffers each
-    k*k times the input gradient at stride 1. The module docstring names the
-    tests that pin this order.
+    *padded_hw) through weights (c_out, c_in, k, k): one ordered product sum
+    over c_out gives cols[(ky, kx, ci), (n, oy, ox)], then an overlap-add
+    adds the k*k planes onto the canvas in (ky, kx) order, the order the
+    module docstring's tests pin.
     """
     n, c_out, ho, wo = g.shape
     _, c_in, k, _ = wgt.shape
-    cols = np.zeros((k, k, n, c_in, ho, wo), dtype=np.float64)
-    prod = np.empty_like(cols)
-    # wt[co, ky, kx, 1, ci, 1, 1] == wgt[co, ci, ky, kx]
-    wt = wgt.transpose(0, 2, 3, 1)[:, :, :, None, :, None, None]
-    for co in range(c_out):
-        np.multiply(g[:, co, None], wt[co], out=prod)
-        cols += prod
+    cols = np.empty((k * k * c_in, n * ho * wo), dtype=np.float64)
+    _product_sum(g.transpose(1, 0, 2, 3).reshape(c_out, -1),
+                 wgt.transpose(0, 2, 3, 1).reshape(c_out, -1), cols)
     acc = np.zeros((n, c_in) + padded_hw, dtype=np.float64)
-    for ky, kx in np.ndindex(k, k):
+    for (ky, kx), col in zip(np.ndindex(k, k), cols.reshape(k * k, c_in, n, ho, wo)):
         acc[:, :,
             ky * r : ky * r + (ho - 1) * s + 1 : s,
-            kx * r : kx * r + (wo - 1) * s + 1 : s] += cols[ky, kx]
+            kx * r : kx * r + (wo - 1) * s + 1 : s] += col.transpose(1, 0, 2, 3)
     return acc
 
 
@@ -214,10 +249,7 @@ def conv2d_backward(x: Tensor, layer: ConvLayer, grad_out: Tensor):
 
     grad_b = g.sum(axis=(0, 2, 3))
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    # win[n, ci, oy, ox, ky, kx] == xp[n, ci, oy*s + ky*r, ox*s + kx*r]
-    win = sliding_window_view(xp, (spec.k_d, spec.k_d), axis=(2, 3))[
-        :, :, ::s, ::s, ::r, ::r]
+    win = _window(_pad(x.data, p), spec.k, r, s, ho, wo)
     grad_w = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
 
     grad_xp = _scatter_input_grad(g, layer.weights.data, r, s, (h + 2 * p, w + 2 * p))

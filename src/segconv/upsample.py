@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .conv import ConvLayer, ConvSpec, _scatter_input_grad, conv2d_backward, conv2d_forward
+from .conv import (ConvLayer, ConvSpec, _pad, _scatter_input_grad, _set_params, _window,
+                   conv2d_backward, conv2d_forward)
 from .tensor import Rng, Tensor, he_init
 
 
@@ -188,17 +188,7 @@ class TransposedConvLayer:
     read as (its c_out, its c_in, k, k)."""
 
     def __init__(self, spec: TransposedConvSpec, weights: Tensor, bias=None):
-        expected = (spec.c_in, spec.c_out, spec.k, spec.k)
-        if weights.shape != expected:
-            raise ValueError(f"weight shape {weights.shape} != {expected}")
-        if bias is None:
-            bias = np.zeros(spec.c_out, dtype=np.float64)
-        bias = np.asarray(bias, dtype=np.float64).ravel()
-        if bias.size != spec.c_out:
-            raise ValueError(f"bias length {bias.size} != c_out {spec.c_out}")
-        self.spec = spec
-        self.weights = weights
-        self.bias = bias
+        _set_params(self, spec, weights, bias, (spec.c_in, spec.c_out, spec.k, spec.k))
 
     @staticmethod
     def initialized(spec: TransposedConvSpec, rng: Rng) -> "TransposedConvLayer":
@@ -230,15 +220,13 @@ def transposed_conv_backward(x: Tensor, layer: TransposedConvLayer,
         raise ValueError(
             f"grad_out shape {grad_out.shape} != {(n, spec.c_out, ho, wo)}"
         )
-    p, s, k = spec.pad, spec.stride, spec.k
     g = grad_out.data
 
     grad_b = g.sum(axis=(0, 2, 3))
 
-    gp = np.pad(g, ((0, 0), (0, 0), (p, p), (p, p))) if p else g
-    # forward scattered x onto gp's canvas; the adjoint gathers gp back:
-    # win[n, co, y, x, ky, kx] == gp[n, co, y*s + ky, x*s + kx], (y, x) < (h, w)
-    win = sliding_window_view(gp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    # forward scattered x onto a padded canvas; the adjoint gathers it back:
+    # win[n, co, y, x, ky, kx] == padded g[n, co, y*s + ky, x*s + kx], (y, x) < (h, w)
+    win = _window(_pad(g, spec.pad), spec.k, 1, spec.stride, h, w)
     grad_x = np.tensordot(layer.weights.data, win,
                           axes=([1, 2, 3], [1, 4, 5])).transpose(1, 0, 2, 3)
     grad_w = np.tensordot(x.data, win, axes=([0, 2, 3], [0, 2, 3]))

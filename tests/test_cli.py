@@ -135,6 +135,12 @@ def test_rf_reports_increase(capsys):
     assert rep["per_layer"] == [2, 4, 6]
 
 
+@pytest.mark.parametrize("rates,kernel", [("1,2,3", "3"), ("1", "5"), ("2,4,8", "7")])
+def test_rf_stdout_matches_schema(capsys, rates, kernel):
+    _, rep = run(capsys, "rf", "--rates", rates, "--kernel", kernel)
+    jsonschema.validate(rep, schema("rf_report.schema.json"))
+
+
 @pytest.mark.parametrize("kernel", ["1", "2", "4"])
 def test_rf_rejects_kernel_like_check(capsys, kernel):
     msg = fails(capsys, EXIT_USAGE, "rf", "--rates", "1,2,3", "--kernel", kernel)
@@ -153,6 +159,13 @@ def test_search_empty_result_still_succeeds(capsys):
                     "--rf-target", "50")
     assert code == EXIT_OK
     assert rep["schedules"] == []
+
+
+@pytest.mark.parametrize("layers,rf_target", [("3", "12"), ("2", "50")])
+def test_search_stdout_matches_schema(capsys, layers, rf_target):
+    _, rep = run(capsys, "search", "--layers", layers, "--kernel", "3",
+                 "--rf-target", rf_target)
+    jsonschema.validate(rep, schema("search_report.schema.json"))
 
 
 def test_search_results_pass_check(capsys):

@@ -10,6 +10,7 @@ from oracles import (
     naive_conv2d_grad_x,
 )
 from segconv.conv import (
+    _BUF_ELEMS,
     ConvLayer,
     ConvSpec,
     conv1d_dilated,
@@ -19,6 +20,13 @@ from segconv.conv import (
     same_padding,
 )
 from segconv.tensor import Rng, Tensor, he_init, new_tensor
+
+
+def buffer_chunks(count, item):
+    """How many product-buffer chunks the conv module splits `count` output
+    rows of `item` products each into."""
+    per_chunk = max(1, _BUF_ELEMS // item)
+    return -(-count // per_chunk)
 
 
 def random_layer(rng, k, r, c_in, c_out, stride=1, pad=0, bias=True):
@@ -161,6 +169,62 @@ def test_forward_matches_naive_loop_bitwise_over_geometry_sweep(k):
                 expect = naive_conv2d(x.data, layer.weights.data, layer.bias,
                                       stride=stride, pad=pad, dilation=r)
                 assert np.array_equal(got.data, expect), (r, stride, pad)
+
+
+def test_forward_matches_naive_loop_bitwise_across_buffer_chunks():
+    # 29 output channels of 36 taps on a 16x16 grid do not fit one product
+    # buffer, so the ordered sum runs once per chunk of channels
+    rng = Rng(33)
+    x = he_init((1, 4, 16, 16), 3, rng)
+    layer = random_layer(rng, k=3, r=2, c_in=4, c_out=29, pad=2)
+    assert buffer_chunks(29, 4 * 9 * 16 * 16) >= 2
+    got = conv2d_forward(x, layer)
+    expect = naive_conv2d(x.data, layer.weights.data, layer.bias, pad=2, dilation=2)
+    assert np.array_equal(got.data, expect)
+
+
+def test_forward_matches_naive_loop_bitwise_tap_by_tap():
+    # 16 input channels of 9 taps on a 32x32 grid give one output channel
+    # more products than one buffer holds, so the forward adds tap by tap
+    rng = Rng(36)
+    x = he_init((1, 16, 32, 32), 3, rng)
+    layer = random_layer(rng, k=3, r=1, c_in=16, c_out=2, pad=1)
+    assert 16 * 9 * 32 * 32 > _BUF_ELEMS
+    got = conv2d_forward(x, layer)
+    expect = naive_conv2d(x.data, layer.weights.data, layer.bias, pad=1)
+    assert np.array_equal(got.data, expect)
+
+
+def test_forward_keeps_signed_zeros_of_the_naive_loop():
+    # 0.0 * negative weight is -0.0; the scalar loop starts from +0.0, so
+    # every output is +0.0 even after a -0.0 bias (array_equal cannot see it)
+    rng = Rng(34)
+    layer = random_layer(rng, k=3, r=1, c_in=2, c_out=3, pad=1, bias=False)
+    layer.weights.data[...] = -np.abs(layer.weights.data) - 0.5
+    layer.bias[:] = -0.0
+    x = new_tensor((2, 2, 5, 5))
+    got = conv2d_forward(x, layer)
+    expect = naive_conv2d(x.data, layer.weights.data, layer.bias, pad=1)
+    assert got.data.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("channels", (1, 5))
+def test_one_pixel_results_keep_the_sequential_order(channels):
+    # one output pixel of 18 taps, and one input pixel reached by 29 output
+    # channels: numpy sums a lone element, or a buffer whose fast axis is
+    # the summed one, pairwise
+    rng = Rng(35 + channels)
+    layer = random_layer(rng, k=3, r=1, c_in=2, c_out=channels)
+    x = he_init((1, 2, 3, 3), 3, rng)
+    expect = naive_conv2d(x.data, layer.weights.data, layer.bias)
+    assert np.array_equal(conv2d_forward(x, layer).data, expect)
+
+    layer = random_layer(rng, k=1, r=1, c_in=channels, c_out=29)
+    x = he_init((1, channels, 1, 1), 3, rng)
+    g = he_init((1, 29, 1, 1), 1, rng)
+    gx, _, _ = conv2d_backward(x, layer, g)
+    want = naive_conv2d_grad_x(g.data, layer.weights.data, (1, 1))
+    assert np.array_equal(gx.data, want)
 
 
 def test_forward_linearity_with_zero_bias():
@@ -334,3 +398,31 @@ def test_backward_grad_x_matches_naive_scatter_order_bitwise(k):
                     want = naive_conv2d_grad_x(g.data, layer.weights.data, hw,
                                                stride=stride, pad=pad, dilation=r)
                     assert np.array_equal(gx.data, want), (r, stride, pad, c_out)
+
+
+def test_backward_grad_x_matches_naive_scatter_order_bitwise_across_buffer_chunks():
+    # 36 (tap, input channel) rows of 29 output channels on a 16x16 grid do
+    # not fit one product buffer, so the column pass runs in chunks of rows
+    rng = Rng(45)
+    hw = (16, 16)
+    x = he_init((1, 4) + hw, 3, rng)
+    layer = random_layer(rng, k=3, r=2, c_in=4, c_out=29, pad=2)
+    g = he_init((1, 29) + layer.spec.out_size(*hw), 1, rng)
+    assert buffer_chunks(9 * 4, 29 * 16 * 16) >= 2
+    gx, _, _ = conv2d_backward(x, layer, g)
+    want = naive_conv2d_grad_x(g.data, layer.weights.data, hw, pad=2, dilation=2)
+    assert np.array_equal(gx.data, want)
+
+
+def test_backward_grad_x_matches_naive_scatter_order_bitwise_tap_by_tap():
+    # 33 output channels of a 64x64 grid give one column more products than
+    # one buffer holds, so the column pass adds one output channel at a time
+    rng = Rng(46)
+    hw = (64, 64)
+    x = he_init((1, 2) + hw, 3, rng)
+    layer = random_layer(rng, k=1, r=1, c_in=2, c_out=33)
+    g = he_init((1, 33) + hw, 1, rng)
+    assert 33 * 64 * 64 > _BUF_ELEMS
+    gx, _, _ = conv2d_backward(x, layer, g)
+    want = naive_conv2d_grad_x(g.data, layer.weights.data, hw)
+    assert np.array_equal(gx.data, want)

@@ -8,7 +8,7 @@ from oracles import (
     naive_conv2d_grad_x,
     naive_transposed_conv2d,
 )
-from segconv.conv import ConvLayer, ConvSpec, conv2d_backward
+from segconv.conv import _BUF_ELEMS, ConvLayer, ConvSpec, conv2d_backward
 from segconv.tensor import Rng, Tensor, he_init, new_tensor
 from segconv.upsample import (
     DucSpec,
@@ -263,6 +263,20 @@ def test_transposed_forward_matches_naive_scatter_order_bitwise(k):
                 want = naive_conv2d_grad_x(x.data, layer.weights.data,
                                            spec.out_size(6, 5), stride=s, pad=pad)
                 assert np.array_equal(got.data, want), (s, pad, c_in)
+
+
+def test_transposed_forward_matches_naive_scatter_order_bitwise_across_buffer_chunks():
+    # 64 (tap, output channel) rows of 29 input channels on a 16x16 grid do
+    # not fit one product buffer, so the column pass runs in chunks of rows
+    rng = Rng(55)
+    spec = TransposedConvSpec(k=4, stride=2, c_in=29, c_out=4, pad=1)
+    layer = TransposedConvLayer.initialized(spec, rng)  # zero bias
+    x = he_init((1, 29, 16, 16), 2, rng)
+    assert 16 * 4 > max(1, _BUF_ELEMS // (29 * 16 * 16))  # rows per chunk
+    got = transposed_conv_forward(x, layer)
+    want = naive_conv2d_grad_x(x.data, layer.weights.data, spec.out_size(16, 16),
+                               stride=2, pad=1)
+    assert np.array_equal(got.data, want)
 
 
 def test_transposed_gradients_match_finite_differences():
