@@ -5,7 +5,6 @@ decoders, and a small from-scratch training harness."""
 from .conv import (
     ConvLayer,
     ConvSpec,
-    conv1d_dilated,
     conv2d_backward,
     conv2d_forward,
     dilated_kernel_size,

@@ -207,6 +207,11 @@ def cmd_train(args) -> int:
                        classes=args.classes, seed=args.seed,
                        width=args.channels, cell=args.cell)
     _check_size(args.size, net.d)
+    if args.train_size < 1:
+        raise UsageError(f"--train-size must be >= 1, got {args.train_size}")
+    cfg = SgdConfig(base_lr=args.lr, power=0.9, max_iter=args.iters,
+                    momentum=args.momentum, weight_decay=args.weight_decay,
+                    batch=args.batch, seed=args.seed, mean_loss=args.mean_loss)
     out = Path(args.out) if args.out else _default_out("train")
     out.mkdir(parents=True, exist_ok=True)
 
@@ -217,9 +222,6 @@ def cmd_train(args) -> int:
         for i, s in enumerate(data):
             write_sample_pgm(s, dump / f"sample{i:04d}")
 
-    cfg = SgdConfig(base_lr=args.lr, power=0.9, max_iter=args.iters,
-                    momentum=args.momentum, weight_decay=args.weight_decay,
-                    batch=args.batch, seed=args.seed, mean_loss=args.mean_loss)
     # TrainingDiverged reports a blow-up; numpy's overflow warnings would bury it
     with np.errstate(over="ignore", invalid="ignore"):
         curve = train(net, data, cfg) if args.iters > 0 else []

@@ -1,16 +1,11 @@
-"""Dilated 2-D convolution with analytic gradients, plus the 1-D reference form.
+"""Dilated 2-D convolution with analytic gradients.
 
 Conventions, fixed once here:
 
-* The 2-D operation is cross-correlation (no kernel flip), the usual CNN
+* The operation is cross-correlation (no kernel flip), the usual CNN
   convention. A kernel tap (ky, kx) with dilation r reads the padded input at
-  (out_y * stride + ky * r, out_x * stride + kx * r).
-* The 1-D reference keeps the textbook dilated form literally:
-  g[i] = sum_{l=1..L} f[i + r*l] * h[l], with f, g 0-indexed and h[l] stored
-  at array index l-1. It is valid-only (no padding): output index i runs from
-  0 while i + r*L stays in range, so len(g) = len(f) - r*L. Note the l=1
-  origin shifts taps one dilation step to the right of the centered 2-D
-  convention; both forms are kept because both are useful references.
+  (out_y * stride + ky * r, out_x * stride + kx * r). The paper's 1-D
+  textbook form lives in tests/oracles.py as a reference.
 * Two ops have a pinned accumulation order, compared bit for bit with the
   scalar loops in tests/oracles.py. conv2d_forward sums each output element
   channel-major then (ky, kx). _scatter_input_grad (conv grad_x and the
@@ -19,19 +14,24 @@ Conventions, fixed once here:
   test_transposed_equals_conv_input_gradient exact, and k == stride, pad 0
   (one tap per element) gives acceptance criterion 7 and
   test_duc_reproduces_nonoverlapping_transposed_conv_bitwise.
-* Both run through _product_sum: the products p[t, j, m] = a[t, m] * b[t, j]
-  of one chunk of j fill a C-contiguous buffer of at most _BUF_ELEMS float64
-  (1 MiB), and one np.add.reduce(axis=0, initial=0.0) over its slowest axis
-  sums them. Along a non-fast axis numpy adds whole slices in index order,
-  so each element gets 0.0 + p0 + p1 + ... as in the scalar loop; it sums
-  pairwise along the fast axis, which a one-element result would use, so
-  that one is accumulated instead. np.einsum writes the products (no summed
-  index: one multiply each; a zero product's sign is invisible to a sum from
-  +0.0) at half the cost of a broadcasting np.multiply on small planes. When
-  one j overflows the buffer the sum is bandwidth-bound and adds one t at a
-  time, in the same order. A numpy that reordered would fail the bitwise
-  tests (with their *_across_buffer_chunks and *_tap_by_tap cases),
-  test_one_pixel_results_keep_the_sequential_order and
+* Both run through _product_sum, out[j, m] = 0.0 + p[0, j, m] + p[1, j, m]
+  + ... for the products p[t, j, m] = a[t, m] * b[t, j]. It works one pixel
+  tile at a time: jc rows j by mc pixels m, with t*jc*mc at most
+  _BUF_ELEMS float64 (1 MiB). A plane whose t*pixels products fit the
+  buffer is one tile wide, cut into chunks of rows; a larger plane is cut
+  into tiles _TILE_PIXELS wide (narrower when t alone is that large), so
+  that a tile's products and inputs stay in cache. np.einsum writes a tile's products
+  into one C-contiguous buffer (no summed index: one multiply each; a zero
+  product's sign is invisible to a sum from +0.0), and one
+  np.add.reduce(axis=0, initial=0.0) over its slowest axis sums them into
+  the tile of out. Along a non-fast axis numpy adds whole slices in index
+  order, so each element gets 0.0 + p0 + p1 + ... as in the scalar loop; it
+  sums pairwise along the fast axis, which a 1x1 tile would use, so that
+  one is accumulated instead. Tiles decide which elements are summed
+  together, never the order within one. A numpy that reordered would fail
+  the bitwise tests (with their *_across_buffer_chunks, *_across_pixel_tiles
+  and *_tap_by_tap cases, the last pixel tile one pixel wide and in some
+  cases 1x1), test_one_pixel_results_keep_the_sequential_order and
   test_forward_keeps_signed_zeros_of_the_naive_loop.
 * grad_w, here and in the transposed conv, is one BLAS contraction over a
   strided window view and has no order contract; its tests use a tolerance.
@@ -42,7 +42,6 @@ of a whole net.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +50,11 @@ from numpy.lib.stride_tricks import as_strided
 from .tensor import Rng, Tensor, he_init
 
 _BUF_ELEMS = 1 << 17  # float64 per product buffer: 1 MiB, inside a 2 MiB L2 cache
+# Pixels per tile of a plane that overflows the buffer. Timed on the 128x128
+# eval planes (144 taps by 1024 pixels, 3 to 48 rows; 2-core Xeon, numpy
+# 2.4.6), 256 was fastest or tied among widths 32 to 1024; 32 took up to
+# 1.95x its time and 1024 up to 1.2x.
+_TILE_PIXELS = 256
 
 
 def dilated_kernel_size(k: int, r: int) -> int:
@@ -128,24 +132,6 @@ def _set_params(layer, spec, weights: Tensor, bias, expected: tuple) -> None:
     layer.spec, layer.weights, layer.bias = spec, weights, bias
 
 
-def conv1d_dilated(f, h, r: int):
-    """Valid-only dilated 1-D correlation, g[i] = sum_l f[i + r*l] * h[l]."""
-    f = np.asarray(f, dtype=np.float64).ravel()
-    h = np.asarray(h, dtype=np.float64).ravel()
-    if r < 1:
-        raise ValueError("dilation rate must be >= 1")
-    taps = h.size
-    out_len = f.size - r * taps
-    if out_len < 1:
-        raise ValueError(
-            f"sequence of length {f.size} too short for {taps} taps at rate {r}"
-        )
-    g = np.zeros(out_len, dtype=np.float64)
-    for l in range(1, taps + 1):
-        g += f[r * l : r * l + out_len] * h[l - 1]
-    return g
-
-
 def _pad(x: np.ndarray, p: int) -> np.ndarray:
     """A copy of x with p zero rows and columns added on each side."""
     n, c, h, w = x.shape
@@ -164,22 +150,31 @@ def _window(xp: np.ndarray, k: int, r: int, s: int, ho: int, wo: int) -> np.ndar
 
 def _product_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """out[j, m] = 0.0 + p[0, j, m] + p[1, j, m] + ..., summed in index order,
-    for the products p[t, j, m] = a[t, m] * b[t, j] (see the module docstring)."""
-    if a.size > _BUF_ELEMS:  # bandwidth-bound: add one t at a time
-        out[...] = 0.0
-        for at, bt in zip(a, b):
-            out += bt[:, None] * at
-        return
-    step = _BUF_ELEMS // a.size
-    buf = np.empty(a.size * min(step, b.shape[1]), dtype=np.float64)
-    for j in range(0, b.shape[1], step):
-        oj = out[j : j + step]
-        prod = np.einsum("tm,tj->tjm", a, b[:, j : j + step],
-                         out=buf[: a.size * len(oj)].reshape(len(a), len(oj), -1))
-        if oj.size > 1:
-            np.add.reduce(prod, axis=0, out=oj, initial=0.0)
-        else:  # a lone run would be summed pairwise; accumulate keeps the order
-            oj[...] = np.add.accumulate(np.append(0.0, prod))[-1]
+    for the products p[t, j, m] = a[t, m] * b[t, j].
+
+    Runs one tile of jc rows by mc pixels at a time, t*jc*mc <= _BUF_ELEMS.
+    When t*pixels fits the buffer a tile spans every pixel and only the rows
+    are chunked; otherwise tiles are _TILE_PIXELS wide, or _BUF_ELEMS // t
+    when that is less. The tiles pick which elements are summed together,
+    never the order of one sum: the *_across_pixel_tiles tests (last tile one
+    pixel wide, and a 1x1 tile) and *_across_buffer_chunks tests compare the
+    ops built on this with the scalar loops of tests/oracles.py bit for bit.
+    """
+    t, pixels = a.shape
+    rows = b.shape[1]
+    mc = pixels if t * pixels <= _BUF_ELEMS else max(1, min(_TILE_PIXELS, _BUF_ELEMS // t))
+    jc = min(rows, max(1, _BUF_ELEMS // (t * mc)))
+    buf = np.empty(t * jc * mc, dtype=np.float64)
+    for m in range(0, pixels, mc):
+        am = a[:, m : m + mc]
+        for j in range(0, rows, jc):
+            tile = out[j : j + jc, m : m + mc]
+            prod = np.einsum("tm,tj->tjm", am, b[:, j : j + jc],
+                             out=buf[: t * tile.size].reshape((t,) + tile.shape))
+            if tile.size > 1:
+                np.add.reduce(prod, axis=0, out=tile, initial=0.0)
+            else:  # a lone run would be summed pairwise; accumulate keeps the order
+                tile[...] = np.add.accumulate(np.append(0.0, prod))[-1]
 
 
 def conv2d_forward(x: Tensor, layer: ConvLayer) -> Tensor:

@@ -257,18 +257,3 @@ def write_footprint(path, fp: FootprintMap, fmt: str) -> None:
         )
     else:
         raise ValueError(f"unknown footprint format {fmt!r}")
-
-
-def read_pgm(path) -> np.ndarray:
-    """Parse an ASCII (P2) PGM back into an int array."""
-    tokens = []
-    for line in Path(path).read_text(encoding="ascii").splitlines():
-        line = line.split("#", 1)[0]
-        tokens.extend(line.split())
-    if not tokens or tokens[0] != "P2":
-        raise ValueError("not an ASCII PGM (P2) file")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    vals = [int(t) for t in tokens[4 : 4 + w * h]]
-    if len(vals) != w * h or any(v < 0 or v > maxval for v in vals):
-        raise ValueError("malformed PGM payload")
-    return np.array(vals, dtype=np.int64).reshape(h, w)

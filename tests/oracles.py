@@ -5,6 +5,8 @@ set arithmetic) and never calls the code under test, so a bug would have to
 appear in two unrelated implementations to go unnoticed.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 
@@ -21,6 +23,28 @@ def naive_conv1d(f, h, r):
         out.append(acc)
         i += 1
     return out
+
+
+def conv1d_dilated(f, h, r: int):
+    """The paper's textbook dilated 1-D form, valid-only (no padding):
+    g[i] = sum_{l=1..L} f[i + r*l] * h[l], with f, g 0-indexed and h[l]
+    stored at array index l-1, so len(g) = len(f) - r*L. The l=1 origin
+    puts taps one dilation step right of segconv's centered 2-D convention.
+    Vectorised over i (one numpy update per tap), unlike naive_conv1d."""
+    f = np.asarray(f, dtype=np.float64).ravel()
+    h = np.asarray(h, dtype=np.float64).ravel()
+    if r < 1:
+        raise ValueError("dilation rate must be >= 1")
+    taps = h.size
+    out_len = f.size - r * taps
+    if out_len < 1:
+        raise ValueError(
+            f"sequence of length {f.size} too short for {taps} taps at rate {r}"
+        )
+    g = np.zeros(out_len, dtype=np.float64)
+    for l in range(1, taps + 1):
+        g += f[r * l : r * l + out_len] * h[l - 1]
+    return g
 
 
 def naive_conv2d(x, w, b, stride=1, pad=0, dilation=1):
@@ -203,3 +227,18 @@ def footprint_counts_2d(rates, k):
     for (y, x), c in counts.items():
         grid[y, x] = c
     return grid
+
+
+def read_pgm(path) -> np.ndarray:
+    """Parse an ASCII (P2) PGM, as segconv writes them, back into an int array."""
+    tokens = []
+    for line in Path(path).read_text(encoding="ascii").splitlines():
+        line = line.split("#", 1)[0]
+        tokens.extend(line.split())
+    if not tokens or tokens[0] != "P2":
+        raise ValueError("not an ASCII PGM (P2) file")
+    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    vals = [int(t) for t in tokens[4 : 4 + w * h]]
+    if len(vals) != w * h or any(v < 0 or v > maxval for v in vals):
+        raise ValueError("malformed PGM payload")
+    return np.array(vals, dtype=np.int64).reshape(h, w)

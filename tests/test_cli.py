@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import segconv
+from oracles import read_pgm
 from segconv.cli import EXIT_DIVERGED, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
-from segconv.hdc import read_pgm
 
 SCHEMAS = Path(segconv.__file__).parent / "schemas"
 
@@ -311,6 +311,18 @@ def test_train_size_not_multiple_of_d_fails_before_work(tmp_path, capsys):
     msg = fails(capsys, EXIT_USAGE, "train", "--size", "18", "--d", "4",
                 "--out", str(out))
     assert "--size 18" in msg and "d=4" in msg
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,needle", [
+    (("--train-size", "0"), "--train-size"),
+    (("--batch", "0"), "batch"),
+    (("--iters", "-1"), "max_iter"),
+])
+def test_train_bad_sizes_fail_before_work(tmp_path, capsys, flags, needle):
+    out = tmp_path / "t"
+    msg = fails(capsys, EXIT_USAGE, "train", *flags, "--size", "16", "--out", str(out))
+    assert needle in msg
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    conv1d_dilated,
     fd_gradient,
     max_rel_err,
     naive_conv1d,
@@ -11,9 +12,9 @@ from oracles import (
 )
 from segconv.conv import (
     _BUF_ELEMS,
+    _TILE_PIXELS,
     ConvLayer,
     ConvSpec,
-    conv1d_dilated,
     conv2d_backward,
     conv2d_forward,
     dilated_kernel_size,
@@ -27,6 +28,17 @@ def buffer_chunks(count, item):
     rows of `item` products each into."""
     per_chunk = max(1, _BUF_ELEMS // item)
     return -(-count // per_chunk)
+
+
+def assert_pixel_tiles(t, pixels, one_row):
+    """Check from the conv module's constants that an ordered product sum of
+    t terms per element over `pixels` pixels runs in at least 2 pixel tiles,
+    the last one pixel wide, and with one_row, in tiles of one output row
+    each, so that the last tile of every row is 1x1."""
+    width = min(_TILE_PIXELS, _BUF_ELEMS // t)
+    assert t * pixels > _BUF_ELEMS
+    assert pixels > width and pixels % width == 1
+    assert (2 * t * width > _BUF_ELEMS) == one_row
 
 
 def random_layer(rng, k, r, c_in, c_out, stride=1, pad=0, bias=True):
@@ -185,13 +197,27 @@ def test_forward_matches_naive_loop_bitwise_across_buffer_chunks():
 
 def test_forward_matches_naive_loop_bitwise_tap_by_tap():
     # 16 input channels of 9 taps on a 32x32 grid give one output channel
-    # more products than one buffer holds, so the forward adds tap by tap
+    # more products than one buffer holds, so the forward runs in pixel tiles
     rng = Rng(36)
     x = he_init((1, 16, 32, 32), 3, rng)
     layer = random_layer(rng, k=3, r=1, c_in=16, c_out=2, pad=1)
     assert 16 * 9 * 32 * 32 > _BUF_ELEMS
     got = conv2d_forward(x, layer)
     expect = naive_conv2d(x.data, layer.weights.data, layer.bias, pad=1)
+    assert np.array_equal(got.data, expect)
+
+
+@pytest.mark.parametrize("c_in, k, c_out, hw, one_row", [
+    (16, 3, 5, (25, 41), False),  # 144 taps: 1025 pixels, tiles 256 wide
+    (64, 5, 2, (2, 41), True),    # 1600 taps: 82 pixels, tiles 81 wide
+])
+def test_forward_matches_naive_loop_bitwise_across_pixel_tiles(c_in, k, c_out, hw, one_row):
+    rng = Rng(37 + k)
+    x = he_init((1, c_in) + hw, 3, rng)
+    layer = random_layer(rng, k=k, r=1, c_in=c_in, c_out=c_out, pad=k // 2)
+    assert_pixel_tiles(c_in * k * k, hw[0] * hw[1], one_row)
+    got = conv2d_forward(x, layer)
+    expect = naive_conv2d(x.data, layer.weights.data, layer.bias, pad=k // 2)
     assert np.array_equal(got.data, expect)
 
 
@@ -416,13 +442,29 @@ def test_backward_grad_x_matches_naive_scatter_order_bitwise_across_buffer_chunk
 
 def test_backward_grad_x_matches_naive_scatter_order_bitwise_tap_by_tap():
     # 33 output channels of a 64x64 grid give one column more products than
-    # one buffer holds, so the column pass adds one output channel at a time
+    # one buffer holds, so the column pass runs in pixel tiles
     rng = Rng(46)
     hw = (64, 64)
     x = he_init((1, 2) + hw, 3, rng)
     layer = random_layer(rng, k=1, r=1, c_in=2, c_out=33)
     g = he_init((1, 33) + hw, 1, rng)
     assert 33 * 64 * 64 > _BUF_ELEMS
+    gx, _, _ = conv2d_backward(x, layer, g)
+    want = naive_conv2d_grad_x(g.data, layer.weights.data, hw)
+    assert np.array_equal(gx.data, want)
+
+
+@pytest.mark.parametrize("c_out, c_in, hw, one_row", [
+    (128, 4, (25, 41), False),  # 1025 pixels, tiles 256 wide
+    (520, 3, (11, 23), True),   # 253 pixels, tiles 252 wide
+])
+def test_backward_grad_x_matches_naive_scatter_order_bitwise_across_pixel_tiles(
+        c_out, c_in, hw, one_row):
+    rng = Rng(47 + c_in)
+    x = he_init((1, c_in) + hw, 3, rng)
+    layer = random_layer(rng, k=1, r=1, c_in=c_in, c_out=c_out)
+    g = he_init((1, c_out) + hw, 1, rng)
+    assert_pixel_tiles(c_out, hw[0] * hw[1], one_row)
     gx, _, _ = conv2d_backward(x, layer, g)
     want = naive_conv2d_grad_x(g.data, layer.weights.data, hw)
     assert np.array_equal(gx.data, want)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import read_pgm
 from segconv.data import (
     IGNORE_LABEL,
     gen_thin_structures,
     write_sample_pgm,
 )
-from segconv.hdc import read_pgm
 from segconv.tensor import Rng
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import footprint_counts_2d, max_gap_1d
+from oracles import footprint_counts_2d, max_gap_1d, read_pgm
 from segconv.hdc import (
     DilationSchedule,
     common_factor_check,
@@ -14,7 +14,6 @@ from segconv.hdc import (
     footprint_to_csv,
     footprint_to_pgm,
     max_distance,
-    read_pgm,
     rf_increase,
     rf_increase_for_rates,
     sawtooth_schedule,

@@ -8,7 +8,7 @@ from oracles import (
     naive_conv2d_grad_x,
     naive_transposed_conv2d,
 )
-from segconv.conv import _BUF_ELEMS, ConvLayer, ConvSpec, conv2d_backward
+from segconv.conv import _BUF_ELEMS, _TILE_PIXELS, ConvLayer, ConvSpec, conv2d_backward
 from segconv.tensor import Rng, Tensor, he_init, new_tensor
 from segconv.upsample import (
     DucSpec,
@@ -276,6 +276,26 @@ def test_transposed_forward_matches_naive_scatter_order_bitwise_across_buffer_ch
     got = transposed_conv_forward(x, layer)
     want = naive_conv2d_grad_x(x.data, layer.weights.data, spec.out_size(16, 16),
                                stride=2, pad=1)
+    assert np.array_equal(got.data, want)
+
+
+@pytest.mark.parametrize("c_in, c_out, hw, one_row", [
+    (128, 4, (25, 41), False),  # 1025 pixels, tiles 256 wide
+    (520, 3, (11, 23), True),   # 253 pixels, tiles 252 wide
+])
+def test_transposed_forward_matches_naive_scatter_order_bitwise_across_pixel_tiles(
+        c_in, c_out, hw, one_row):
+    # the column pass sums over c_in; at least 2 pixel tiles, the last one
+    # pixel wide, and with one_row one output row per tile (1x1 last tiles)
+    rng = Rng(56 + c_out)
+    spec = TransposedConvSpec(k=1, stride=1, c_in=c_in, c_out=c_out)
+    layer = TransposedConvLayer.initialized(spec, rng)  # zero bias
+    x = he_init((1, c_in) + hw, 2, rng)
+    pixels, width = hw[0] * hw[1], min(_TILE_PIXELS, _BUF_ELEMS // c_in)
+    assert c_in * pixels > _BUF_ELEMS and pixels > width and pixels % width == 1
+    assert (2 * c_in * width > _BUF_ELEMS) == one_row
+    got = transposed_conv_forward(x, layer)
+    want = naive_conv2d_grad_x(x.data, layer.weights.data, hw)
     assert np.array_equal(got.data, want)
 
 
