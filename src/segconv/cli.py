@@ -207,8 +207,10 @@ def cmd_train(args) -> int:
                        classes=args.classes, seed=args.seed,
                        width=args.channels, cell=args.cell)
     _check_size(args.size, net.d)
-    if args.train_size < 1:
-        raise UsageError(f"--train-size must be >= 1, got {args.train_size}")
+    for flag, value, least in (("--train-size", args.train_size, 1),
+                               ("--batch", args.batch, 1), ("--iters", args.iters, 0)):
+        if value < least:
+            raise UsageError(f"{flag} must be >= {least}, got {value}")
     cfg = SgdConfig(base_lr=args.lr, power=0.9, max_iter=args.iters,
                     momentum=args.momentum, weight_decay=args.weight_decay,
                     batch=args.batch, seed=args.seed, mean_loss=args.mean_loss)

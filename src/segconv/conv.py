@@ -14,24 +14,22 @@ Conventions, fixed once here:
   test_transposed_equals_conv_input_gradient exact, and k == stride, pad 0
   (one tap per element) gives acceptance criterion 7 and
   test_duc_reproduces_nonoverlapping_transposed_conv_bitwise.
-* Both run through _product_sum, out[j, m] = 0.0 + p[0, j, m] + p[1, j, m]
-  + ... for the products p[t, j, m] = a[t, m] * b[t, j]. It works one pixel
-  tile at a time: jc rows j by mc pixels m, with t*jc*mc at most
-  _BUF_ELEMS float64 (1 MiB). A plane whose t*pixels products fit the
-  buffer is one tile wide, cut into chunks of rows; a larger plane is cut
-  into tiles _TILE_PIXELS wide (narrower when t alone is that large), so
-  that a tile's products and inputs stay in cache. np.einsum writes a tile's products
-  into one C-contiguous buffer (no summed index: one multiply each; a zero
-  product's sign is invisible to a sum from +0.0), and one
-  np.add.reduce(axis=0, initial=0.0) over its slowest axis sums them into
-  the tile of out. Along a non-fast axis numpy adds whole slices in index
-  order, so each element gets 0.0 + p0 + p1 + ... as in the scalar loop; it
-  sums pairwise along the fast axis, which a 1x1 tile would use, so that
-  one is accumulated instead. Tiles decide which elements are summed
-  together, never the order within one. A numpy that reordered would fail
-  the bitwise tests (with their *_across_buffer_chunks, *_across_pixel_tiles
-  and *_tap_by_tap cases, the last pixel tile one pixel wide and in some
-  cases 1x1), test_one_pixel_results_keep_the_sequential_order and
+* Both run through _product_sum, out[j, m] = 0.0 + a[0, m]*b[0, j] +
+  a[1, m]*b[1, j] + ..., one np.einsum("tm,tj->jm") into out with no
+  product buffer. The order comes from einsum's loop order: with a and b
+  C-contiguous, numpy's iterator keeps the tap axis t outside the row and
+  pixel axes (for the callers' C-ordered out, m is innermost), so it
+  zero-fills out and then adds one tap's products at a time, each a
+  separate multiply and add at numpy's SIMD baseline (x86-64 has no fused
+  multiply-add there). No optimize= is passed: it would hand the sum to
+  tensordot/BLAS, whose order is its own.
+  einsum sums a one-element out along t pairwise, so that one is
+  accumulated instead. There is no second path: a numpy that fused or
+  reordered would fail test_product_sum_matches_naive_order_bitwise (which
+  checks _product_sum against a loop over Python floats), the bitwise op
+  tests (their *_across_buffer_chunks, *_across_pixel_tiles and
+  *_tap_by_tap cases run planes larger than 1 MiB of products),
+  test_one_pixel_results_keep_the_sequential_order and
   test_forward_keeps_signed_zeros_of_the_naive_loop.
 * grad_w, here and in the transposed conv, is one BLAS contraction over a
   strided window view and has no order contract; its tests use a tolerance.
@@ -48,14 +46,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Rng, Tensor, he_init
-
-_BUF_ELEMS = 1 << 17  # float64 per product buffer: 1 MiB, inside a 2 MiB L2 cache
-# Pixels per tile of a plane that overflows the buffer. Timed on the 128x128
-# eval planes (144 taps by 1024 pixels, 3 to 48 rows; 2-core Xeon, numpy
-# 2.4.6), 256 was fastest or tied among widths 32 to 1024; 32 took up to
-# 1.95x its time and 1024 up to 1.2x.
-_TILE_PIXELS = 256
-
 
 def dilated_kernel_size(k: int, r: int) -> int:
     """Spatial extent of a k-tap kernel dilated by r: k + (k-1)*(r-1)."""
@@ -149,32 +139,19 @@ def _window(xp: np.ndarray, k: int, r: int, s: int, ho: int, wo: int) -> np.ndar
 
 
 def _product_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out[j, m] = 0.0 + p[0, j, m] + p[1, j, m] + ..., summed in index order,
-    for the products p[t, j, m] = a[t, m] * b[t, j].
+    """out[j, m] = 0.0 + a[0, m]*b[0, j] + a[1, m]*b[1, j] + ..., summed in
+    t order, as the module docstring sets out.
 
-    Runs one tile of jc rows by mc pixels at a time, t*jc*mc <= _BUF_ELEMS.
-    When t*pixels fits the buffer a tile spans every pixel and only the rows
-    are chunked; otherwise tiles are _TILE_PIXELS wide, or _BUF_ELEMS // t
-    when that is less. The tiles pick which elements are summed together,
-    never the order of one sum: the *_across_pixel_tiles tests (last tile one
-    pixel wide, and a 1x1 tile) and *_across_buffer_chunks tests compare the
-    ops built on this with the scalar loops of tests/oracles.py bit for bit.
+    numpy's iterator orders the loops by the inputs' strides, so a and b are
+    made C-contiguous; that keeps t outside m and j also when out has one
+    row or one pixel. With t innermost, einsum would sum it in SIMD partial
+    sums. Of the callers' inputs, only the forward's weights (an F-ordered
+    view) get copied.
     """
-    t, pixels = a.shape
-    rows = b.shape[1]
-    mc = pixels if t * pixels <= _BUF_ELEMS else max(1, min(_TILE_PIXELS, _BUF_ELEMS // t))
-    jc = min(rows, max(1, _BUF_ELEMS // (t * mc)))
-    buf = np.empty(t * jc * mc, dtype=np.float64)
-    for m in range(0, pixels, mc):
-        am = a[:, m : m + mc]
-        for j in range(0, rows, jc):
-            tile = out[j : j + jc, m : m + mc]
-            prod = np.einsum("tm,tj->tjm", am, b[:, j : j + jc],
-                             out=buf[: t * tile.size].reshape((t,) + tile.shape))
-            if tile.size > 1:
-                np.add.reduce(prod, axis=0, out=tile, initial=0.0)
-            else:  # a lone run would be summed pairwise; accumulate keeps the order
-                tile[...] = np.add.accumulate(np.append(0.0, prod))[-1]
+    if out.size > 1:
+        np.einsum("tm,tj->jm", np.ascontiguousarray(a), np.ascontiguousarray(b), out=out)
+    else:  # a lone run would be summed pairwise; accumulate keeps the order
+        out[...] = np.add.accumulate(np.append(0.0, a.ravel() * b.ravel()))[-1]
 
 
 def conv2d_forward(x: Tensor, layer: ConvLayer) -> Tensor:

@@ -158,6 +158,20 @@ def naive_conv2d_grad_x(g, w, in_hw, stride=1, pad=0, dilation=1):
     return grad[:, :, pad : pad + h, pad : pad + wdt]
 
 
+def naive_product_sum(a, b):
+    """Loop over Python floats: out[j][m] = 0.0 + a[0][m]*b[0][j] +
+    a[1][m]*b[1][j] + ..., each product rounded, then added in t order."""
+    t, m = len(a), len(a[0])
+    out = np.zeros((len(b[0]), m))
+    for j in range(len(b[0])):
+        for p in range(m):
+            acc = 0.0
+            for k in range(t):
+                acc += float(a[k][p]) * float(b[k][j])
+            out[j, p] = acc
+    return out
+
+
 def naive_majority_downsample(labels, cell, ignore):
     """Per-block loop: each cell x cell block's most frequent label among
     the pixels that are not `ignore`, ties to the smaller label, `ignore`

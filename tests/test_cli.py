@@ -317,12 +317,14 @@ def test_train_size_not_multiple_of_d_fails_before_work(tmp_path, capsys):
 @pytest.mark.parametrize("flags,needle", [
     (("--train-size", "0"), "--train-size"),
     (("--batch", "0"), "batch"),
-    (("--iters", "-1"), "max_iter"),
+    (("--iters", "-1"), "--iters"),
 ])
 def test_train_bad_sizes_fail_before_work(tmp_path, capsys, flags, needle):
     out = tmp_path / "t"
     msg = fails(capsys, EXIT_USAGE, "train", *flags, "--size", "16", "--out", str(out))
     assert needle in msg
+    least = 0 if flags[0] == "--iters" else 1
+    assert msg == f"usage error: {flags[0]} must be >= {least}, got {flags[1]}"
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     conv1d_dilated,
@@ -9,36 +11,18 @@ from oracles import (
     naive_conv2d,
     naive_conv2d_grad_w,
     naive_conv2d_grad_x,
+    naive_product_sum,
 )
 from segconv.conv import (
-    _BUF_ELEMS,
-    _TILE_PIXELS,
     ConvLayer,
     ConvSpec,
+    _product_sum,
     conv2d_backward,
     conv2d_forward,
     dilated_kernel_size,
     same_padding,
 )
 from segconv.tensor import Rng, Tensor, he_init, new_tensor
-
-
-def buffer_chunks(count, item):
-    """How many product-buffer chunks the conv module splits `count` output
-    rows of `item` products each into."""
-    per_chunk = max(1, _BUF_ELEMS // item)
-    return -(-count // per_chunk)
-
-
-def assert_pixel_tiles(t, pixels, one_row):
-    """Check from the conv module's constants that an ordered product sum of
-    t terms per element over `pixels` pixels runs in at least 2 pixel tiles,
-    the last one pixel wide, and with one_row, in tiles of one output row
-    each, so that the last tile of every row is 1x1."""
-    width = min(_TILE_PIXELS, _BUF_ELEMS // t)
-    assert t * pixels > _BUF_ELEMS
-    assert pixels > width and pixels % width == 1
-    assert (2 * t * width > _BUF_ELEMS) == one_row
 
 
 def random_layer(rng, k, r, c_in, c_out, stride=1, pad=0, bias=True):
@@ -184,38 +168,40 @@ def test_forward_matches_naive_loop_bitwise_over_geometry_sweep(k):
 
 
 def test_forward_matches_naive_loop_bitwise_across_buffer_chunks():
-    # 29 output channels of 36 taps on a 16x16 grid do not fit one product
-    # buffer, so the ordered sum runs once per chunk of channels
+    # 29 output channels of 36 taps on 256 pixels: 267,264 products, over
+    # 2 MiB of float64
     rng = Rng(33)
     x = he_init((1, 4, 16, 16), 3, rng)
     layer = random_layer(rng, k=3, r=2, c_in=4, c_out=29, pad=2)
-    assert buffer_chunks(29, 4 * 9 * 16 * 16) >= 2
+    assert (4 * 9, 29, layer.spec.out_size(16, 16)) == (36, 29, (16, 16))
     got = conv2d_forward(x, layer)
     expect = naive_conv2d(x.data, layer.weights.data, layer.bias, pad=2, dilation=2)
     assert np.array_equal(got.data, expect)
 
 
 def test_forward_matches_naive_loop_bitwise_tap_by_tap():
-    # 16 input channels of 9 taps on a 32x32 grid give one output channel
-    # more products than one buffer holds, so the forward runs in pixel tiles
+    # 16 input channels of 9 taps on a 32x32 grid: 147,456 products, over
+    # 1 MiB of float64, for one output channel alone
     rng = Rng(36)
     x = he_init((1, 16, 32, 32), 3, rng)
     layer = random_layer(rng, k=3, r=1, c_in=16, c_out=2, pad=1)
-    assert 16 * 9 * 32 * 32 > _BUF_ELEMS
+    assert (16 * 9, layer.spec.out_size(32, 32)) == (144, (32, 32))
     got = conv2d_forward(x, layer)
     expect = naive_conv2d(x.data, layer.weights.data, layer.bias, pad=1)
     assert np.array_equal(got.data, expect)
 
 
 @pytest.mark.parametrize("c_in, k, c_out, hw, one_row", [
-    (16, 3, 5, (25, 41), False),  # 144 taps: 1025 pixels, tiles 256 wide
-    (64, 5, 2, (2, 41), True),    # 1600 taps: 82 pixels, tiles 81 wide
+    (16, 3, 5, (25, 41), False),  # 144 taps, 1025 pixels
+    (64, 5, 2, (2, 41), True),    # 1600 taps, 82 pixels
 ])
 def test_forward_matches_naive_loop_bitwise_across_pixel_tiles(c_in, k, c_out, hw, one_row):
     rng = Rng(37 + k)
     x = he_init((1, c_in) + hw, 3, rng)
     layer = random_layer(rng, k=k, r=1, c_in=c_in, c_out=c_out, pad=k // 2)
-    assert_pixel_tiles(c_in * k * k, hw[0] * hw[1], one_row)
+    # over 1 MiB of products per output channel, on pixel counts that are
+    # no multiple of 8, so that einsum's unrolled pixel loop ends in its remainder
+    assert (c_in * k * k, hw[0] * hw[1]) == ((1600, 82) if one_row else (144, 1025))
     got = conv2d_forward(x, layer)
     expect = naive_conv2d(x.data, layer.weights.data, layer.bias, pad=k // 2)
     assert np.array_equal(got.data, expect)
@@ -251,6 +237,35 @@ def test_one_pixel_results_keep_the_sequential_order(channels):
     gx, _, _ = conv2d_backward(x, layer, g)
     want = naive_conv2d_grad_x(g.data, layer.weights.data, (1, 1))
     assert np.array_equal(gx.data, want)
+
+
+def sizes(top):
+    return st.one_of(st.just(1), st.integers(2, top))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(t=sizes(40), rows=sizes(6), pixels=sizes(40), seed=st.integers(0, 2**32 - 1),
+       order_a=st.sampled_from("CF"), order_b=st.sampled_from("CF"),
+       out_view=st.sampled_from(["contiguous", "strided", "transposed"]))
+def test_product_sum_matches_naive_order_bitwise(t, rows, pixels, seed, order_a, order_b,
+                                                 out_view):
+    # magnitudes 1e8, 1 and 1e-8 mixed in one sum: any other order or
+    # grouping of the additions rounds differently
+    gen = np.random.default_rng(seed)
+
+    def draw(shape, order):
+        values = gen.normal(size=shape) * gen.choice([1e8, 1.0, 1e-8], size=shape)
+        return np.asarray(values, order=order)
+
+    a, b = draw((t, pixels), order_a), draw((t, rows), order_b)
+    if out_view == "contiguous":
+        out = np.full((rows, pixels), np.nan)
+    elif out_view == "strided":
+        out = np.full((2 * rows, 3 * pixels), np.nan)[1::2, ::3]
+    else:
+        out = np.full((pixels, rows), np.nan).T
+    _product_sum(a, b, out)
+    assert np.array_equal(out, naive_product_sum(a, b))
 
 
 def test_forward_linearity_with_zero_bias():
@@ -427,36 +442,36 @@ def test_backward_grad_x_matches_naive_scatter_order_bitwise(k):
 
 
 def test_backward_grad_x_matches_naive_scatter_order_bitwise_across_buffer_chunks():
-    # 36 (tap, input channel) rows of 29 output channels on a 16x16 grid do
-    # not fit one product buffer, so the column pass runs in chunks of rows
+    # 36 (tap, input channel) rows of 29 output channels on 256 pixels:
+    # 267,264 products, over 2 MiB of float64
     rng = Rng(45)
     hw = (16, 16)
     x = he_init((1, 4) + hw, 3, rng)
     layer = random_layer(rng, k=3, r=2, c_in=4, c_out=29, pad=2)
     g = he_init((1, 29) + layer.spec.out_size(*hw), 1, rng)
-    assert buffer_chunks(9 * 4, 29 * 16 * 16) >= 2
+    assert (9 * 4, 29, layer.spec.out_size(*hw)) == (36, 29, (16, 16))
     gx, _, _ = conv2d_backward(x, layer, g)
     want = naive_conv2d_grad_x(g.data, layer.weights.data, hw, pad=2, dilation=2)
     assert np.array_equal(gx.data, want)
 
 
 def test_backward_grad_x_matches_naive_scatter_order_bitwise_tap_by_tap():
-    # 33 output channels of a 64x64 grid give one column more products than
-    # one buffer holds, so the column pass runs in pixel tiles
+    # 33 output channels of a 64x64 grid: 135,168 products, over 1 MiB of
+    # float64, for one column alone
     rng = Rng(46)
     hw = (64, 64)
     x = he_init((1, 2) + hw, 3, rng)
     layer = random_layer(rng, k=1, r=1, c_in=2, c_out=33)
     g = he_init((1, 33) + hw, 1, rng)
-    assert 33 * 64 * 64 > _BUF_ELEMS
+    assert (layer.spec.c_out, g.shape[2:]) == (33, (64, 64))
     gx, _, _ = conv2d_backward(x, layer, g)
     want = naive_conv2d_grad_x(g.data, layer.weights.data, hw)
     assert np.array_equal(gx.data, want)
 
 
 @pytest.mark.parametrize("c_out, c_in, hw, one_row", [
-    (128, 4, (25, 41), False),  # 1025 pixels, tiles 256 wide
-    (520, 3, (11, 23), True),   # 253 pixels, tiles 252 wide
+    (128, 4, (25, 41), False),  # 1025 pixels
+    (520, 3, (11, 23), True),   # 253 pixels
 ])
 def test_backward_grad_x_matches_naive_scatter_order_bitwise_across_pixel_tiles(
         c_out, c_in, hw, one_row):
@@ -464,7 +479,9 @@ def test_backward_grad_x_matches_naive_scatter_order_bitwise_across_pixel_tiles(
     x = he_init((1, c_in) + hw, 3, rng)
     layer = random_layer(rng, k=1, r=1, c_in=c_in, c_out=c_out)
     g = he_init((1, c_out) + hw, 1, rng)
-    assert_pixel_tiles(c_out, hw[0] * hw[1], one_row)
+    # over 1 MiB of products per column, on pixel counts that are no
+    # multiple of 8, so that einsum's unrolled pixel loop ends in its remainder
+    assert (c_out, hw[0] * hw[1]) == ((520, 253) if one_row else (128, 1025))
     gx, _, _ = conv2d_backward(x, layer, g)
     want = naive_conv2d_grad_x(g.data, layer.weights.data, hw)
     assert np.array_equal(gx.data, want)

@@ -8,7 +8,7 @@ from oracles import (
     naive_conv2d_grad_x,
     naive_transposed_conv2d,
 )
-from segconv.conv import _BUF_ELEMS, _TILE_PIXELS, ConvLayer, ConvSpec, conv2d_backward
+from segconv.conv import ConvLayer, ConvSpec, conv2d_backward
 from segconv.tensor import Rng, Tensor, he_init, new_tensor
 from segconv.upsample import (
     DucSpec,
@@ -266,13 +266,13 @@ def test_transposed_forward_matches_naive_scatter_order_bitwise(k):
 
 
 def test_transposed_forward_matches_naive_scatter_order_bitwise_across_buffer_chunks():
-    # 64 (tap, output channel) rows of 29 input channels on a 16x16 grid do
-    # not fit one product buffer, so the column pass runs in chunks of rows
+    # 64 (tap, output channel) rows of 29 input channels on 256 pixels:
+    # 475,136 products, over 3 MiB of float64
     rng = Rng(55)
     spec = TransposedConvSpec(k=4, stride=2, c_in=29, c_out=4, pad=1)
     layer = TransposedConvLayer.initialized(spec, rng)  # zero bias
     x = he_init((1, 29, 16, 16), 2, rng)
-    assert 16 * 4 > max(1, _BUF_ELEMS // (29 * 16 * 16))  # rows per chunk
+    assert (spec.k * spec.k * spec.c_out, spec.c_in, x.shape[2:]) == (64, 29, (16, 16))
     got = transposed_conv_forward(x, layer)
     want = naive_conv2d_grad_x(x.data, layer.weights.data, spec.out_size(16, 16),
                                stride=2, pad=1)
@@ -280,20 +280,19 @@ def test_transposed_forward_matches_naive_scatter_order_bitwise_across_buffer_ch
 
 
 @pytest.mark.parametrize("c_in, c_out, hw, one_row", [
-    (128, 4, (25, 41), False),  # 1025 pixels, tiles 256 wide
-    (520, 3, (11, 23), True),   # 253 pixels, tiles 252 wide
+    (128, 4, (25, 41), False),  # 1025 pixels
+    (520, 3, (11, 23), True),   # 253 pixels
 ])
 def test_transposed_forward_matches_naive_scatter_order_bitwise_across_pixel_tiles(
         c_in, c_out, hw, one_row):
-    # the column pass sums over c_in; at least 2 pixel tiles, the last one
-    # pixel wide, and with one_row one output row per tile (1x1 last tiles)
+    # the column pass sums over c_in: over 1 MiB of products per column, on
+    # pixel counts that are no multiple of 8, so that einsum's unrolled
+    # pixel loop ends in its remainder
     rng = Rng(56 + c_out)
     spec = TransposedConvSpec(k=1, stride=1, c_in=c_in, c_out=c_out)
     layer = TransposedConvLayer.initialized(spec, rng)  # zero bias
     x = he_init((1, c_in) + hw, 2, rng)
-    pixels, width = hw[0] * hw[1], min(_TILE_PIXELS, _BUF_ELEMS // c_in)
-    assert c_in * pixels > _BUF_ELEMS and pixels > width and pixels % width == 1
-    assert (2 * c_in * width > _BUF_ELEMS) == one_row
+    assert (c_in, hw[0] * hw[1]) == ((520, 253) if one_row else (128, 1025))
     got = transposed_conv_forward(x, layer)
     want = naive_conv2d_grad_x(x.data, layer.weights.data, hw)
     assert np.array_equal(got.data, want)
