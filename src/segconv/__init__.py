@@ -23,7 +23,7 @@ from .hdc import (
     schedule_report,
     schedule_search,
 )
-from .tensor import Rng, Tensor, he_init, load_tensor, new_tensor, save_tensor
+from .tensor import Rng, he_init, load_tensor, save_tensor
 from .train import SgdConfig, ToyNet, evaluate, miou, poly_lr, sgd_step, softmax_ce_loss, train
 from .upsample import (
     DucSpec,

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .conv import ConvLayer, ConvSpec
 from .data import gen_thin_structures, write_sample_pgm
 from .hdc import (
     DilationSchedule,
@@ -160,8 +161,6 @@ def cmd_duc_demo(args) -> int:
     spec = DucSpec(d=args.d, classes=args.classes, cell=args.cell)
     feats = he_init((1, args.channels, args.size, args.size), args.channels, rng)
 
-    from .conv import ConvLayer, ConvSpec
-
     conv = ConvLayer.initialized(
         ConvSpec(k=3, r=1, stride=1, c_in=args.channels,
                  c_out=spec.conv_channels, pad=1), rng)
@@ -170,7 +169,7 @@ def cmd_duc_demo(args) -> int:
     pre = he_init((1, spec.conv_channels, args.size, args.size),
                   spec.conv_channels, rng)
     roundtrip = duc_rearrange_inverse(duc_rearrange(pre, spec), spec)
-    roundtrip_ok = bool(np.array_equal(roundtrip.data, pre.data))
+    roundtrip_ok = bool(np.array_equal(roundtrip, pre))
 
     tspec = TransposedConvSpec(k=args.d, stride=args.d, c_in=args.channels,
                                c_out=args.classes, pad=0)
@@ -178,8 +177,8 @@ def cmd_duc_demo(args) -> int:
     tlayer.bias[:] = rng.normal(args.classes)
     duc_layer, duc_spec = duc_weights_from_transposed(tlayer)
     same = bool(np.array_equal(
-        transposed_conv_forward(feats, tlayer).data,
-        duc_forward(feats, duc_layer, duc_spec).data,
+        transposed_conv_forward(feats, tlayer),
+        duc_forward(feats, duc_layer, duc_spec),
     ))
 
     _emit({

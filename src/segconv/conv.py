@@ -1,4 +1,4 @@
-"""Dilated 2-D convolution with analytic gradients.
+"""Dilated 2-D convolution on (n, c, h, w) float64 ndarrays, with analytic gradients.
 
 Conventions, fixed once here:
 
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Rng, Tensor, he_init
+from .tensor import Rng, he_init
 
 def dilated_kernel_size(k: int, r: int) -> int:
     """Spatial extent of a k-tap kernel dilated by r: k + (k-1)*(r-1)."""
@@ -102,7 +102,7 @@ class ConvSpec:
 class ConvLayer:
     """ConvSpec plus weights (c_out, c_in, k, k) and per-output-channel bias."""
 
-    def __init__(self, spec: ConvSpec, weights: Tensor, bias=None):
+    def __init__(self, spec: ConvSpec, weights: np.ndarray, bias=None):
         _set_params(self, spec, weights, bias, (spec.c_out, spec.c_in, spec.k, spec.k))
 
     @staticmethod
@@ -112,8 +112,10 @@ class ConvLayer:
         return ConvLayer(spec, w)
 
 
-def _set_params(layer, spec, weights: Tensor, bias, expected: tuple) -> None:
-    """Check weight shape and bias length; set layer.spec, .weights, .bias (zeros if None)."""
+def _set_params(layer, spec, weights: np.ndarray, bias, expected: tuple) -> None:
+    """Check weight shape and bias length; set layer.spec, .weights (C-contiguous
+    float64: the same array if it is one) and .bias (zeros if None)."""
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
     if weights.shape != expected:
         raise ValueError(f"weight shape {weights.shape} != {expected}")
     bias = np.zeros(spec.c_out) if bias is None else np.asarray(bias, dtype=np.float64).ravel()
@@ -154,8 +156,9 @@ def _product_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         out[...] = np.add.accumulate(np.append(0.0, a.ravel() * b.ravel()))[-1]
 
 
-def conv2d_forward(x: Tensor, layer: ConvLayer) -> Tensor:
-    """Dilated cross-correlation of the zero-padded input, plus bias.
+def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
+    """Dilated cross-correlation of the zero-padded input (n, c_in, h, w),
+    plus bias; returns a C-contiguous (n, c_out, ho, wo) array.
 
     One ordered product sum over the (c_in, ky, kx) taps of a tap-major copy
     of the window view gives each output element a scalar loop's exact
@@ -167,15 +170,15 @@ def conv2d_forward(x: Tensor, layer: ConvLayer) -> Tensor:
         raise ValueError(f"input has {c} channels, layer expects {spec.c_in}")
     ho, wo = spec.out_size(h, w)
 
-    win = _window(_pad(x.data, spec.pad), spec.k, spec.r, spec.stride, ho, wo)
+    win = _window(_pad(x, spec.pad), spec.k, spec.r, spec.stride, ho, wo)
     # taps[(ci, ky, kx), (n, oy, ox)], wgt[(ci, ky, kx), co]
     taps = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(-1, n * ho * wo)
-    wgt = layer.weights.data.transpose(1, 2, 3, 0).reshape(-1, spec.c_out)
+    wgt = layer.weights.transpose(1, 2, 3, 0).reshape(-1, spec.c_out)
     out = np.empty((spec.c_out, n * ho * wo), dtype=np.float64)
     _product_sum(taps, wgt, out)
     out = np.ascontiguousarray(out.reshape(spec.c_out, n, ho, wo).transpose(1, 0, 2, 3))
     out += layer.bias[None, :, None, None]
-    return Tensor(out)
+    return out
 
 
 def _scatter_input_grad(g: np.ndarray, wgt: np.ndarray, r: int, s: int,
@@ -201,11 +204,11 @@ def _scatter_input_grad(g: np.ndarray, wgt: np.ndarray, r: int, s: int,
     return acc
 
 
-def conv2d_backward(x: Tensor, layer: ConvLayer, grad_out: Tensor):
+def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
     """Exact gradients of sum(grad_out * conv2d_forward(x, layer)).
 
-    Returns (grad_x, grad_w, grad_b) with grad_x, grad_w as Tensors and
-    grad_b as a c_out vector.
+    Returns (grad_x, grad_w, grad_b): arrays shaped like x and the weights
+    (grad_x a view into a padded canvas when pad > 0) and a c_out vector.
     """
     spec = layer.spec
     n, c, h, w = x.shape
@@ -217,13 +220,10 @@ def conv2d_backward(x: Tensor, layer: ConvLayer, grad_out: Tensor):
             f"grad_out shape {grad_out.shape} != {(n, spec.c_out, ho, wo)}"
         )
     p, r, s = spec.pad, spec.r, spec.stride
-    g = grad_out.data
+    grad_b = grad_out.sum(axis=(0, 2, 3))
 
-    grad_b = g.sum(axis=(0, 2, 3))
+    win = _window(_pad(x, p), spec.k, r, s, ho, wo)
+    grad_w = np.tensordot(grad_out, win, axes=([0, 2, 3], [0, 2, 3]))
 
-    win = _window(_pad(x.data, p), spec.k, r, s, ho, wo)
-    grad_w = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
-
-    grad_xp = _scatter_input_grad(g, layer.weights.data, r, s, (h + 2 * p, w + 2 * p))
-    grad_x = grad_xp[:, :, p : p + h, p : p + w] if p else grad_xp
-    return Tensor(grad_x), Tensor(grad_w), grad_b
+    grad_xp = _scatter_input_grad(grad_out, layer.weights, r, s, (h + 2 * p, w + 2 * p))
+    return grad_xp[:, :, p : p + h, p : p + w], grad_w, grad_b

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Rng, Tensor
+from .tensor import Rng
 
 IGNORE_LABEL = 255
 
@@ -24,7 +24,7 @@ NOISE_STD = 0.05
 
 @dataclass
 class SegSample:
-    image: Tensor           # (1, 1, H, W)
+    image: np.ndarray       # (1, 1, H, W) float64
     labels: np.ndarray      # (H, W) int64, values in 0..L-1 or IGNORE_LABEL
 
 
@@ -72,7 +72,7 @@ def gen_thin_structures(n: int, height: int, width: int, thickness: int,
                 labels[off : off + thickness, start : start + length] = 1
         base = np.asarray(CLASS_BASE_INTENSITY, dtype=np.float64)[labels]
         noise = rng.normal(height * width).reshape(height, width) * NOISE_STD
-        image = Tensor((base + noise).reshape(1, 1, height, width))
+        image = (base + noise).reshape(1, 1, height, width)
         samples.append(SegSample(image=image, labels=labels))
     return samples
 
@@ -92,6 +92,6 @@ def write_sample_pgm(sample: SegSample, path_prefix) -> None:
     """Write <prefix>_img.pgm (intensities clipped to 0..255) and
     <prefix>_lab.pgm (raw label values; 255 = ignore)."""
     prefix = Path(path_prefix)
-    img = np.clip(np.rint(sample.image.data[0, 0] * 255.0), 0, 255).astype(np.int64)
+    img = np.clip(np.rint(sample.image[0, 0] * 255.0), 0, 255).astype(np.int64)
     _write_pgm(prefix.parent / (prefix.name + "_img.pgm"), img)
     _write_pgm(prefix.parent / (prefix.name + "_lab.pgm"), sample.labels)

@@ -1,8 +1,11 @@
-"""Dense 4-axis tensor substrate: shape-checked float64 storage,
-deterministic random initialization, and a flat binary file format.
+"""Deterministic random initialization and a flat binary file format.
 
-Layout is fixed: row-major (batch, channel, row, col), 64-bit floats. Every
-index formula elsewhere in the package assumes this ordering.
+There is no array wrapper: the layers take and return plain float64
+``np.ndarray``s with axes (batch, channel, row, col), and the arrays made
+here are C-contiguous (row-major). Every index formula elsewhere in the
+package assumes this axis order. This module holds what carries the
+determinism contract: the counter-based ``Rng``, ``he_init`` and the
+``.bin`` format.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-Shape = tuple[int, int, int, int]
-
 _U64 = np.uint64
 _SPLITMIX_GAMMA = _U64(0x9E3779B97F4A7C15)
 _SPLITMIX_MUL1 = _U64(0xBF58476D1CE4E5B9)
@@ -21,47 +22,13 @@ _SPLITMIX_MUL2 = _U64(0x94D049BB133111EB)
 _TWO_POW_NEG53 = 2.0 ** -53
 
 
-def _check_shape(shape) -> Shape:
+def _check_shape(shape) -> tuple[int, int, int, int]:
     if len(shape) != 4:
         raise ValueError(f"tensor shape must have 4 dims, got {shape!r}")
     n, c, h, w = (int(d) for d in shape)
     if min(n, c, h, w) < 1:
         raise ValueError(f"all tensor dims must be >= 1, got {shape!r}")
     return (n, c, h, w)
-
-
-class Tensor:
-    """Immutable-by-convention dense array of shape (n, c, h, w).
-
-    The backing store is a C-contiguous float64 ndarray; ``data.ravel()`` is
-    exactly the row-major element stream.
-    """
-
-    __slots__ = ("shape", "data")
-
-    def __init__(self, data: np.ndarray):
-        arr = np.ascontiguousarray(data, dtype=np.float64)
-        self.shape = _check_shape(arr.shape)
-        self.data = arr
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape})"
-
-    def size(self) -> int:
-        n, c, h, w = self.shape
-        return n * c * h * w
-
-    def flatten(self) -> np.ndarray:
-        """Row-major copy of all elements as a 1-D array."""
-        return self.data.ravel().copy()
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-
-def new_tensor(shape, fill: float = 0.0) -> Tensor:
-    shape = _check_shape(shape)
-    return Tensor(np.full(shape, float(fill), dtype=np.float64))
 
 
 class Rng:
@@ -121,15 +88,13 @@ class Rng:
         return int(self.next_u64(1)[0] % _U64(n))
 
 
-def he_init(shape, fan_in: int, rng: Rng) -> Tensor:
+def he_init(shape, fan_in: int, rng: Rng) -> np.ndarray:
     """Zero-mean normal draws with variance 2/fan_in, in row-major order."""
     shape = _check_shape(shape)
     if fan_in < 1:
         raise ValueError("fan_in must be >= 1")
-    n, c, h, w = shape
     std = float(np.sqrt(2.0 / fan_in))
-    vals = rng.normal(n * c * h * w) * std
-    return Tensor(vals.reshape(shape))
+    return (rng.normal(int(np.prod(shape))) * std).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -140,27 +105,26 @@ def he_init(shape, fan_in: int, rng: Rng) -> Tensor:
 _HEADER = struct.Struct("<4I")
 
 
-def tensor_to_bytes(t: Tensor) -> bytes:
-    payload = np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-    return _HEADER.pack(*t.shape) + payload
+def tensor_to_bytes(t: np.ndarray) -> bytes:
+    shape = _check_shape(t.shape)
+    return _HEADER.pack(*shape) + np.ascontiguousarray(t, dtype="<f8").tobytes()
 
 
-def tensor_from_bytes(blob: bytes) -> Tensor:
+def tensor_from_bytes(blob: bytes) -> np.ndarray:
     if len(blob) < _HEADER.size:
         raise ValueError("tensor blob shorter than its 16-byte header")
     shape = _check_shape(_HEADER.unpack_from(blob, 0))
-    n, c, h, w = shape
-    count = n * c * h * w
+    count = int(np.prod(shape))
     expected = _HEADER.size + 8 * count
     if len(blob) != expected:
         raise ValueError(f"tensor blob has {len(blob)} bytes, expected {expected}")
     flat = np.frombuffer(blob, dtype="<f8", count=count, offset=_HEADER.size)
-    return Tensor(flat.astype(np.float64).reshape(shape))
+    return flat.astype(np.float64).reshape(shape)
 
 
-def save_tensor(path, t: Tensor) -> None:
+def save_tensor(path, t: np.ndarray) -> None:
     Path(path).write_bytes(tensor_to_bytes(t))
 
 
-def load_tensor(path) -> Tensor:
+def load_tensor(path) -> np.ndarray:
     return tensor_from_bytes(Path(path).read_bytes())

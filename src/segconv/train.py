@@ -18,7 +18,7 @@ import numpy as np
 from .conv import ConvLayer, ConvSpec, conv2d_backward, conv2d_forward, same_padding
 from .data import IGNORE_LABEL
 from .hdc import DilationSchedule
-from .tensor import Rng, Tensor, load_tensor, save_tensor
+from .tensor import Rng, load_tensor, save_tensor
 from .upsample import (
     DucSpec,
     TransposedConvLayer,
@@ -86,14 +86,15 @@ def sgd_step(params: dict, grads: dict, state: dict, cfg: SgdConfig,
         p += v
 
 
-def softmax_ce_loss(logits: Tensor, labels: np.ndarray, mean: bool = False):
-    """Pixelwise cross-entropy, summed over every non-ignored pixel.
+def softmax_ce_loss(logits: np.ndarray, labels: np.ndarray, mean: bool = False):
+    """Pixelwise cross-entropy of (n, L, H, W) logits, summed over every
+    non-ignored pixel.
 
     labels is (n, H, W) or (H, W) with values in 0..L-1 or IGNORE_LABEL.
-    Returns (loss, grad_logits); the gradient is softmax minus one-hot at
-    each contributing pixel (scaled by 1/count when mean=True).
+    Returns (loss, grad_logits); the gradient is an array shaped like logits:
+    softmax minus one-hot at each contributing pixel (scaled by 1/count when
+    mean=True).
     """
-    z = logits.data
     n, L, h, w = logits.shape
     lab = np.asarray(labels, dtype=np.int64)
     if lab.ndim == 2:
@@ -104,8 +105,7 @@ def softmax_ce_loss(logits: Tensor, labels: np.ndarray, mean: bool = False):
     if np.any((lab < 0) | ((lab >= L) & valid)):
         raise ValueError(f"label values outside 0..{L-1}")
 
-    zmax = z.max(axis=1, keepdims=True)
-    shifted = z - zmax
+    shifted = logits - logits.max(axis=1, keepdims=True)
     ez = np.exp(shifted)
     norm = ez.sum(axis=1, keepdims=True)
     soft = ez / norm
@@ -123,7 +123,7 @@ def softmax_ce_loss(logits: Tensor, labels: np.ndarray, mean: bool = False):
         grad /= count
     if len(ni) == 0:
         loss = 0.0
-    return loss, Tensor(grad)
+    return loss, grad
 
 
 def majority_downsample(labels: np.ndarray, cell: int) -> np.ndarray:
@@ -274,40 +274,40 @@ class ToyNet:
         """Live views of every learnable array, keyed by layer name."""
         out = {}
         for name, layer in self.named_layers():
-            out[f"{name}.w"] = layer.weights.data
+            out[f"{name}.w"] = layer.weights
             out[f"{name}.b"] = layer.bias
         return out
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, x: Tensor):
-        """Returns (logits, cache); the cache holds (name, backward, input,
-        activation or None) per stage."""
+    def forward(self, x: np.ndarray):
+        """Returns (logits, cache) for images x (n, img_channels, H, W); the
+        cache holds (name, backward, input, activation or None) per stage."""
         cache = []
-        cur = Tensor((x.data - self.INPUT_OFFSET) * self.INPUT_SCALE)
+        cur = (x - self.INPUT_OFFSET) * self.INPUT_SCALE
         for name, fwd, bwd, tanh in self.stages:
             out = fwd(cur)
             if tanh:
-                out = Tensor(np.tanh(out.data))
+                out = np.tanh(out)
             cache.append((name, bwd, cur, out if tanh else None))
             cur = out
         return cur, cache
 
-    def backward(self, cache, grad_logits: Tensor) -> dict:
+    def backward(self, cache, grad_logits: np.ndarray) -> dict:
         grads = {}
         g = grad_logits
         for name, bwd, inp, act in reversed(cache):
             if act is not None:
-                g = Tensor(g.data * (1.0 - act.data * act.data))
+                g = g * (1.0 - act * act)
             g, gw, gb = bwd(inp, g)
-            grads[f"{name}.w"] = gw.data
+            grads[f"{name}.w"] = gw
             grads[f"{name}.b"] = gb
         return grads
 
-    def predict(self, image: Tensor) -> np.ndarray:
+    def predict(self, image: np.ndarray) -> np.ndarray:
         """Argmax label grid at full input resolution (cell blocks repeated)."""
         logits, _ = self.forward(image)
-        pred = logits.data.argmax(axis=1)[0]
+        pred = logits.argmax(axis=1)[0]
         if self.cell > 1:
             pred = np.repeat(np.repeat(pred, self.cell, axis=0), self.cell, axis=1)
         return pred.astype(np.int64)
@@ -318,10 +318,10 @@ class ToyNet:
 # ---------------------------------------------------------------------------
 
 
-def _stack_batch(samples) -> tuple[Tensor, np.ndarray]:
-    imgs = np.concatenate([s.image.data for s in samples], axis=0)
+def _stack_batch(samples) -> tuple[np.ndarray, np.ndarray]:
+    imgs = np.concatenate([s.image for s in samples], axis=0)
     labs = np.stack([s.labels for s in samples], axis=0)
-    return Tensor(imgs), labs
+    return imgs, labs
 
 
 def train(net: ToyNet, data, cfg: SgdConfig):
@@ -405,13 +405,20 @@ def _layer_entry(layer) -> dict:
     return entry
 
 
-def _layer_from_entry(meta: dict, weights: Tensor):
+def _layer_from_entry(meta: dict, path: Path):
+    """The layer of one net.json entry with its weights read from path; a bad
+    weight file (unreadable as a tensor, or of the wrong shape) is named."""
     geometry = dict(k=meta["k"], stride=meta["stride"], c_in=meta["c_in"],
                     c_out=meta["c_out"], pad=meta["pad"])
     bias = np.asarray(meta["bias"], dtype=np.float64)
     if meta.get("transposed", False):
-        return TransposedConvLayer(TransposedConvSpec(**geometry), weights, bias)
-    return ConvLayer(ConvSpec(r=meta["r"], **geometry), weights, bias)
+        cls, spec = TransposedConvLayer, TransposedConvSpec(**geometry)
+    else:
+        cls, spec = ConvLayer, ConvSpec(r=meta["r"], **geometry)
+    try:
+        return cls(spec, load_tensor(path), bias)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def save_net(dirpath, net: ToyNet) -> None:
@@ -442,9 +449,9 @@ def load_net(dirpath) -> ToyNet:
     try:
         schedule = DilationSchedule(rates=tuple(topo["schedule"]["rates"]),
                                     kernel=topo["schedule"]["kernel"])
-        enc = [_layer_from_entry(meta, load_tensor(d / f"enc{i}.bin"))
+        enc = [_layer_from_entry(meta, d / f"enc{i}.bin")
                for i, meta in enumerate(topo["encoder"])]
-        dec = [_layer_from_entry(meta, load_tensor(d / f"dec{i}.bin"))
+        dec = [_layer_from_entry(meta, d / f"dec{i}.bin")
                for i, meta in enumerate(topo["decoder_layers"])]
         return ToyNet(topo["d"], schedule, topo["decoder"], topo["classes"],
                       topo["width"], topo["cell"], topo["img_channels"], enc, dec)

@@ -1,6 +1,7 @@
 """Decoders that turn low-resolution feature maps into full-resolution label
 maps: the dense-upsampling-convolution (DUC) rearrangement, fixed bilinear
-interpolation, and learnable transposed convolution.
+interpolation, and learnable transposed convolution. Each takes and returns
+(n, c, h, w) float64 ndarrays.
 
 DUC channel layout is class-major and fixed package-wide: with s = d / cell,
 pre-rearrangement channel chan(l, dy, dx) = l*s*s + dy*s + dx holds the
@@ -18,7 +19,7 @@ import numpy as np
 
 from .conv import (ConvLayer, ConvSpec, _pad, _scatter_input_grad, _set_params, _window,
                    conv2d_backward, conv2d_forward)
-from .tensor import Rng, Tensor, he_init
+from .tensor import Rng, he_init
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class DucSpec:
         return l * self.s * self.s + dy * self.s + dx
 
 
-def duc_rearrange(x: Tensor, spec: DucSpec) -> Tensor:
+def duc_rearrange(x: np.ndarray, spec: DucSpec) -> np.ndarray:
     """Permute (n, s^2*L, h, w) into (n, L, h*s, w*s).
 
     out[n, l, y*s+dy, x*s+dx] = in[n, chan(l,dy,dx), y, x]; a pure, value-
@@ -63,24 +64,24 @@ def duc_rearrange(x: Tensor, spec: DucSpec) -> Tensor:
     s, L = spec.s, spec.classes
     if c != spec.conv_channels:
         raise ValueError(f"input has {c} channels, spec needs {spec.conv_channels}")
-    v = x.data.reshape(n, L, s, s, h, w)
+    v = x.reshape(n, L, s, s, h, w)
     v = v.transpose(0, 1, 4, 2, 5, 3)  # (n, L, h, dy, w, dx)
-    return Tensor(v.reshape(n, L, h * s, w * s))
+    return v.reshape(n, L, h * s, w * s)
 
 
-def duc_rearrange_inverse(y: Tensor, spec: DucSpec) -> Tensor:
+def duc_rearrange_inverse(y: np.ndarray, spec: DucSpec) -> np.ndarray:
     """Exact inverse of duc_rearrange (also its gradient routing)."""
     n, L, hs, ws = y.shape
     s = spec.s
     if L != spec.classes or hs % s or ws % s:
         raise ValueError(f"shape {y.shape} is not a rearranged map for {spec}")
     h, w = hs // s, ws // s
-    v = y.data.reshape(n, L, h, s, w, s)
+    v = y.reshape(n, L, h, s, w, s)
     v = v.transpose(0, 1, 3, 5, 2, 4)  # (n, L, dy, dx, h, w)
-    return Tensor(v.reshape(n, spec.conv_channels, h, w))
+    return v.reshape(n, spec.conv_channels, h, w)
 
 
-def duc_forward(features: Tensor, layer: ConvLayer, spec: DucSpec) -> Tensor:
+def duc_forward(features: np.ndarray, layer: ConvLayer, spec: DucSpec) -> np.ndarray:
     """Decode conv then rearrange: (n, c, h, w) -> (n, L, h*s, w*s)."""
     if layer.spec.c_out != spec.conv_channels:
         raise ValueError(
@@ -90,8 +91,8 @@ def duc_forward(features: Tensor, layer: ConvLayer, spec: DucSpec) -> Tensor:
     return duc_rearrange(conv2d_forward(features, layer), spec)
 
 
-def duc_backward(features: Tensor, layer: ConvLayer, spec: DucSpec,
-                 grad_out: Tensor):
+def duc_backward(features: np.ndarray, layer: ConvLayer, spec: DucSpec,
+                 grad_out: np.ndarray):
     """Gradients of sum(grad_out * duc_forward(...)); returns
     (grad_features, grad_w, grad_b)."""
     grad_conv = duc_rearrange_inverse(grad_out, spec)
@@ -123,7 +124,7 @@ def _bilinear_matrix(n_in: int, factor: int) -> np.ndarray:
     return m
 
 
-def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
+def bilinear_upsample(x: np.ndarray, factor: int) -> np.ndarray:
     """Upscale both spatial axes by an integer factor; each output pixel is a
     convex combination of at most 4 input pixels."""
     if factor < 1:
@@ -133,20 +134,19 @@ def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
     _, _, h, w = x.shape
     my = _bilinear_matrix(h, factor)
     mx = _bilinear_matrix(w, factor)
-    out = np.einsum("oh,nchw->ncow", my, x.data)
-    out = np.einsum("pw,ncow->ncop", mx, out)
-    return Tensor(out)
+    out = np.einsum("oh,nchw->ncow", my, x)
+    return np.einsum("pw,ncow->ncop", mx, out)
 
 
-def bilinear_backward(grad_out: Tensor, in_hw: tuple[int, int], factor: int) -> Tensor:
+def bilinear_backward(grad_out: np.ndarray, in_hw: tuple[int, int],
+                      factor: int) -> np.ndarray:
     """Adjoint of bilinear_upsample for gradient routing."""
     if factor == 1:
         return grad_out.copy()
     h, w = in_hw
     my = _bilinear_matrix(h, factor)
     mx = _bilinear_matrix(w, factor)
-    g = np.einsum("oh,ncow->nchw", my, np.einsum("pw,ncop->ncow", mx, grad_out.data))
-    return Tensor(g)
+    return np.einsum("oh,ncow->nchw", my, np.einsum("pw,ncop->ncow", mx, grad_out))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,7 @@ class TransposedConvLayer:
     the input-gradient of a forward conv whose weights are this same array
     read as (its c_out, its c_in, k, k)."""
 
-    def __init__(self, spec: TransposedConvSpec, weights: Tensor, bias=None):
+    def __init__(self, spec: TransposedConvSpec, weights: np.ndarray, bias=None):
         _set_params(self, spec, weights, bias, (spec.c_in, spec.c_out, spec.k, spec.k))
 
     @staticmethod
@@ -197,22 +197,23 @@ class TransposedConvLayer:
         return TransposedConvLayer(spec, w)
 
 
-def transposed_conv_forward(x: Tensor, layer: TransposedConvLayer) -> Tensor:
+def transposed_conv_forward(x: np.ndarray, layer: TransposedConvLayer) -> np.ndarray:
+    """Transposed conv of (n, c_in, h, w) plus bias: (n, c_out, ho, wo)."""
     spec = layer.spec
     n, c, h, w = x.shape
     if c != spec.c_in:
         raise ValueError(f"input has {c} channels, layer expects {spec.c_in}")
     ho, wo = spec.out_size(h, w)
     p = spec.pad
-    full = _scatter_input_grad(x.data, layer.weights.data, r=1, s=spec.stride,
+    full = _scatter_input_grad(x, layer.weights, r=1, s=spec.stride,
                                padded_hw=(ho + 2 * p, wo + 2 * p))
-    out = full[:, :, p : p + ho, p : p + wo] if p else full
-    return Tensor(out + layer.bias[None, :, None, None])
+    return full[:, :, p : p + ho, p : p + wo] + layer.bias[None, :, None, None]
 
 
-def transposed_conv_backward(x: Tensor, layer: TransposedConvLayer,
-                             grad_out: Tensor):
-    """Gradients of sum(grad_out * transposed_conv_forward(x, layer))."""
+def transposed_conv_backward(x: np.ndarray, layer: TransposedConvLayer,
+                             grad_out: np.ndarray):
+    """Gradients of sum(grad_out * transposed_conv_forward(x, layer)):
+    (grad_x, grad_w, grad_b), grad_x a transposed view shaped like x."""
     spec = layer.spec
     n, c, h, w = x.shape
     ho, wo = spec.out_size(h, w)
@@ -220,17 +221,15 @@ def transposed_conv_backward(x: Tensor, layer: TransposedConvLayer,
         raise ValueError(
             f"grad_out shape {grad_out.shape} != {(n, spec.c_out, ho, wo)}"
         )
-    g = grad_out.data
-
-    grad_b = g.sum(axis=(0, 2, 3))
+    grad_b = grad_out.sum(axis=(0, 2, 3))
 
     # forward scattered x onto a padded canvas; the adjoint gathers it back:
     # win[n, co, y, x, ky, kx] == padded g[n, co, y*s + ky, x*s + kx], (y, x) < (h, w)
-    win = _window(_pad(g, spec.pad), spec.k, 1, spec.stride, h, w)
-    grad_x = np.tensordot(layer.weights.data, win,
+    win = _window(_pad(grad_out, spec.pad), spec.k, 1, spec.stride, h, w)
+    grad_x = np.tensordot(layer.weights, win,
                           axes=([1, 2, 3], [1, 4, 5])).transpose(1, 0, 2, 3)
-    grad_w = np.tensordot(x.data, win, axes=([0, 2, 3], [0, 2, 3]))
-    return Tensor(grad_x), Tensor(grad_w), grad_b
+    grad_w = np.tensordot(x, win, axes=([0, 2, 3], [0, 2, 3]))
+    return grad_x, grad_w, grad_b
 
 
 def duc_weights_from_transposed(layer: TransposedConvLayer):
@@ -255,6 +254,6 @@ def duc_weights_from_transposed(layer: TransposedConvLayer):
         for dy in range(d):
             for dx in range(d):
                 ch = duc_spec.chan(l, dy, dx)
-                w[ch, :, 0, 0] = layer.weights.data[:, l, dy, dx]
+                w[ch, :, 0, 0] = layer.weights[:, l, dy, dx]
                 b[ch] = layer.bias[l]
-    return ConvLayer(cspec, Tensor(w), b), duc_spec
+    return ConvLayer(cspec, w, b), duc_spec

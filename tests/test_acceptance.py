@@ -17,7 +17,7 @@ from segconv.cli import EXIT_INVALID, EXIT_OK, main as cli_main
 from segconv.conv import ConvLayer, ConvSpec, conv2d_backward, conv2d_forward
 from segconv.data import gen_thin_structures
 from segconv.hdc import DilationSchedule, coverage_report, footprint, max_distance, rf_increase
-from segconv.tensor import Rng, Tensor, he_init
+from segconv.tensor import Rng, he_init
 from segconv.train import SgdConfig, ToyNet, evaluate, softmax_ce_loss, train
 from segconv.upsample import (
     DucSpec,
@@ -133,11 +133,11 @@ def _fd_conv_instance(rng, tol):
     g = he_init((1, c_out) + layer.spec.out_size(h, w), 1, rng)
 
     def obj():
-        return float(np.sum(conv2d_forward(x, layer).data * g.data))
+        return float(np.sum(conv2d_forward(x, layer) * g))
 
     gx, gw, gb = conv2d_backward(x, layer, g)
-    assert max_rel_err(gx.data, fd_gradient(obj, x.data)) < tol
-    assert max_rel_err(gw.data, fd_gradient(obj, layer.weights.data)) < tol
+    assert max_rel_err(gx, fd_gradient(obj, x)) < tol
+    assert max_rel_err(gw, fd_gradient(obj, layer.weights)) < tol
     assert max_rel_err(gb, fd_gradient(obj, layer.bias)) < tol
 
 
@@ -152,11 +152,11 @@ def _fd_tconv_instance(rng, tol):
     g = he_init((1, c_out) + layer.spec.out_size(h, w), 1, rng)
 
     def obj():
-        return float(np.sum(transposed_conv_forward(x, layer).data * g.data))
+        return float(np.sum(transposed_conv_forward(x, layer) * g))
 
     gx, gw, gb = transposed_conv_backward(x, layer, g)
-    assert max_rel_err(gx.data, fd_gradient(obj, x.data)) < tol
-    assert max_rel_err(gw.data, fd_gradient(obj, layer.weights.data)) < tol
+    assert max_rel_err(gx, fd_gradient(obj, x)) < tol
+    assert max_rel_err(gw, fd_gradient(obj, layer.weights)) < tol
     assert max_rel_err(gb, fd_gradient(obj, layer.bias)) < tol
 
 
@@ -171,18 +171,18 @@ def _fd_duc_instance(rng, tol):
     g = he_init((1, spec.classes, h * spec.s, w * spec.s), 1, rng)
 
     def obj():
-        return float(np.sum(duc_forward(feats, layer, spec).data * g.data))
+        return float(np.sum(duc_forward(feats, layer, spec) * g))
 
     gx, gw, gb = duc_backward(feats, layer, spec, g)
-    assert max_rel_err(gx.data, fd_gradient(obj, feats.data)) < tol
-    assert max_rel_err(gw.data, fd_gradient(obj, layer.weights.data)) < tol
+    assert max_rel_err(gx, fd_gradient(obj, feats)) < tol
+    assert max_rel_err(gw, fd_gradient(obj, layer.weights)) < tol
     assert max_rel_err(gb, fd_gradient(obj, layer.bias)) < tol
 
 
 def _fd_loss_instance(rng, tol):
     n_classes = 2 + rng.randint(3)
     h, w = 2 + rng.randint(2), 2 + rng.randint(2)
-    logits = Tensor(rng.normal(n_classes * h * w).reshape(1, n_classes, h, w))
+    logits = rng.normal(n_classes * h * w).reshape(1, n_classes, h, w)
     labels = np.array([[rng.randint(n_classes) for _ in range(w)] for _ in range(h)],
                       dtype=np.int64)
 
@@ -190,7 +190,7 @@ def _fd_loss_instance(rng, tol):
         return softmax_ce_loss(logits, labels)[0]
 
     _, grad = softmax_ce_loss(logits, labels)
-    assert max_rel_err(grad.data, fd_gradient(obj, logits.data)) < tol
+    assert max_rel_err(grad, fd_gradient(obj, logits)) < tol
 
 
 def test_criterion_6_gradient_suite():
@@ -250,7 +250,7 @@ def test_criterion_7_duc_expressiveness():
             want = transposed_conv_forward(feats, tlayer)
             clayer, duc_spec = duc_weights_from_transposed(tlayer)
             got = duc_forward(feats, clayer, duc_spec)
-            assert np.array_equal(got.data, want.data)
+            assert np.array_equal(got, want)
 
 
 def test_criterion_8_decoder_comparison():
@@ -330,4 +330,4 @@ def test_criterion_10_rearrangement_bijectivity():
                     spec = DucSpec(d=d, classes=classes, cell=cell)
                     x = he_init((2, spec.conv_channels, 3, 4), 2, rng)
                     back = duc_rearrange_inverse(duc_rearrange(x, spec), spec)
-                    assert np.array_equal(back.data, x.data)
+                    assert np.array_equal(back, x)

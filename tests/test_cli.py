@@ -190,6 +190,18 @@ def test_duc_demo_reports_equivalences(capsys):
     assert rep["conv_channels"] == 16 * 3
 
 
+@pytest.mark.parametrize("flags,features,output", [
+    ((), [1, 8, 4, 4], [1, 3, 16, 16]),
+    (("--cell", "2", "--size", "5"), [1, 8, 5, 5], [1, 3, 10, 10]),
+    (("--d", "2", "--classes", "4", "--channels", "3"), [1, 3, 4, 4], [1, 4, 8, 8]),
+])
+def test_duc_demo_stdout_matches_schema(capsys, flags, features, output):
+    code, rep = run(capsys, "duc-demo", *flags)
+    assert code == EXIT_OK
+    jsonschema.validate(rep, schema("duc_demo_report.schema.json"))
+    assert rep["feature_shape"] == features and rep["output_shape"] == output
+
+
 # -- train / eval -----------------------------------------------------------------
 
 
@@ -246,6 +258,21 @@ def test_eval_stdout_is_strict_json_when_a_class_is_absent(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert rep["per_class_iou"] == [1.0, 1.0, 1.0, None]
     assert rep["miou"] == 1.0
+    jsonschema.validate(rep, schema("eval_report.schema.json"))
+
+
+@pytest.mark.parametrize("iters", ["0", "3"])
+def test_train_and_eval_stdout_match_schemas(tmp_path, capsys, iters):
+    out = tmp_path / "t"
+    code, rep = run(capsys, "train", "--decoder", "deconv", "--iters", iters,
+                    "--train-size", "2", "--size", "16", "--out", str(out))
+    assert code == EXIT_OK
+    jsonschema.validate(rep, schema("train_report.schema.json"))
+    for extra in ((), ("--oracle",)):
+        code, rep = run(capsys, "eval", "--net", str(out), "--eval-size", "2",
+                        "--size", "16", "--out", str(tmp_path / "eval"), *extra)
+        assert code == EXIT_OK
+        jsonschema.validate(rep, schema("eval_report.schema.json"))
 
 
 def test_train_zero_iters_evaluates_near_chance(tmp_path, capsys):
@@ -359,6 +386,23 @@ def test_eval_missing_net_dir_is_io_error(tmp_path, capsys):
     msg = fails(capsys, EXIT_USAGE, "eval", "--net", str(tmp_path / "absent"),
                 "--out", str(tmp_path / "eval"))
     assert msg.startswith("i/o error:")
+
+
+@pytest.mark.parametrize("corrupt,problem", [
+    (lambda net: (net / "enc0.bin").write_bytes((net / "enc0.bin").read_bytes()[:100]),
+     "tensor blob has 100 bytes, expected 592"),
+    (lambda net: shutil.copy(net / "enc1.bin", net / "enc0.bin"),
+     "weight shape (16, 8, 3, 3) != (8, 1, 3, 3)"),
+], ids=["truncated", "wrong_shape"])
+def test_eval_corrupt_weight_file_names_it(trained_dir, tmp_path, capsys, corrupt,
+                                           problem):
+    net = tmp_path / "net"
+    shutil.copytree(trained_dir / "net", net)
+    corrupt(net)
+    msg = fails(capsys, EXIT_USAGE, "eval", "--net", str(net), "--size", "16",
+                "--out", str(tmp_path / "eval"))
+    assert msg == f"usage error: {net / 'enc0.bin'}: {problem}"
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("text", ["{", "{}", '{"schedule": 3}'])

@@ -22,7 +22,7 @@ from segconv.conv import (
     dilated_kernel_size,
     same_padding,
 )
-from segconv.tensor import Rng, Tensor, he_init, new_tensor
+from segconv.tensor import Rng, he_init
 
 
 def random_layer(rng, k, r, c_in, c_out, stride=1, pad=0, bias=True):
@@ -102,23 +102,23 @@ def test_conv1d_too_short_sequence_rejected():
 def test_forward_all_zero_input_yields_bias():
     rng = Rng(3)
     layer = random_layer(rng, k=3, r=2, c_in=2, c_out=4, pad=2)
-    out = conv2d_forward(new_tensor((2, 2, 7, 7)), layer)
+    out = conv2d_forward(np.zeros((2, 2, 7, 7)), layer)
     for co in range(4):
-        assert np.all(out.data[:, co] == layer.bias[co])
+        assert np.all(out[:, co] == layer.bias[co])
 
 
 def test_forward_delta_input_reads_center_tap():
     # 5x5 delta at center, k=3 r=2: the only valid placement centers the
     # kernel on the delta, so the output equals the middle weight
-    x = new_tensor((1, 1, 5, 5))
-    x.data[0, 0, 2, 2] = 1.0
+    x = np.zeros((1, 1, 5, 5))
+    x[0, 0, 2, 2] = 1.0
     rng = Rng(4)
     layer = random_layer(rng, k=3, r=2, c_in=1, c_out=1, bias=False)
     out = conv2d_forward(x, layer)
     assert out.shape == (1, 1, 1, 1)
-    assert out.data[0, 0, 0, 0] == layer.weights.data[0, 0, 1, 1]
-    expect = naive_conv2d(x.data, layer.weights.data, layer.bias, dilation=2)
-    assert np.array_equal(out.data, expect)
+    assert out[0, 0, 0, 0] == layer.weights[0, 0, 1, 1]
+    expect = naive_conv2d(x, layer.weights, layer.bias, dilation=2)
+    assert np.array_equal(out, expect)
 
 
 def test_forward_matches_naive_loop_bitwise():
@@ -126,8 +126,8 @@ def test_forward_matches_naive_loop_bitwise():
     x = he_init((1, 2, 8, 8), 5, rng)
     layer = random_layer(rng, k=3, r=3, c_in=2, c_out=3, pad=3)
     got = conv2d_forward(x, layer)
-    expect = naive_conv2d(x.data, layer.weights.data, layer.bias, pad=3, dilation=3)
-    assert np.array_equal(got.data, expect)
+    expect = naive_conv2d(x, layer.weights, layer.bias, pad=3, dilation=3)
+    assert np.array_equal(got, expect)
 
 
 def test_forward_r1_matches_naive_loop_on_random_instances():
@@ -144,9 +144,9 @@ def test_forward_r1_matches_naive_loop_on_random_instances():
         layer = random_layer(rng, k=3, r=1, c_in=c_in, c_out=c_out,
                              stride=stride, pad=pad)
         got = conv2d_forward(x, layer)
-        expect = naive_conv2d(x.data, layer.weights.data, layer.bias,
+        expect = naive_conv2d(x, layer.weights, layer.bias,
                               stride=stride, pad=pad, dilation=1)
-        assert np.array_equal(got.data, expect)
+        assert np.array_equal(got, expect)
 
 
 @pytest.mark.parametrize("k", (1, 3, 5))
@@ -162,9 +162,9 @@ def test_forward_matches_naive_loop_bitwise_over_geometry_sweep(k):
                 layer = random_layer(rng, k=k, r=r, c_in=2, c_out=3,
                                      stride=stride, pad=pad)
                 got = conv2d_forward(x, layer)
-                expect = naive_conv2d(x.data, layer.weights.data, layer.bias,
+                expect = naive_conv2d(x, layer.weights, layer.bias,
                                       stride=stride, pad=pad, dilation=r)
-                assert np.array_equal(got.data, expect), (r, stride, pad)
+                assert np.array_equal(got, expect), (r, stride, pad)
 
 
 def test_forward_matches_naive_loop_bitwise_across_buffer_chunks():
@@ -175,8 +175,8 @@ def test_forward_matches_naive_loop_bitwise_across_buffer_chunks():
     layer = random_layer(rng, k=3, r=2, c_in=4, c_out=29, pad=2)
     assert (4 * 9, 29, layer.spec.out_size(16, 16)) == (36, 29, (16, 16))
     got = conv2d_forward(x, layer)
-    expect = naive_conv2d(x.data, layer.weights.data, layer.bias, pad=2, dilation=2)
-    assert np.array_equal(got.data, expect)
+    expect = naive_conv2d(x, layer.weights, layer.bias, pad=2, dilation=2)
+    assert np.array_equal(got, expect)
 
 
 def test_forward_matches_naive_loop_bitwise_tap_by_tap():
@@ -187,8 +187,8 @@ def test_forward_matches_naive_loop_bitwise_tap_by_tap():
     layer = random_layer(rng, k=3, r=1, c_in=16, c_out=2, pad=1)
     assert (16 * 9, layer.spec.out_size(32, 32)) == (144, (32, 32))
     got = conv2d_forward(x, layer)
-    expect = naive_conv2d(x.data, layer.weights.data, layer.bias, pad=1)
-    assert np.array_equal(got.data, expect)
+    expect = naive_conv2d(x, layer.weights, layer.bias, pad=1)
+    assert np.array_equal(got, expect)
 
 
 @pytest.mark.parametrize("c_in, k, c_out, hw, one_row", [
@@ -203,8 +203,8 @@ def test_forward_matches_naive_loop_bitwise_across_pixel_tiles(c_in, k, c_out, h
     # no multiple of 8, so that einsum's unrolled pixel loop ends in its remainder
     assert (c_in * k * k, hw[0] * hw[1]) == ((1600, 82) if one_row else (144, 1025))
     got = conv2d_forward(x, layer)
-    expect = naive_conv2d(x.data, layer.weights.data, layer.bias, pad=k // 2)
-    assert np.array_equal(got.data, expect)
+    expect = naive_conv2d(x, layer.weights, layer.bias, pad=k // 2)
+    assert np.array_equal(got, expect)
 
 
 def test_forward_keeps_signed_zeros_of_the_naive_loop():
@@ -212,12 +212,12 @@ def test_forward_keeps_signed_zeros_of_the_naive_loop():
     # every output is +0.0 even after a -0.0 bias (array_equal cannot see it)
     rng = Rng(34)
     layer = random_layer(rng, k=3, r=1, c_in=2, c_out=3, pad=1, bias=False)
-    layer.weights.data[...] = -np.abs(layer.weights.data) - 0.5
+    layer.weights[...] = -np.abs(layer.weights) - 0.5
     layer.bias[:] = -0.0
-    x = new_tensor((2, 2, 5, 5))
+    x = np.zeros((2, 2, 5, 5))
     got = conv2d_forward(x, layer)
-    expect = naive_conv2d(x.data, layer.weights.data, layer.bias, pad=1)
-    assert got.data.tobytes() == expect.tobytes()
+    expect = naive_conv2d(x, layer.weights, layer.bias, pad=1)
+    assert got.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("channels", (1, 5))
@@ -228,15 +228,15 @@ def test_one_pixel_results_keep_the_sequential_order(channels):
     rng = Rng(35 + channels)
     layer = random_layer(rng, k=3, r=1, c_in=2, c_out=channels)
     x = he_init((1, 2, 3, 3), 3, rng)
-    expect = naive_conv2d(x.data, layer.weights.data, layer.bias)
-    assert np.array_equal(conv2d_forward(x, layer).data, expect)
+    expect = naive_conv2d(x, layer.weights, layer.bias)
+    assert np.array_equal(conv2d_forward(x, layer), expect)
 
     layer = random_layer(rng, k=1, r=1, c_in=channels, c_out=29)
     x = he_init((1, channels, 1, 1), 3, rng)
     g = he_init((1, 29, 1, 1), 1, rng)
     gx, _, _ = conv2d_backward(x, layer, g)
-    want = naive_conv2d_grad_x(g.data, layer.weights.data, (1, 1))
-    assert np.array_equal(gx.data, want)
+    want = naive_conv2d_grad_x(g, layer.weights, (1, 1))
+    assert np.array_equal(gx, want)
 
 
 def sizes(top):
@@ -274,9 +274,9 @@ def test_forward_linearity_with_zero_bias():
     x1 = he_init((1, 2, 9, 9), 3, rng)
     x2 = he_init((1, 2, 9, 9), 3, rng)
     a, b = 0.7, -1.3
-    mix = Tensor(a * x1.data + b * x2.data)
-    lhs = conv2d_forward(mix, layer).data
-    rhs = a * conv2d_forward(x1, layer).data + b * conv2d_forward(x2, layer).data
+    mix = a * x1 + b * x2
+    lhs = conv2d_forward(mix, layer)
+    rhs = a * conv2d_forward(x1, layer) + b * conv2d_forward(x2, layer)
     assert max_rel_err(lhs, rhs) < 1e-10
 
 
@@ -286,12 +286,12 @@ def test_dilation_equals_zero_stuffed_kernel():
     layer = random_layer(rng, k=k, r=r, c_in=2, c_out=2, pad=0)
     kd = dilated_kernel_size(k, r)
     stuffed = np.zeros((2, 2, kd, kd))
-    stuffed[:, :, ::r, ::r] = layer.weights.data
+    stuffed[:, :, ::r, ::r] = layer.weights
     big_spec = ConvSpec(k=kd, r=1, stride=1, c_in=2, c_out=2, pad=0)
-    big = ConvLayer(big_spec, Tensor(stuffed), layer.bias)
+    big = ConvLayer(big_spec, stuffed, layer.bias)
     x = he_init((1, 2, 11, 11), 4, rng)
-    assert np.array_equal(conv2d_forward(x, layer).data,
-                          conv2d_forward(x, big).data)
+    assert np.array_equal(conv2d_forward(x, layer),
+                          conv2d_forward(x, big))
 
 
 def test_translation_equivariance_on_interior():
@@ -299,10 +299,10 @@ def test_translation_equivariance_on_interior():
     layer = random_layer(rng, k=3, r=2, c_in=1, c_out=2, pad=2)
     x = he_init((1, 1, 12, 12), 4, rng)
     dy, dx = 2, 1
-    shifted = np.zeros_like(x.data)
-    shifted[:, :, dy:, dx:] = x.data[:, :, :-dy, :-dx]
-    out = conv2d_forward(x, layer).data
-    out_shifted = conv2d_forward(Tensor(shifted), layer).data
+    shifted = np.zeros_like(x)
+    shifted[:, :, dy:, dx:] = x[:, :, :-dy, :-dx]
+    out = conv2d_forward(x, layer)
+    out_shifted = conv2d_forward(shifted, layer)
     m = layer.spec.k_d  # margin where the two receptive fields sample the same content
     assert np.array_equal(out_shifted[:, :, m + dy : -m, m + dx : -m],
                           out[:, :, m : -m - dy, m : -m - dx])
@@ -312,14 +312,14 @@ def test_channel_mismatch_rejected():
     rng = Rng(14)
     layer = random_layer(rng, k=3, r=1, c_in=2, c_out=1)
     with pytest.raises(ValueError):
-        conv2d_forward(new_tensor((1, 3, 5, 5)), layer)
+        conv2d_forward(np.zeros((1, 3, 5, 5)), layer)
 
 
 def test_too_small_input_rejected():
     rng = Rng(15)
     layer = random_layer(rng, k=3, r=3, c_in=1, c_out=1)  # extent 7
     with pytest.raises(ValueError):
-        conv2d_forward(new_tensor((1, 1, 5, 5)), layer)
+        conv2d_forward(np.zeros((1, 1, 5, 5)), layer)
 
 
 def test_stride_with_dilation_output_shape():
@@ -343,20 +343,20 @@ def test_backward_zero_grad_out_gives_zero_grads():
     layer = random_layer(rng, k=3, r=2, c_in=2, c_out=2, pad=2)
     x = he_init((1, 2, 6, 6), 3, rng)
     out = conv2d_forward(x, layer)
-    gx, gw, gb = conv2d_backward(x, layer, new_tensor(out.shape, 0.0))
-    assert not gx.data.any() and not gw.data.any() and not gb.any()
+    gx, gw, gb = conv2d_backward(x, layer, np.zeros(out.shape))
+    assert not gx.any() and not gw.any() and not gb.any()
 
 
 def test_backward_single_output_element():
     # identity-scale setup: one output element with grad 1 makes grad_b = 1
     # and grad_w equal to the input values under the dilated taps
-    x = Tensor(np.arange(25, dtype=np.float64).reshape(1, 1, 5, 5))
+    x = np.arange(25, dtype=np.float64).reshape(1, 1, 5, 5)
     layer = random_layer(Rng(18), k=3, r=2, c_in=1, c_out=1)
-    g = new_tensor((1, 1, 1, 1), 1.0)
+    g = np.ones((1, 1, 1, 1))
     gx, gw, gb = conv2d_backward(x, layer, g)
     assert gb.tolist() == [1.0]
-    assert np.array_equal(gw.data[0, 0], x.data[0, 0, ::2, ::2])
-    assert np.array_equal(gx.data[0, 0, ::2, ::2], layer.weights.data[0, 0])
+    assert np.array_equal(gw[0, 0], x[0, 0, ::2, ::2])
+    assert np.array_equal(gx[0, 0, ::2, ::2], layer.weights[0, 0])
 
 
 def test_backward_grad_shape_mismatch_rejected():
@@ -364,7 +364,7 @@ def test_backward_grad_shape_mismatch_rejected():
     layer = random_layer(rng, k=3, r=1, c_in=1, c_out=1, pad=1)
     x = he_init((1, 1, 6, 6), 2, rng)
     with pytest.raises(ValueError):
-        conv2d_backward(x, layer, new_tensor((1, 1, 3, 3)))
+        conv2d_backward(x, layer, np.zeros((1, 1, 3, 3)))
 
 
 def _fd_check_conv(rng, k, r, h, w, c_in, c_out, pad, tol=1e-4):
@@ -374,11 +374,11 @@ def _fd_check_conv(rng, k, r, h, w, c_in, c_out, pad, tol=1e-4):
     g = he_init(gshape, 1, rng)
 
     def objective():
-        return float(np.sum(conv2d_forward(x, layer).data * g.data))
+        return float(np.sum(conv2d_forward(x, layer) * g))
 
     gx, gw, gb = conv2d_backward(x, layer, g)
-    assert max_rel_err(gx.data, fd_gradient(objective, x.data)) < tol
-    assert max_rel_err(gw.data, fd_gradient(objective, layer.weights.data)) < tol
+    assert max_rel_err(gx, fd_gradient(objective, x)) < tol
+    assert max_rel_err(gw, fd_gradient(objective, layer.weights)) < tol
     assert max_rel_err(gb, fd_gradient(objective, layer.bias)) < tol
 
 
@@ -410,13 +410,13 @@ def test_backward_is_exact_adjoint_over_geometry_sweep():
                     x = he_init((2, 2, 14, 13), 3, rng)
                     g = he_init((2, 3) + layer.spec.out_size(14, 13), 1, rng)
                     gx, gw, _ = conv2d_backward(x, layer, g)
-                    lhs = float(np.sum(g.data * conv2d_forward(x, layer).data))
+                    lhs = float(np.sum(g * conv2d_forward(x, layer)))
                     tol = 1e-12 * max(1.0, abs(lhs))
-                    assert abs(lhs - float(np.sum(x.data * gx.data))) < tol
-                    assert abs(lhs - float(np.sum(layer.weights.data * gw.data))) < tol
-                    want = naive_conv2d_grad_w(x.data, g.data, k, stride=stride,
+                    assert abs(lhs - float(np.sum(x * gx))) < tol
+                    assert abs(lhs - float(np.sum(layer.weights * gw))) < tol
+                    want = naive_conv2d_grad_w(x, g, k, stride=stride,
                                                pad=pad, dilation=r)
-                    assert np.allclose(gw.data, want, rtol=1e-12, atol=1e-12)
+                    assert np.allclose(gw, want, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", (1, 3, 5))
@@ -436,9 +436,9 @@ def test_backward_grad_x_matches_naive_scatter_order_bitwise(k):
                                          stride=stride, pad=pad)
                     g = he_init((2, c_out) + layer.spec.out_size(*hw), 1, rng)
                     gx, _, _ = conv2d_backward(x, layer, g)
-                    want = naive_conv2d_grad_x(g.data, layer.weights.data, hw,
+                    want = naive_conv2d_grad_x(g, layer.weights, hw,
                                                stride=stride, pad=pad, dilation=r)
-                    assert np.array_equal(gx.data, want), (r, stride, pad, c_out)
+                    assert np.array_equal(gx, want), (r, stride, pad, c_out)
 
 
 def test_backward_grad_x_matches_naive_scatter_order_bitwise_across_buffer_chunks():
@@ -451,8 +451,8 @@ def test_backward_grad_x_matches_naive_scatter_order_bitwise_across_buffer_chunk
     g = he_init((1, 29) + layer.spec.out_size(*hw), 1, rng)
     assert (9 * 4, 29, layer.spec.out_size(*hw)) == (36, 29, (16, 16))
     gx, _, _ = conv2d_backward(x, layer, g)
-    want = naive_conv2d_grad_x(g.data, layer.weights.data, hw, pad=2, dilation=2)
-    assert np.array_equal(gx.data, want)
+    want = naive_conv2d_grad_x(g, layer.weights, hw, pad=2, dilation=2)
+    assert np.array_equal(gx, want)
 
 
 def test_backward_grad_x_matches_naive_scatter_order_bitwise_tap_by_tap():
@@ -465,8 +465,8 @@ def test_backward_grad_x_matches_naive_scatter_order_bitwise_tap_by_tap():
     g = he_init((1, 33) + hw, 1, rng)
     assert (layer.spec.c_out, g.shape[2:]) == (33, (64, 64))
     gx, _, _ = conv2d_backward(x, layer, g)
-    want = naive_conv2d_grad_x(g.data, layer.weights.data, hw)
-    assert np.array_equal(gx.data, want)
+    want = naive_conv2d_grad_x(g, layer.weights, hw)
+    assert np.array_equal(gx, want)
 
 
 @pytest.mark.parametrize("c_out, c_in, hw, one_row", [
@@ -483,5 +483,5 @@ def test_backward_grad_x_matches_naive_scatter_order_bitwise_across_pixel_tiles(
     # multiple of 8, so that einsum's unrolled pixel loop ends in its remainder
     assert (c_out, hw[0] * hw[1]) == ((520, 253) if one_row else (128, 1025))
     gx, _, _ = conv2d_backward(x, layer, g)
-    want = naive_conv2d_grad_x(g.data, layer.weights.data, hw)
-    assert np.array_equal(gx.data, want)
+    want = naive_conv2d_grad_x(g, layer.weights, hw)
+    assert np.array_equal(gx, want)

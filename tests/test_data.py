@@ -14,14 +14,14 @@ def test_same_seed_identical_datasets():
     a = gen_thin_structures(5, 32, 32, 1, 3, Rng(17))
     b = gen_thin_structures(5, 32, 32, 1, 3, Rng(17))
     for sa, sb in zip(a, b):
-        assert np.array_equal(sa.image.data, sb.image.data)
+        assert np.array_equal(sa.image, sb.image)
         assert np.array_equal(sa.labels, sb.labels)
 
 
 def test_different_seed_differs():
     a = gen_thin_structures(1, 32, 32, 1, 3, Rng(17))[0]
     b = gen_thin_structures(1, 32, 32, 1, 3, Rng(18))[0]
-    assert not np.array_equal(a.image.data, b.image.data)
+    assert not np.array_equal(a.image, b.image)
 
 
 def test_all_samples_contain_thin_structures_of_requested_width():
@@ -74,7 +74,7 @@ def test_class_frequencies_near_configured_density():
 
 def test_intensities_separate_classes():
     s = gen_thin_structures(1, 32, 32, 2, 3, Rng(5))[0]
-    img = s.image.data[0, 0]
+    img = s.image[0, 0]
     assert img[s.labels == 1].mean() > img[s.labels == 2].mean() > img[s.labels == 0].mean()
 
 

@@ -4,7 +4,7 @@ import pytest
 from oracles import fd_gradient, max_rel_err, naive_majority_downsample
 from segconv.data import IGNORE_LABEL, gen_thin_structures
 from segconv.hdc import DilationSchedule, coverage_report, footprint
-from segconv.tensor import Rng, Tensor, new_tensor
+from segconv.tensor import Rng
 from segconv.train import (
     SgdConfig,
     ToyNet,
@@ -98,65 +98,65 @@ def test_sgd_shape_mismatch_rejected():
 
 
 def test_uniform_logits_loss_is_log_classes_per_pixel():
-    logits = new_tensor((1, 3, 4, 4), 0.0)
+    logits = np.zeros((1, 3, 4, 4))
     labels = np.zeros((4, 4), dtype=np.int64)
     loss, _ = softmax_ce_loss(logits, labels)
     assert abs(loss - 16 * np.log(3)) < 1e-12
 
 
 def test_all_ignored_pixels_zero_loss_and_grad():
-    logits = new_tensor((1, 3, 2, 2), 1.0)
+    logits = np.ones((1, 3, 2, 2))
     labels = np.full((2, 2), IGNORE_LABEL, dtype=np.int64)
     loss, grad = softmax_ce_loss(logits, labels)
     assert loss == 0.0
-    assert not grad.data.any()
+    assert not grad.any()
 
 
 def test_partial_ignore_skips_those_pixels():
     rng = Rng(1)
-    logits = Tensor(rng.normal(1 * 3 * 2 * 2).reshape(1, 3, 2, 2))
+    logits = rng.normal(1 * 3 * 2 * 2).reshape(1, 3, 2, 2)
     labels = np.array([[0, IGNORE_LABEL], [2, 1]], dtype=np.int64)
     loss, grad = softmax_ce_loss(logits, labels)
-    assert np.all(grad.data[0, :, 0, 1] == 0.0)
+    assert np.all(grad[0, :, 0, 1] == 0.0)
     assert loss > 0.0
 
 
 def test_loss_gradient_matches_finite_differences():
     rng = Rng(2)
-    logits = Tensor(rng.normal(12).reshape(1, 3, 2, 2))
+    logits = rng.normal(12).reshape(1, 3, 2, 2)
     labels = np.array([[0, 2], [1, 1]], dtype=np.int64)
 
     def objective():
         return softmax_ce_loss(logits, labels)[0]
 
     _, grad = softmax_ce_loss(logits, labels)
-    fd = fd_gradient(objective, logits.data, step=1e-5)
-    assert max_rel_err(grad.data, fd) < 1e-5
+    fd = fd_gradient(objective, logits, step=1e-5)
+    assert max_rel_err(grad, fd) < 1e-5
 
 
 def test_mean_reduction_divides_by_pixel_count():
-    logits = new_tensor((1, 3, 4, 4), 0.0)
+    logits = np.zeros((1, 3, 4, 4))
     labels = np.zeros((4, 4), dtype=np.int64)
     summed, gs = softmax_ce_loss(logits, labels, mean=False)
     meaned, gm = softmax_ce_loss(logits, labels, mean=True)
     assert abs(summed - 16 * meaned) < 1e-12
-    assert np.allclose(gs.data, 16 * gm.data, rtol=0, atol=1e-15)
+    assert np.allclose(gs, 16 * gm, rtol=0, atol=1e-15)
 
 
 def test_label_out_of_range_rejected():
-    logits = new_tensor((1, 3, 2, 2), 0.0)
+    logits = np.zeros((1, 3, 2, 2))
     labels = np.full((2, 2), 3, dtype=np.int64)
     with pytest.raises(ValueError):
         softmax_ce_loss(logits, labels)
 
 
 def test_loss_stays_finite_for_extreme_logits():
-    logits = new_tensor((1, 3, 1, 1), 0.0)
-    logits.data[0, 0, 0, 0] = 1e4  # true-class probability underflows to 0
+    logits = np.zeros((1, 3, 1, 1))
+    logits[0, 0, 0, 0] = 1e4  # true-class probability underflows to 0
     labels = np.array([[1]], dtype=np.int64)
     loss, grad = softmax_ce_loss(logits, labels)
     assert np.isfinite(loss) and loss > 9e3
-    assert np.all(np.isfinite(grad.data))
+    assert np.all(np.isfinite(grad))
 
 
 # -- label block reduction ---------------------------------------------------------
@@ -243,27 +243,27 @@ def test_miou_respects_ignore():
 def test_encoder_downsamples_exactly_by_d():
     for d in (2, 4):
         net = small_net(d=d)
-        x = new_tensor((1, 1, 16, 16), 0.2)
-        cur = Tensor((x.data - net.INPUT_OFFSET) * net.INPUT_SCALE)
+        x = np.full((1, 1, 16, 16), 0.2)
+        cur = (x - net.INPUT_OFFSET) * net.INPUT_SCALE
         from segconv.conv import conv2d_forward
 
         for layer in net.encoder_layers:
-            cur = Tensor(np.tanh(conv2d_forward(cur, layer).data))
+            cur = np.tanh(conv2d_forward(cur, layer))
         assert cur.shape[2:] == (16 // d, 16 // d)
 
 
 @pytest.mark.parametrize("decoder", ["duc", "bilinear", "deconv"])
 def test_logits_full_resolution(decoder):
     net = small_net(decoder)
-    logits, _ = net.forward(new_tensor((1, 1, 16, 16), 0.3))
+    logits, _ = net.forward(np.full((1, 1, 16, 16), 0.3))
     assert logits.shape == (1, 3, 16, 16)
 
 
 def test_duc_cell2_logits_at_half_resolution():
     net = small_net("duc", cell=2)
-    logits, _ = net.forward(new_tensor((1, 1, 16, 16), 0.3))
+    logits, _ = net.forward(np.full((1, 1, 16, 16), 0.3))
     assert logits.shape == (1, 3, 8, 8)
-    pred = net.predict(new_tensor((1, 1, 16, 16), 0.3))
+    pred = net.predict(np.full((1, 1, 16, 16), 0.3))
     assert pred.shape == (16, 16)
 
 
@@ -379,7 +379,7 @@ def test_net_save_load_roundtrip(tmp_path, decoder, cell):
     assert np.array_equal(back.predict(x), net.predict(x))
     la, _ = net.forward(x)
     lb, _ = back.forward(x)
-    assert np.array_equal(la.data, lb.data)
+    assert np.array_equal(la, lb)
 
 
 def test_evaluate_oracle_mode_perfect():

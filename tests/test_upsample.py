@@ -9,7 +9,7 @@ from oracles import (
     naive_transposed_conv2d,
 )
 from segconv.conv import ConvLayer, ConvSpec, conv2d_backward
-from segconv.tensor import Rng, Tensor, he_init, new_tensor
+from segconv.tensor import Rng, he_init
 from segconv.upsample import (
     DucSpec,
     TransposedConvLayer,
@@ -47,29 +47,29 @@ def duc_layer(rng, c_in, spec, k=3, pad=1):
 def test_rearrange_identity_when_d_equals_cell_ratio_one():
     spec = DucSpec(d=1, classes=3, cell=1)
     x = he_init((2, 3, 4, 5), 2, Rng(1))
-    assert np.array_equal(duc_rearrange(x, spec).data, x.data)
+    assert np.array_equal(duc_rearrange(x, spec), x)
 
 
 def test_rearrange_d2_single_class_layout():
     spec = DucSpec(d=2, classes=2, cell=1)
     # only class 0 populated: channels 0..3 hold offsets (0,0),(0,1),(1,0),(1,1)
-    x = new_tensor((1, 8, 1, 1))
+    x = np.zeros((1, 8, 1, 1))
     a, b, c, d = 10.0, 20.0, 30.0, 40.0
-    x.data[0, 0, 0, 0] = a
-    x.data[0, 1, 0, 0] = b
-    x.data[0, 2, 0, 0] = c
-    x.data[0, 3, 0, 0] = d
+    x[0, 0, 0, 0] = a
+    x[0, 1, 0, 0] = b
+    x[0, 2, 0, 0] = c
+    x[0, 3, 0, 0] = d
     out = duc_rearrange(x, spec)
     assert out.shape == (1, 2, 2, 2)
-    assert np.array_equal(out.data[0, 0], [[a, b], [c, d]])
-    assert np.all(out.data[0, 1] == 0.0)
+    assert np.array_equal(out[0, 0], [[a, b], [c, d]])
+    assert np.all(out[0, 1] == 0.0)
 
 
 def test_rearrange_preserves_value_multiset():
     spec = DucSpec(d=2, classes=3, cell=1)
     x = he_init((1, 12, 5, 7), 2, Rng(2))
     out = duc_rearrange(x, spec)
-    assert sorted(out.data.ravel()) == sorted(x.data.ravel())
+    assert sorted(out.ravel()) == sorted(x.ravel())
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 8])
@@ -83,13 +83,13 @@ def test_rearrange_roundtrip_bit_exact(d, cell, classes):
     spec = DucSpec(d=d, classes=classes, cell=cell)
     x = he_init((2, spec.conv_channels, 3, 4), 2, Rng(d * 100 + cell * 10 + classes))
     back = duc_rearrange_inverse(duc_rearrange(x, spec), spec)
-    assert np.array_equal(back.data, x.data)
+    assert np.array_equal(back, x)
 
 
 def test_rearrange_channel_mismatch_rejected():
     spec = DucSpec(d=2, classes=3, cell=1)
     with pytest.raises(ValueError):
-        duc_rearrange(new_tensor((1, 11, 2, 2)), spec)
+        duc_rearrange(np.zeros((1, 11, 2, 2)), spec)
 
 
 # -- duc forward/backward -------------------------------------------------------
@@ -116,14 +116,14 @@ def test_duc_cell2_quarters_channels_and_halves_output():
 def test_duc_constant_bias_floods_one_class():
     spec = DucSpec(d=4, classes=3, cell=1)
     cspec = ConvSpec(k=3, r=1, stride=1, c_in=2, c_out=spec.conv_channels, pad=1)
-    layer = ConvLayer(cspec, new_tensor((spec.conv_channels, 2, 3, 3), 0.0))
+    layer = ConvLayer(cspec, np.zeros((spec.conv_channels, 2, 3, 3)))
     beta = 2.5
     for dy in range(4):
         for dx in range(4):
             layer.bias[spec.chan(1, dy, dx)] = beta
     out = duc_forward(he_init((1, 2, 4, 4), 2, Rng(5)), layer, spec)
-    assert np.all(out.data[0, 1] == beta)
-    assert np.all(out.data[0, 0] == 0.0) and np.all(out.data[0, 2] == 0.0)
+    assert np.all(out[0, 1] == beta)
+    assert np.all(out[0, 0] == 0.0) and np.all(out[0, 2] == 0.0)
 
 
 def test_duc_backward_zero_grad():
@@ -131,8 +131,8 @@ def test_duc_backward_zero_grad():
     spec = DucSpec(d=2, classes=2, cell=1)
     layer = duc_layer(rng, 2, spec)
     feats = he_init((1, 2, 3, 3), 2, rng)
-    gx, gw, gb = duc_backward(feats, layer, spec, new_tensor((1, 2, 6, 6), 0.0))
-    assert not gx.data.any() and not gw.data.any() and not gb.any()
+    gx, gw, gb = duc_backward(feats, layer, spec, np.zeros((1, 2, 6, 6)))
+    assert not gx.any() and not gw.any() and not gb.any()
 
 
 def test_duc_backward_matches_finite_differences():
@@ -143,11 +143,11 @@ def test_duc_backward_matches_finite_differences():
     g = he_init((1, 2, 6, 6), 1, rng)
 
     def objective():
-        return float(np.sum(duc_forward(feats, layer, spec).data * g.data))
+        return float(np.sum(duc_forward(feats, layer, spec) * g))
 
     gx, gw, gb = duc_backward(feats, layer, spec, g)
-    assert max_rel_err(gx.data, fd_gradient(objective, feats.data)) < 1e-4
-    assert max_rel_err(gw.data, fd_gradient(objective, layer.weights.data)) < 1e-4
+    assert max_rel_err(gx, fd_gradient(objective, feats)) < 1e-4
+    assert max_rel_err(gw, fd_gradient(objective, layer.weights)) < 1e-4
     assert max_rel_err(gb, fd_gradient(objective, layer.bias)) < 1e-4
 
 
@@ -156,24 +156,24 @@ def test_duc_backward_matches_finite_differences():
 
 def test_bilinear_factor1_identity():
     x = he_init((1, 2, 3, 3), 2, Rng(8))
-    assert np.array_equal(bilinear_upsample(x, 1).data, x.data)
+    assert np.array_equal(bilinear_upsample(x, 1), x)
 
 
 def test_bilinear_constant_preserved():
-    out = bilinear_upsample(new_tensor((1, 1, 3, 5), 4.25), 3)
+    out = bilinear_upsample(np.full((1, 1, 3, 5), 4.25), 3)
     assert out.shape == (1, 1, 9, 15)
-    assert np.allclose(out.data, 4.25, rtol=0, atol=1e-15)
+    assert np.allclose(out, 4.25, rtol=0, atol=1e-15)
 
 
 def test_bilinear_2x_golden():
-    x = Tensor(np.array([[0.0, 1.0], [0.0, 1.0]]).reshape(1, 1, 2, 2))
+    x = np.array([[0.0, 1.0], [0.0, 1.0]]).reshape(1, 1, 2, 2)
     out = bilinear_upsample(x, 2)
-    assert np.array_equal(out.data[0, 0], BILINEAR_2X_GOLDEN)
+    assert np.array_equal(out[0, 0], BILINEAR_2X_GOLDEN)
 
 
 def test_bilinear_rejects_bad_factor():
     with pytest.raises(ValueError):
-        bilinear_upsample(new_tensor((1, 1, 2, 2)), 0)
+        bilinear_upsample(np.zeros((1, 1, 2, 2)), 0)
 
 
 def test_bilinear_adjoint_consistency():
@@ -181,8 +181,8 @@ def test_bilinear_adjoint_consistency():
     rng = Rng(9)
     x = he_init((1, 2, 3, 4), 2, rng)
     g = he_init((1, 2, 12, 16), 2, rng)
-    lhs = float(np.sum(bilinear_upsample(x, 4).data * g.data))
-    rhs = float(np.sum(x.data * bilinear_backward(g, (3, 4), 4).data))
+    lhs = float(np.sum(bilinear_upsample(x, 4) * g))
+    rhs = float(np.sum(x * bilinear_backward(g, (3, 4), 4)))
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
@@ -202,18 +202,18 @@ def test_transposed_delta_input_stamps_kernel():
     spec = TransposedConvSpec(k=3, stride=2, c_in=1, c_out=1, pad=0)
     rng = Rng(10)
     layer = TransposedConvLayer.initialized(spec, rng)
-    x = new_tensor((1, 1, 2, 2))
-    x.data[0, 0, 0, 0] = 1.0
+    x = np.zeros((1, 1, 2, 2))
+    x[0, 0, 0, 0] = 1.0
     out = transposed_conv_forward(x, layer)
     assert out.shape == (1, 1, 5, 5)
-    assert np.array_equal(out.data[0, 0, :3, :3], layer.weights.data[0, 0])
-    assert np.all(out.data[0, 0, 3:, :] == 0.0) and np.all(out.data[0, 0, :, 3:] == 0.0)
+    assert np.array_equal(out[0, 0, :3, :3], layer.weights[0, 0])
+    assert np.all(out[0, 0, 3:, :] == 0.0) and np.all(out[0, 0, :, 3:] == 0.0)
 
 
 def test_transposed_output_shape_k4_s2_p1():
     spec = TransposedConvSpec(k=4, stride=2, c_in=1, c_out=1, pad=1)
     layer = TransposedConvLayer.initialized(spec, Rng(11))
-    out = transposed_conv_forward(new_tensor((1, 1, 4, 4), 1.0), layer)
+    out = transposed_conv_forward(np.ones((1, 1, 4, 4)), layer)
     assert out.shape == (1, 1, 8, 8)
 
 
@@ -224,9 +224,9 @@ def test_transposed_matches_naive_stamping():
     layer.bias[:] = rng.normal(3)
     x = he_init((2, 2, 3, 4), 2, rng)
     got = transposed_conv_forward(x, layer)
-    expect = naive_transposed_conv2d(x.data, layer.weights.data, layer.bias,
+    expect = naive_transposed_conv2d(x, layer.weights, layer.bias,
                                      stride=2, pad=1)
-    assert np.allclose(got.data, expect, rtol=0, atol=1e-12)
+    assert np.allclose(got, expect, rtol=0, atol=1e-12)
 
 
 def test_transposed_equals_conv_input_gradient():
@@ -245,7 +245,7 @@ def test_transposed_equals_conv_input_gradient():
     tlayer = TransposedConvLayer(tspec, conv.weights)  # zero bias
     up = transposed_conv_forward(g, tlayer)
     # the scatter reconstructs only positions reachable from the output grid
-    assert np.array_equal(up.data, gx.data[:, :, :up.shape[2], :up.shape[3]])
+    assert np.array_equal(up, gx[:, :, :up.shape[2], :up.shape[3]])
 
 
 @pytest.mark.parametrize("k", (1, 3, 5))
@@ -260,9 +260,9 @@ def test_transposed_forward_matches_naive_scatter_order_bitwise(k):
                 layer = TransposedConvLayer.initialized(spec, rng)  # zero bias
                 x = he_init((2, c_in, 6, 5), 2, rng)
                 got = transposed_conv_forward(x, layer)
-                want = naive_conv2d_grad_x(x.data, layer.weights.data,
+                want = naive_conv2d_grad_x(x, layer.weights,
                                            spec.out_size(6, 5), stride=s, pad=pad)
-                assert np.array_equal(got.data, want), (s, pad, c_in)
+                assert np.array_equal(got, want), (s, pad, c_in)
 
 
 def test_transposed_forward_matches_naive_scatter_order_bitwise_across_buffer_chunks():
@@ -274,9 +274,9 @@ def test_transposed_forward_matches_naive_scatter_order_bitwise_across_buffer_ch
     x = he_init((1, 29, 16, 16), 2, rng)
     assert (spec.k * spec.k * spec.c_out, spec.c_in, x.shape[2:]) == (64, 29, (16, 16))
     got = transposed_conv_forward(x, layer)
-    want = naive_conv2d_grad_x(x.data, layer.weights.data, spec.out_size(16, 16),
+    want = naive_conv2d_grad_x(x, layer.weights, spec.out_size(16, 16),
                                stride=2, pad=1)
-    assert np.array_equal(got.data, want)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("c_in, c_out, hw, one_row", [
@@ -294,8 +294,8 @@ def test_transposed_forward_matches_naive_scatter_order_bitwise_across_pixel_til
     x = he_init((1, c_in) + hw, 2, rng)
     assert (c_in, hw[0] * hw[1]) == ((520, 253) if one_row else (128, 1025))
     got = transposed_conv_forward(x, layer)
-    want = naive_conv2d_grad_x(x.data, layer.weights.data, hw)
-    assert np.array_equal(got.data, want)
+    want = naive_conv2d_grad_x(x, layer.weights, hw)
+    assert np.array_equal(got, want)
 
 
 def test_transposed_gradients_match_finite_differences():
@@ -307,11 +307,11 @@ def test_transposed_gradients_match_finite_differences():
     g = he_init((1, 2, 6, 6), 1, rng)
 
     def objective():
-        return float(np.sum(transposed_conv_forward(x, layer).data * g.data))
+        return float(np.sum(transposed_conv_forward(x, layer) * g))
 
     gx, gw, gb = transposed_conv_backward(x, layer, g)
-    assert max_rel_err(gx.data, fd_gradient(objective, x.data)) < 1e-4
-    assert max_rel_err(gw.data, fd_gradient(objective, layer.weights.data)) < 1e-4
+    assert max_rel_err(gx, fd_gradient(objective, x)) < 1e-4
+    assert max_rel_err(gw, fd_gradient(objective, layer.weights)) < 1e-4
     assert max_rel_err(gb, fd_gradient(objective, layer.bias)) < 1e-4
 
 
@@ -327,21 +327,21 @@ def test_transposed_backward_is_exact_adjoint_over_geometry_sweep():
                 x = he_init((2, 2, 4, 3), 2, rng)
                 g = he_init((2, 3) + spec.out_size(4, 3), 1, rng)
                 gx, gw, _ = transposed_conv_backward(x, layer, g)
-                lhs = float(np.sum(g.data * transposed_conv_forward(x, layer).data))
+                lhs = float(np.sum(g * transposed_conv_forward(x, layer)))
                 tol = 1e-12 * max(1.0, abs(lhs))
-                assert abs(lhs - float(np.sum(x.data * gx.data))) < tol
-                assert abs(lhs - float(np.sum(layer.weights.data * gw.data))) < tol
-                want = naive_conv2d_grad_w(g.data, x.data, k, stride=s, pad=pad)
-                assert np.allclose(gw.data, want, rtol=1e-12, atol=1e-12)
+                assert abs(lhs - float(np.sum(x * gx))) < tol
+                assert abs(lhs - float(np.sum(layer.weights * gw))) < tol
+                want = naive_conv2d_grad_w(g, x, k, stride=s, pad=pad)
+                assert np.allclose(gw, want, rtol=1e-12, atol=1e-12)
 
 
 def test_transposed_grad_shape_mismatch_rejected():
     rng = Rng(15)
     spec = TransposedConvSpec(k=4, stride=2, c_in=1, c_out=1, pad=1)
     layer = TransposedConvLayer.initialized(spec, rng)
-    x = new_tensor((1, 1, 3, 3))
+    x = np.zeros((1, 1, 3, 3))
     with pytest.raises(ValueError):
-        transposed_conv_backward(x, layer, new_tensor((1, 1, 5, 5)))
+        transposed_conv_backward(x, layer, np.zeros((1, 1, 5, 5)))
 
 
 # -- expressiveness: DUC subsumes non-overlapping transposed conv ------------------
@@ -362,7 +362,7 @@ def test_duc_reproduces_nonoverlapping_transposed_conv_bitwise(seed):
     clayer, duc_spec = duc_weights_from_transposed(tlayer)
     got = duc_forward(feats, clayer, duc_spec)
     assert got.shape == want.shape
-    assert np.array_equal(got.data, want.data)  # exact, same accumulation order
+    assert np.array_equal(got, want)  # exact, same accumulation order
 
 
 def test_duc_weight_mapping_rejects_overlapping_layers():
