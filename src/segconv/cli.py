@@ -4,11 +4,12 @@ Verbs: check, footprint, rf, search, duc-demo, train, eval.
 
 Exit codes: 0 success (for `check`: schedule valid); 1 usage error (bad
 flags, an image size or class count that does not fit the net, a malformed
-net.json) or a file that cannot be read or written; 2 schedule invalid
-(`check`, gridding holes predicted) or a failed equivalence (`duc-demo`);
-3 training diverged (non-finite loss). Every failure prints one line to
-stderr. All output is deterministic for fixed flags and seed; numbers are
-printed in shortest round-trip form.
+net.json or one whose layer entries its topology does not build) or a file
+that cannot be read or written; 2 schedule invalid (`check`, gridding holes
+predicted) or a failed equivalence (`duc-demo`); 3 training diverged
+(non-finite loss). Every failure prints one line to stderr. All output is
+deterministic for fixed flags and seed; numbers are printed in shortest
+round-trip form.
 
 The SEGCONV_OUT environment variable overrides the default output directory
 used when --out is not given.
@@ -195,6 +196,7 @@ def cmd_duc_demo(args) -> int:
 
 
 def _gen_dataset(count, args, seed):
+    """Pure, and checks --thickness and --classes: run it before any mkdir."""
     rng = Rng(seed)
     return gen_thin_structures(count, args.size, args.size, args.thickness,
                                args.classes, rng)
@@ -213,10 +215,9 @@ def cmd_train(args) -> int:
     cfg = SgdConfig(base_lr=args.lr, power=0.9, max_iter=args.iters,
                     momentum=args.momentum, weight_decay=args.weight_decay,
                     batch=args.batch, seed=args.seed, mean_loss=args.mean_loss)
+    data = _gen_dataset(args.train_size, args, args.data_seed)
     out = Path(args.out) if args.out else _default_out("train")
     out.mkdir(parents=True, exist_ok=True)
-
-    data = _gen_dataset(args.train_size, args, args.data_seed)
     if args.dump_data:
         dump = Path(args.dump_data)
         dump.mkdir(parents=True, exist_ok=True)
@@ -266,10 +267,9 @@ def cmd_eval(args) -> int:
     if args.classes != net.classes:
         raise UsageError(f"--classes {args.classes} does not match the net's "
                          f"{net.classes} classes")
+    samples = _gen_dataset(args.eval_size, args, args.data_seed)
     out = Path(args.out) if args.out else _default_out("eval")
     out.mkdir(parents=True, exist_ok=True)
-
-    samples = _gen_dataset(args.eval_size, args, args.data_seed)
     per_class, mean = evaluate(net, samples, oracle=args.oracle)
     lines = ["class,iou"]
     for c, iou in enumerate(per_class):

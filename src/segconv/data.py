@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Rng
+from .tensor import Rng, pgm_text
 
 IGNORE_LABEL = 255
 
@@ -82,16 +82,11 @@ def gen_thin_structures(n: int, height: int, width: int, thickness: int,
 # ---------------------------------------------------------------------------
 
 
-def _write_pgm(path, grid: np.ndarray) -> None:
-    h, w = grid.shape
-    rows = "\n".join(" ".join(str(int(v)) for v in row) for row in grid)
-    Path(path).write_text(f"P2\n{w} {h}\n255\n{rows}\n", encoding="ascii")
-
-
 def write_sample_pgm(sample: SegSample, path_prefix) -> None:
     """Write <prefix>_img.pgm (intensities clipped to 0..255) and
     <prefix>_lab.pgm (raw label values; 255 = ignore)."""
     prefix = Path(path_prefix)
     img = np.clip(np.rint(sample.image[0, 0] * 255.0), 0, 255).astype(np.int64)
-    _write_pgm(prefix.parent / (prefix.name + "_img.pgm"), img)
-    _write_pgm(prefix.parent / (prefix.name + "_lab.pgm"), sample.labels)
+    for suffix, grid in (("_img", img), ("_lab", sample.labels)):
+        path = prefix.parent / f"{prefix.name}{suffix}.pgm"
+        path.write_text(pgm_text(grid), encoding="ascii")

@@ -35,6 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .tensor import pgm_text
+
 
 @dataclass(frozen=True)
 class DilationSchedule:
@@ -232,12 +234,8 @@ def schedule_report(schedule: DilationSchedule, include_footprint: bool = True) 
 
 def footprint_to_pgm(fp: FootprintMap) -> str:
     """Counts linearly mapped to 0..255; zero-count cells stay 0."""
-    peak = int(fp.grid.max())
-    rows = []
-    for row in fp.grid:
-        rows.append(" ".join(str(int(v) * 255 // peak) for v in row))
-    header = f"P2\n{fp.side} {fp.side}\n255\n"
-    return header + "\n".join(rows) + "\n"
+    # object dtype: Python-int arithmetic, exact for counts of any size
+    return pgm_text(fp.grid.astype(object) * 255 // int(fp.grid.max()))
 
 
 def footprint_to_csv(fp: FootprintMap) -> str:

@@ -4,8 +4,8 @@ There is no array wrapper: the layers take and return plain float64
 ``np.ndarray``s with axes (batch, channel, row, col), and the arrays made
 here are C-contiguous (row-major). Every index formula elsewhere in the
 package assumes this axis order. This module holds what carries the
-determinism contract: the counter-based ``Rng``, ``he_init`` and the
-``.bin`` format.
+determinism contract: the counter-based ``Rng``, ``he_init``, the ``.bin``
+format and the ASCII PGM text of the image dumps.
 """
 
 from __future__ import annotations
@@ -128,3 +128,10 @@ def save_tensor(path, t: np.ndarray) -> None:
 
 def load_tensor(path) -> np.ndarray:
     return tensor_from_bytes(Path(path).read_bytes())
+
+
+def pgm_text(grid: np.ndarray) -> str:
+    """ASCII (P2) PGM of a 2-D grid of integers in 0..255, one row per line."""
+    h, w = grid.shape
+    rows = "\n".join(" ".join(str(int(v)) for v in row) for row in grid)
+    return f"P2\n{w} {h}\n255\n{rows}\n"

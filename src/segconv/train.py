@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .conv import ConvLayer, ConvSpec, conv2d_backward, conv2d_forward, same_padding
+from .conv import (ConvLayer, ConvSpec, _set_params, conv2d_backward, conv2d_forward,
+                   same_padding)
 from .data import IGNORE_LABEL
 from .hdc import DilationSchedule
 from .tensor import Rng, load_tensor, save_tensor
@@ -151,15 +152,6 @@ def majority_downsample(labels: np.ndarray, cell: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _deconv_factors(d: int) -> list[int]:
-    """Factorize the upsampling as x2 stages first, then whatever remains."""
-    if d == 2:
-        return [2]
-    if d % 2:
-        raise ValueError(f"deconv decoder needs an even downsampling factor, got {d}")
-    return [2, d // 2]
-
-
 class ToyNet:
     """Strided 3x3 stem down to factor d, dilated body carrying a rate
     schedule (one K x K conv per rate, K = schedule.kernel), and one of the
@@ -169,9 +161,10 @@ class ToyNet:
     layer (the synthetic images live in roughly 0..1; tanh layers train far
     better on a zero-mean signal).
 
-    The forward pass is one ordered stage list, built once in __init__ and
-    the only place outside build() that depends on the decoder. A stage is
-    (param name, forward(x), backward(x, g) -> (gx, gw, gb), tanh after?):
+    build() is the one constructor and the one place that depends on the
+    decoder: each of its branches makes a layer and appends that layer's
+    stage to one ordered stage list, which is the whole forward pass. A stage
+    is (param name, forward(x), backward(x, g) -> (gx, gw, gb), tanh after?):
     conv+tanh per encoder layer; DUC; bilinear as conv then fixed upsampling;
     or transposed convs with tanh on all but the last. The stage functions
     are lambdas that look up conv2d_forward, duc_backward, ... in this
@@ -183,45 +176,11 @@ class ToyNet:
     INPUT_SCALE = 2.0
 
     def __init__(self, d: int, schedule: DilationSchedule, decoder: str,
-                 classes: int, width: int, cell: int, img_channels: int,
-                 encoder_layers, decoder_layers):
-        if decoder not in DECODERS:
-            raise ValueError(f"decoder must be one of {DECODERS}")
-        if cell != 1 and decoder != "duc":
-            raise ValueError("cell > 1 only applies to the duc decoder")
-        self.d = d
-        self.schedule = schedule
-        self.decoder = decoder
-        self.classes = classes
-        self.width = width
-        self.cell = cell
-        self.img_channels = img_channels
-        self.encoder_layers = encoder_layers      # list[ConvLayer]
-        self.decoder_layers = decoder_layers      # ConvLayer(s) or TransposedConvLayer(s)
-
-        self.stages = [
-            (f"enc{i}", lambda x, L=L: conv2d_forward(x, L),
-             lambda x, g, L=L: conv2d_backward(x, L, g), True)
-            for i, L in enumerate(encoder_layers)
-        ]
-        if decoder == "duc":
-            L, spec = decoder_layers[0], DucSpec(d=d, classes=classes, cell=cell)
-            self.stages.append(("dec0", lambda x: duc_forward(x, L, spec),
-                                lambda x, g: duc_backward(x, L, spec, g), False))
-        elif decoder == "bilinear":
-            L = decoder_layers[0]
-            self.stages.append((
-                "dec0", lambda x: bilinear_upsample(conv2d_forward(x, L), d),
-                lambda x, g: conv2d_backward(
-                    x, L, bilinear_backward(g, x.shape[2:], d)),
-                False))
-        else:
-            last = len(decoder_layers) - 1
-            self.stages += [
-                (f"dec{i}", lambda x, L=L: transposed_conv_forward(x, L),
-                 lambda x, g, L=L: transposed_conv_backward(x, L, g), i < last)
-                for i, L in enumerate(decoder_layers)
-            ]
+                 classes: int, width: int, cell: int, img_channels: int):
+        """The topology with no layers yet; build() adds them."""
+        self.d, self.schedule, self.decoder, self.classes = d, schedule, decoder, classes
+        self.width, self.cell, self.img_channels = width, cell, img_channels
+        self.encoder_layers, self.decoder_layers, self.stages = [], [], []
 
     @staticmethod
     def build(d: int, schedule: DilationSchedule, decoder: str, classes: int,
@@ -229,39 +188,52 @@ class ToyNet:
               img_channels: int = 1) -> "ToyNet":
         if d not in (2, 4):
             raise ValueError(f"downsampling factor must be 2 or 4, got {d}")
+        if decoder not in DECODERS:
+            raise ValueError(f"decoder must be one of {DECODERS}")
+        if cell != 1 and decoder != "duc":
+            raise ValueError("cell > 1 only applies to the duc decoder")
+        net = ToyNet(d, schedule, decoder, classes, width, cell, img_channels)
         rng = Rng(seed)
+        k, c = schedule.kernel, img_channels
         enc = []
-        c_prev = img_channels
-        stem_widths = [width] if d == 2 else [width, 2 * width]
-        for cw in stem_widths:
-            spec = ConvSpec(k=3, r=1, stride=2, c_in=c_prev, c_out=cw, pad=1)
-            enc.append(ConvLayer.initialized(spec, rng))
-            c_prev = cw
-        k = schedule.kernel
-        for rate in schedule.rates:
-            spec = ConvSpec(k=k, r=rate, stride=1, c_in=c_prev, c_out=c_prev,
-                            pad=same_padding(k, rate))
-            enc.append(ConvLayer.initialized(spec, rng))
+        for cw in [width] if d == 2 else [width, 2 * width]:
+            enc.append(ConvSpec(k=3, r=1, stride=2, c_in=c, c_out=cw, pad=1))
+            c = cw
+        enc += [ConvSpec(k=k, r=r, stride=1, c_in=c, c_out=c, pad=same_padding(k, r))
+                for r in schedule.rates]
+        for i, spec in enumerate(enc):
+            L = ConvLayer.initialized(spec, rng)
+            net.encoder_layers.append(L)
+            net.stages.append((f"enc{i}", lambda x, L=L: conv2d_forward(x, L),
+                               lambda x, g, L=L: conv2d_backward(x, L, g), True))
 
-        dec = []
         if decoder == "duc":
             duc = DucSpec(d=d, classes=classes, cell=cell)
-            spec = ConvSpec(k=3, r=1, stride=1, c_in=c_prev,
-                            c_out=duc.conv_channels, pad=1)
-            dec.append(ConvLayer.initialized(spec, rng))
+            L = ConvLayer.initialized(ConvSpec(k=3, r=1, stride=1, c_in=c,
+                                               c_out=duc.conv_channels, pad=1), rng)
+            net.decoder_layers.append(L)
+            net.stages.append(("dec0", lambda x: duc_forward(x, L, duc),
+                               lambda x, g: duc_backward(x, L, duc, g), False))
         elif decoder == "bilinear":
-            spec = ConvSpec(k=3, r=1, stride=1, c_in=c_prev, c_out=classes, pad=1)
-            dec.append(ConvLayer.initialized(spec, rng))
-        else:
-            factors = _deconv_factors(d)
-            for i, f in enumerate(factors):
-                last = i == len(factors) - 1
-                tspec = TransposedConvSpec(k=2 * f, stride=f, c_in=c_prev,
-                                           c_out=classes if last else c_prev,
-                                           pad=f // 2)
-                dec.append(TransposedConvLayer.initialized(tspec, rng))
-        return ToyNet(d, schedule, decoder, classes, width, cell, img_channels,
-                      enc, dec)
+            L = ConvLayer.initialized(ConvSpec(k=3, r=1, stride=1, c_in=c,
+                                               c_out=classes, pad=1), rng)
+            net.decoder_layers.append(L)
+            net.stages.append((
+                "dec0", lambda x: bilinear_upsample(conv2d_forward(x, L), d),
+                lambda x, g: conv2d_backward(
+                    x, L, bilinear_backward(g, x.shape[2:], d)),
+                False))
+        else:  # one x2 transposed conv per factor of 2 in d
+            last = d // 2 - 1
+            for i in range(d // 2):
+                spec = TransposedConvSpec(k=4, stride=2, c_in=c,
+                                          c_out=classes if i == last else c, pad=1)
+                L = TransposedConvLayer.initialized(spec, rng)
+                net.decoder_layers.append(L)
+                net.stages.append((
+                    f"dec{i}", lambda x, L=L: transposed_conv_forward(x, L),
+                    lambda x, g, L=L: transposed_conv_backward(x, L, g), i < last))
+        return net
 
     # -- parameters ---------------------------------------------------------
 
@@ -388,7 +360,9 @@ def evaluate(net: ToyNet, samples, oracle: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# net serialization: JSON topology plus one binary tensor file per weight
+# net serialization: net.json holds the build() arguments (all but the seed)
+# and one entry per layer, which load_net checks against the layer build()
+# makes; each layer's weights go to one binary tensor file <name>.bin
 # ---------------------------------------------------------------------------
 
 
@@ -403,22 +377,6 @@ def _layer_entry(layer) -> dict:
     if not entry["transposed"]:
         entry["r"] = s.r
     return entry
-
-
-def _layer_from_entry(meta: dict, path: Path):
-    """The layer of one net.json entry with its weights read from path; a bad
-    weight file (unreadable as a tensor, or of the wrong shape) is named."""
-    geometry = dict(k=meta["k"], stride=meta["stride"], c_in=meta["c_in"],
-                    c_out=meta["c_out"], pad=meta["pad"])
-    bias = np.asarray(meta["bias"], dtype=np.float64)
-    if meta.get("transposed", False):
-        cls, spec = TransposedConvLayer, TransposedConvSpec(**geometry)
-    else:
-        cls, spec = ConvLayer, ConvSpec(r=meta["r"], **geometry)
-    try:
-        return cls(spec, load_tensor(path), bias)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from e
 
 
 def save_net(dirpath, net: ToyNet) -> None:
@@ -442,18 +400,38 @@ def save_net(dirpath, net: ToyNet) -> None:
     )
 
 
+def _geometry(entries) -> list:
+    """Layer entries without their bias values."""
+    return [{k: v for k, v in e.items() if k != "bias"} for e in entries]
+
+
 def load_net(dirpath) -> ToyNet:
-    """Read a directory written by save_net; a malformed net.json raises ValueError."""
+    """Rebuild a directory written by save_net: build() with net.json's
+    topology, every layer entry checked against the built layer (bias values
+    aside), then the entry's bias and the .bin weights read into it. A
+    malformed net.json, or one whose entries are not the layers its topology
+    builds, raises ValueError naming it; a bad weight file, naming the .bin."""
     d = Path(dirpath)
-    topo = json.loads((d / "net.json").read_text(encoding="ascii"))
+    path = d / "net.json"
+    topo = json.loads(path.read_text(encoding="ascii"))
     try:
-        schedule = DilationSchedule(rates=tuple(topo["schedule"]["rates"]),
-                                    kernel=topo["schedule"]["kernel"])
-        enc = [_layer_from_entry(meta, d / f"enc{i}.bin")
-               for i, meta in enumerate(topo["encoder"])]
-        dec = [_layer_from_entry(meta, d / f"dec{i}.bin")
-               for i, meta in enumerate(topo["decoder_layers"])]
-        return ToyNet(topo["d"], schedule, topo["decoder"], topo["classes"],
-                      topo["width"], topo["cell"], topo["img_channels"], enc, dec)
-    except (KeyError, TypeError, IndexError) as e:
-        raise ValueError(f"malformed {d / 'net.json'}: {e!r}") from e
+        s = topo["schedule"]
+        schedule = DilationSchedule(rates=tuple(s["rates"]), kernel=s["kernel"])
+        net = ToyNet.build(topo["d"], schedule, topo["decoder"], topo["classes"],
+                           seed=0, width=topo["width"], cell=topo["cell"],
+                           img_channels=topo["img_channels"])
+        for key, layers in (("encoder", net.encoder_layers),
+                            ("decoder_layers", net.decoder_layers)):
+            if _geometry(topo[key]) != _geometry(map(_layer_entry, layers)):
+                raise ValueError(f"{key} entries are not the layers the topology builds")
+        biases = [meta["bias"] for meta in topo["encoder"] + topo["decoder_layers"]]
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
+        raise ValueError(f"malformed {path}: {e!r}") from e
+    for (name, layer), bias in zip(net.named_layers(), biases):
+        weights = d / f"{name}.bin"
+        try:
+            _set_params(layer, layer.spec, load_tensor(weights), bias,
+                        layer.weights.shape)
+        except ValueError as e:
+            raise ValueError(f"{weights}: {e}") from e
+    return net

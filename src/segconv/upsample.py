@@ -50,9 +50,6 @@ class DucSpec:
         """Channel count the decode convolution must produce: s^2 * classes."""
         return self.s * self.s * self.classes
 
-    def chan(self, l: int, dy: int, dx: int) -> int:
-        return l * self.s * self.s + dy * self.s + dx
-
 
 def duc_rearrange(x: np.ndarray, spec: DucSpec) -> np.ndarray:
     """Permute (n, s^2*L, h, w) into (n, L, h*s, w*s).
@@ -248,12 +245,6 @@ def duc_weights_from_transposed(layer: TransposedConvLayer):
     duc_spec = DucSpec(d=d, classes=spec.c_out, cell=1)
     cspec = ConvSpec(k=1, r=1, stride=1, c_in=spec.c_in,
                      c_out=duc_spec.conv_channels, pad=0)
-    w = np.zeros((cspec.c_out, cspec.c_in, 1, 1), dtype=np.float64)
-    b = np.zeros(cspec.c_out, dtype=np.float64)
-    for l in range(spec.c_out):
-        for dy in range(d):
-            for dx in range(d):
-                ch = duc_spec.chan(l, dy, dx)
-                w[ch, :, 0, 0] = layer.weights[:, l, dy, dx]
-                b[ch] = layer.bias[l]
-    return ConvLayer(cspec, w, b), duc_spec
+    # DUC channel chan(l, dy, dx) takes the transposed weights[:, l, dy, dx]
+    w = layer.weights.transpose(1, 2, 3, 0).reshape(-1, spec.c_in)[:, :, None, None]
+    return ConvLayer(cspec, w, np.repeat(layer.bias, d * d)), duc_spec

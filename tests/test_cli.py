@@ -355,6 +355,22 @@ def test_train_bad_sizes_fail_before_work(tmp_path, capsys, flags, needle):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb,flags,problem", [
+    ("train", ("--thickness", "0"), "thickness must be >= 1"),
+    ("train", ("--classes", "2"),
+     "generator needs >= 3 classes (background, thin, blob)"),
+    ("eval", ("--thickness", "0"), "thickness must be >= 1"),
+])
+def test_bad_data_flags_fail_before_out_dir(trained_dir, tmp_path, capsys, verb,
+                                            flags, problem):
+    out = tmp_path / "out"
+    net = ("--net", str(trained_dir)) if verb == "eval" else ()
+    msg = fails(capsys, EXIT_USAGE, verb, *net, *flags, "--size", "16",
+                "--out", str(out))
+    assert msg == f"usage error: {problem}"
+    assert not out.exists()
+
+
 def test_train_divergence_has_its_own_exit_code(tmp_path, capsys):
     msg = fails(capsys, EXIT_DIVERGED, "train", "--lr", "1e8", "--iters", "300",
                 "--train-size", "1", "--size", "16", "--out", str(tmp_path / "t"))
@@ -402,6 +418,33 @@ def test_eval_corrupt_weight_file_names_it(trained_dir, tmp_path, capsys, corrup
     msg = fails(capsys, EXIT_USAGE, "eval", "--net", str(net), "--size", "16",
                 "--out", str(tmp_path / "eval"))
     assert msg == f"usage error: {net / 'enc0.bin'}: {problem}"
+    assert not (tmp_path / "eval").exists()
+
+
+def _drop_last_decoder_layer(topo):
+    topo["decoder_layers"].pop()
+
+
+def _change_body_rate(topo):
+    topo["encoder"][2]["r"] += 1
+
+
+@pytest.mark.parametrize("edit", [
+    lambda topo: topo.update(width=4),
+    lambda topo: topo.update(d=3),
+    _drop_last_decoder_layer,
+    _change_body_rate,
+], ids=["width", "d", "fewer_decoder_layers", "body_rate"])
+def test_eval_net_json_that_its_topology_does_not_build_names_it(
+        trained_dir, tmp_path, capsys, edit):
+    net = tmp_path / "net"
+    shutil.copytree(trained_dir / "net", net)
+    topo = json.loads((net / "net.json").read_text())
+    edit(topo)
+    (net / "net.json").write_text(json.dumps(topo))
+    msg = fails(capsys, EXIT_USAGE, "eval", "--net", str(net), "--size", "16",
+                "--out", str(tmp_path / "eval"))
+    assert msg.startswith(f"usage error: malformed {net / 'net.json'}: ")
     assert not (tmp_path / "eval").exists()
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -380,6 +382,27 @@ def test_net_save_load_roundtrip(tmp_path, decoder, cell):
     la, _ = net.forward(x)
     lb, _ = back.forward(x)
     assert np.array_equal(la, lb)
+
+
+SAVED_NETS = Path(__file__).parent / "data" / "saved_nets"
+
+
+@pytest.mark.parametrize("decoder", ["duc", "bilinear", "deconv"])
+def test_committed_nets_load_as_built_and_save_byte_identical(tmp_path, decoder):
+    # written by save_net for ToyNet.build(d=2, rates (1, 2), kernel 3,
+    # classes=3, seed=9, width=2) before load_net went through build(): they
+    # pin the net.json and .bin format that older nets were saved in
+    back = load_net(SAVED_NETS / decoder)
+    net = ToyNet.build(d=2, schedule=DilationSchedule(rates=(1, 2), kernel=3),
+                       decoder=decoder, classes=3, seed=9, width=2)
+    got, want = back.params(), net.params()
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].shape == want[name].shape, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+    save_net(tmp_path, back)
+    for f in sorted((SAVED_NETS / decoder).iterdir()):
+        assert (tmp_path / f.name).read_bytes() == f.read_bytes(), f.name
 
 
 def test_evaluate_oracle_mode_perfect():

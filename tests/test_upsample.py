@@ -120,7 +120,7 @@ def test_duc_constant_bias_floods_one_class():
     beta = 2.5
     for dy in range(4):
         for dx in range(4):
-            layer.bias[spec.chan(1, dy, dx)] = beta
+            layer.bias[1 * 16 + dy * 4 + dx] = beta  # chan(1, dy, dx) at s = 4
     out = duc_forward(he_init((1, 2, 4, 4), 2, Rng(5)), layer, spec)
     assert np.all(out[0, 1] == beta)
     assert np.all(out[0, 0] == 0.0) and np.all(out[0, 2] == 0.0)
