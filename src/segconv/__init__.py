@@ -19,7 +19,6 @@ from .hdc import (
     max_distance,
     rf_increase,
     rf_increase_for_rates,
-    sawtooth_schedule,
     schedule_report,
     schedule_search,
 )

@@ -4,12 +4,13 @@ Verbs: check, footprint, rf, search, duc-demo, train, eval.
 
 Exit codes: 0 success (for `check`: schedule valid); 1 usage error (bad
 flags, an image size or class count that does not fit the net, a malformed
-net.json or one whose layer entries its topology does not build) or a file
-that cannot be read or written; 2 schedule invalid (`check`, gridding holes
-predicted) or a failed equivalence (`duc-demo`); 3 training diverged
-(non-finite loss). Every failure prints one line to stderr. All output is
-deterministic for fixed flags and seed; numbers are printed in shortest
-round-trip form.
+net.json or one whose layer entries its topology does not build), a file
+that cannot be read or written, or out of memory (a net too wide to
+allocate, from --channels or a net.json width); 2 schedule invalid (`check`,
+gridding holes predicted) or a failed equivalence (`duc-demo`); 3 training
+diverged (non-finite loss). Every failure prints one line to stderr. All
+output is deterministic for fixed flags and seed; numbers are printed in
+shortest round-trip form.
 
 The SEGCONV_OUT environment variable overrides the default output directory
 used when --out is not given.
@@ -233,16 +234,9 @@ def cmd_train(args) -> int:
         lines.append(f"{it},{poly_lr(it, cfg)!r},{loss!r}")
     (out / "loss_curve.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
     save_net(out / "net", net)
-    config = {
-        "decoder": args.decoder, "schedule": list(sched.rates),
-        "kernel": args.kernel, "d": args.d, "seed": args.seed,
-        "data_seed": args.data_seed, "iters": args.iters, "lr": args.lr,
-        "momentum": args.momentum, "weight_decay": args.weight_decay,
-        "batch": args.batch, "train_size": args.train_size,
-        "size": args.size, "thickness": args.thickness,
-        "classes": args.classes, "channels": args.channels, "cell": args.cell,
-        "mean_loss": args.mean_loss, "version": __version__,
-    }
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("verb", "func", "out", "dump_data")}
+    config.update(schedule=list(sched.rates), version=__version__)
     (out / "config.json").write_text(
         json.dumps(config, sort_keys=True, indent=1) + "\n", encoding="ascii")
     _emit({
@@ -376,6 +370,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as e:
+        print(f"out of memory: {e}", file=sys.stderr)
         return EXIT_USAGE
     except TrainingDiverged as e:
         print(f"training diverged: {e}", file=sys.stderr)

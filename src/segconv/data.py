@@ -20,6 +20,8 @@ IGNORE_LABEL = 255
 
 CLASS_BASE_INTENSITY = (0.1, 0.9, 0.5)  # background, thin, blob
 NOISE_STD = 0.05
+BLOBS = 2   # rectangles (class 2) per sample
+POLES = 3   # thin lines (class 1) per sample, drawn over the blobs
 
 
 @dataclass
@@ -29,12 +31,11 @@ class SegSample:
 
 
 def gen_thin_structures(n: int, height: int, width: int, thickness: int,
-                        classes: int, rng: Rng, blobs: int = 2,
-                        poles: int = 3) -> list[SegSample]:
+                        classes: int, rng: Rng) -> list[SegSample]:
     """Deterministically generate n samples from the given rng.
 
-    Each sample carries `blobs` rectangles (class 2) and `poles` thin
-    lines of the given thickness (class 1) drawn on top of them.
+    Each sample carries BLOBS rectangles (class 2) and POLES thin lines of
+    the given thickness (class 1) drawn on top of them.
     """
     if classes < 3:
         raise ValueError("generator needs >= 3 classes (background, thin, blob)")
@@ -45,14 +46,14 @@ def gen_thin_structures(n: int, height: int, width: int, thickness: int,
     samples = []
     for _ in range(n):
         labels = np.zeros((height, width), dtype=np.int64)
-        for _ in range(blobs):
+        for _ in range(BLOBS):
             bh = height // 4 + rng.randint(height // 4 + 1)
             bw = width // 4 + rng.randint(width // 4 + 1)
             y0 = rng.randint(height - bh + 1)
             x0 = rng.randint(width - bw + 1)
             labels[y0 : y0 + bh, x0 : x0 + bw] = 2
         taken = {True: [], False: []}  # cross-axis offsets by orientation
-        for _ in range(poles):
+        for _ in range(POLES):
             vertical = rng.randint(2) == 0
             span = height if vertical else width
             cross = width if vertical else height

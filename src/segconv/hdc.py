@@ -1,6 +1,6 @@
 """Dilation-schedule analysis: the max-gap recurrence, hole-free validity,
-receptive-field accounting, sawtooth schedule generation, and an exact
-footprint oracle that renders gridding patterns.
+receptive-field accounting, schedule search, and an exact footprint oracle
+that renders gridding patterns.
 
 Validity rule
 -------------
@@ -54,9 +54,6 @@ class DilationSchedule:
             raise ValueError(f"all rates must be >= 1, got {rates}")
         if self.kernel < 3 or self.kernel % 2 == 0:
             raise ValueError(f"kernel size must be odd and >= 3, got {self.kernel}")
-
-    def __len__(self):
-        return len(self.rates)
 
 
 def max_distance(schedule: DilationSchedule) -> tuple[list[int], bool]:
@@ -158,30 +155,6 @@ def rf_increase(groups, kernel: int) -> int:
 
 def rf_increase_for_rates(rates, kernel: int) -> int:
     return rf_increase([(1, r) for r in rates], kernel)
-
-
-def sawtooth_schedule(base_rates, total_layers: int, kernel: int = 3,
-                      tail=None) -> DilationSchedule:
-    """Tile a rising base pattern across `total_layers` layers.
-
-    The final partial group is truncated to the first rates of the pattern;
-    pass `tail` to override those trailing layers instead (some published
-    configurations hold the last group at a constant rate rather than
-    restarting the ramp).
-    """
-    base = [int(r) for r in base_rates]
-    if not base:
-        raise ValueError("base rate pattern must be nonempty")
-    if total_layers < 1:
-        raise ValueError("total_layers must be >= 1")
-    reps = -(-total_layers // len(base))
-    rates = (base * reps)[:total_layers]
-    if tail is not None:
-        tail = [int(r) for r in tail]
-        if len(tail) > total_layers:
-            raise ValueError("tail longer than the schedule")
-        rates[total_layers - len(tail):] = tail
-    return DilationSchedule(rates=tuple(rates), kernel=kernel)
 
 
 def schedule_search(n: int, kernel: int, rf_target: int) -> list[DilationSchedule]:

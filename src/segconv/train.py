@@ -131,8 +131,6 @@ def majority_downsample(labels: np.ndarray, cell: int) -> np.ndarray:
     """Reduce each cell x cell block to its most frequent label (ignored
     pixels do not vote; ties go to the smaller label; all-ignored blocks
     stay ignored)."""
-    if cell == 1:
-        return labels.copy()
     h, w = labels.shape
     if h % cell or w % cell:
         raise ValueError(f"label grid {h}x{w} not divisible by cell {cell}")
@@ -176,25 +174,24 @@ class ToyNet:
     INPUT_SCALE = 2.0
 
     def __init__(self, d: int, schedule: DilationSchedule, decoder: str,
-                 classes: int, width: int, cell: int, img_channels: int):
+                 classes: int, width: int, cell: int):
         """The topology with no layers yet; build() adds them."""
         self.d, self.schedule, self.decoder, self.classes = d, schedule, decoder, classes
-        self.width, self.cell, self.img_channels = width, cell, img_channels
+        self.width, self.cell = width, cell
         self.encoder_layers, self.decoder_layers, self.stages = [], [], []
 
     @staticmethod
     def build(d: int, schedule: DilationSchedule, decoder: str, classes: int,
-              seed: int, width: int = 8, cell: int = 1,
-              img_channels: int = 1) -> "ToyNet":
+              seed: int, width: int = 8, cell: int = 1) -> "ToyNet":
         if d not in (2, 4):
             raise ValueError(f"downsampling factor must be 2 or 4, got {d}")
         if decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}")
         if cell != 1 and decoder != "duc":
             raise ValueError("cell > 1 only applies to the duc decoder")
-        net = ToyNet(d, schedule, decoder, classes, width, cell, img_channels)
+        net = ToyNet(d, schedule, decoder, classes, width, cell)
         rng = Rng(seed)
-        k, c = schedule.kernel, img_channels
+        k, c = schedule.kernel, 1  # one-channel images
         enc = []
         for cw in [width] if d == 2 else [width, 2 * width]:
             enc.append(ConvSpec(k=3, r=1, stride=2, c_in=c, c_out=cw, pad=1))
@@ -253,7 +250,7 @@ class ToyNet:
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x: np.ndarray):
-        """Returns (logits, cache) for images x (n, img_channels, H, W); the
+        """Returns (logits, cache) for images x (n, 1, H, W); the
         cache holds (name, backward, input, activation or None) per stage."""
         cache = []
         cur = (x - self.INPUT_OFFSET) * self.INPUT_SCALE
@@ -388,7 +385,7 @@ def save_net(dirpath, net: ToyNet) -> None:
         "classes": net.classes,
         "width": net.width,
         "cell": net.cell,
-        "img_channels": net.img_channels,
+        "img_channels": 1,
         "schedule": {"rates": list(net.schedule.rates), "kernel": net.schedule.kernel},
         "encoder": [_layer_entry(L) for L in net.encoder_layers],
         "decoder_layers": [_layer_entry(L) for L in net.decoder_layers],
@@ -415,11 +412,12 @@ def load_net(dirpath) -> ToyNet:
     path = d / "net.json"
     topo = json.loads(path.read_text(encoding="ascii"))
     try:
+        if topo["img_channels"] != 1:
+            raise ValueError(f"img_channels must be 1, got {topo['img_channels']!r}")
         s = topo["schedule"]
         schedule = DilationSchedule(rates=tuple(s["rates"]), kernel=s["kernel"])
         net = ToyNet.build(topo["d"], schedule, topo["decoder"], topo["classes"],
-                           seed=0, width=topo["width"], cell=topo["cell"],
-                           img_channels=topo["img_channels"])
+                           seed=0, width=topo["width"], cell=topo["cell"])
         for key, layers in (("encoder", net.encoder_layers),
                             ("decoder_layers", net.decoder_layers)):
             if _geometry(topo[key]) != _geometry(map(_layer_entry, layers)):

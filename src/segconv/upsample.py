@@ -126,8 +126,6 @@ def bilinear_upsample(x: np.ndarray, factor: int) -> np.ndarray:
     convex combination of at most 4 input pixels."""
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
-    if factor == 1:
-        return x.copy()
     _, _, h, w = x.shape
     my = _bilinear_matrix(h, factor)
     mx = _bilinear_matrix(w, factor)
@@ -138,8 +136,6 @@ def bilinear_upsample(x: np.ndarray, factor: int) -> np.ndarray:
 def bilinear_backward(grad_out: np.ndarray, in_hw: tuple[int, int],
                       factor: int) -> np.ndarray:
     """Adjoint of bilinear_upsample for gradient routing."""
-    if factor == 1:
-        return grad_out.copy()
     h, w = in_hw
     my = _bilinear_matrix(h, factor)
     mx = _bilinear_matrix(w, factor)

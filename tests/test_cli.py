@@ -432,9 +432,10 @@ def _change_body_rate(topo):
 @pytest.mark.parametrize("edit", [
     lambda topo: topo.update(width=4),
     lambda topo: topo.update(d=3),
+    lambda topo: topo.update(img_channels=3),
     _drop_last_decoder_layer,
     _change_body_rate,
-], ids=["width", "d", "fewer_decoder_layers", "body_rate"])
+], ids=["width", "d", "img_channels", "fewer_decoder_layers", "body_rate"])
 def test_eval_net_json_that_its_topology_does_not_build_names_it(
         trained_dir, tmp_path, capsys, edit):
     net = tmp_path / "net"
@@ -455,3 +456,19 @@ def test_eval_malformed_net_json_is_usage_error(trained_dir, tmp_path, capsys, t
     (net / "net.json").write_text(text)
     fails(capsys, EXIT_USAGE, "eval", "--net", str(net), "--size", "16",
           "--out", str(tmp_path / "eval"))
+
+
+@pytest.mark.parametrize("verb", ["train", "eval"])
+def test_out_of_memory_is_one_line(trained_dir, tmp_path, capsys, monkeypatch, verb):
+    # a net too wide to allocate fails in he_init; raising there stands in for
+    # the allocation, never made for real: with memory overcommit a huge
+    # request can get the process killed instead of raising
+    def no_memory(shape, fan_in, rng):
+        raise MemoryError(f"Unable to allocate 7.45 TiB for an array with shape {shape}")
+
+    monkeypatch.setattr("segconv.conv.he_init", no_memory)
+    out = tmp_path / "out"
+    net = ("--net", str(trained_dir)) if verb == "eval" else ("--channels", "100000")
+    msg = fails(capsys, EXIT_USAGE, verb, *net, "--size", "16", "--out", str(out))
+    assert msg.startswith("out of memory: Unable to allocate 7.45 TiB")
+    assert not out.exists()

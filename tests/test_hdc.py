@@ -16,7 +16,6 @@ from segconv.hdc import (
     max_distance,
     rf_increase,
     rf_increase_for_rates,
-    sawtooth_schedule,
     schedule_report,
     schedule_search,
     write_footprint,
@@ -183,31 +182,6 @@ def test_rf_increase_matches_flat_expansion():
     groups = [(3, 2), (1, 5)]
     flat = [2, 2, 2, 5]
     assert rf_increase(groups, 3) == rf_increase_for_rates(flat, 3)
-
-
-def test_sawtooth_truncates_final_group():
-    s = sawtooth_schedule([1, 2, 3], 23)
-    assert s.rates == tuple([1, 2, 3] * 7 + [1, 2])
-    assert len(s) == 23
-
-
-def test_sawtooth_constant_pattern():
-    assert sawtooth_schedule([2], 5).rates == (2, 2, 2, 2, 2)
-
-
-def test_sawtooth_four_rate_pattern():
-    s = sawtooth_schedule([1, 2, 5, 9], 23)
-    assert s.rates == tuple([1, 2, 5, 9] * 5 + [1, 2, 5])
-
-
-def test_sawtooth_tail_override():
-    s = sawtooth_schedule([1, 2, 3], 23, tail=[2, 2])
-    assert s.rates == tuple([1, 2, 3] * 7 + [2, 2])
-
-
-def test_sawtooth_rejects_empty_base():
-    with pytest.raises(ValueError):
-        sawtooth_schedule([], 5)
 
 
 def test_search_finds_canonical_ramp():

@@ -180,7 +180,7 @@ def test_majority_downsample_tie_goes_to_smaller_label():
     assert majority_downsample(labels, 2).tolist() == [[1]]
 
 
-@pytest.mark.parametrize("cell", (2, 4))
+@pytest.mark.parametrize("cell", (1, 2, 4))
 def test_majority_downsample_matches_block_loop_oracle(cell):
     # few labels on small blocks make ties common; a high ignore density
     # leaves some blocks with no vote at all

@@ -157,6 +157,8 @@ def test_duc_backward_matches_finite_differences():
 def test_bilinear_factor1_identity():
     x = he_init((1, 2, 3, 3), 2, Rng(8))
     assert np.array_equal(bilinear_upsample(x, 1), x)
+    g = he_init((1, 2, 3, 4), 2, Rng(9))
+    assert np.array_equal(bilinear_backward(g, (3, 4), 1), g)
 
 
 def test_bilinear_constant_preserved():
