@@ -27,9 +27,8 @@ Conventions, fixed once here:
   accumulated instead. There is no second path: a numpy that fused or
   reordered would fail test_product_sum_matches_naive_order_bitwise (which
   checks _product_sum against a loop over Python floats), the bitwise op
-  tests (their *_across_buffer_chunks, *_across_pixel_tiles and
-  *_tap_by_tap cases run planes larger than 1 MiB of products),
-  test_one_pixel_results_keep_the_sequential_order and
+  tests (their *_bitwise_on_large_planes tables run planes of over 1 MiB
+  of products), test_one_pixel_results_keep_the_sequential_order and
   test_forward_keeps_signed_zeros_of_the_naive_loop.
 * grad_w, here and in the transposed conv, is one BLAS contraction over a
   strided window view and has no order contract; its tests use a tolerance.
@@ -106,7 +105,7 @@ class ConvLayer:
         _set_params(self, spec, weights, bias, (spec.c_out, spec.c_in, spec.k, spec.k))
 
     @staticmethod
-    def initialized(spec: ConvSpec, rng: Rng) -> "ConvLayer":
+    def initialized(spec: ConvSpec, rng: Rng | None) -> "ConvLayer":
         fan_in = spec.c_in * spec.k * spec.k
         w = he_init((spec.c_out, spec.c_in, spec.k, spec.k), fan_in, rng)
         return ConvLayer(spec, w)

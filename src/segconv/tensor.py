@@ -10,15 +10,17 @@ format and the ASCII PGM text of the image dumps.
 
 from __future__ import annotations
 
+import operator
 import struct
 from pathlib import Path
 
 import numpy as np
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_GAMMA = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
 _U64 = np.uint64
-_SPLITMIX_GAMMA = _U64(0x9E3779B97F4A7C15)
-_SPLITMIX_MUL1 = _U64(0xBF58476D1CE4E5B9)
-_SPLITMIX_MUL2 = _U64(0x94D049BB133111EB)
 _TWO_POW_NEG53 = 2.0 ** -53
 
 
@@ -48,8 +50,15 @@ class Rng:
         sqrt(-2*ln(1 - u1)) * cos(2*pi*u2); exactly two raw draws are
         consumed per normal (the sine partner is discarded so the stream
         position never depends on request chunking)
-      * integer in [0, n): draw % n (modulo bias is negligible for the
-        small ranges used here and keeps the recipe one line)
+      * integer in [0, n) for 1 <= n <= 2**64: draw % n (modulo bias is
+        negligible for the small ranges used here and keeps the recipe one
+        line)
+
+    The recipe is written twice. randint, the scalar draw, computes it in
+    Python integers masked to 64 bits, with no array; next_u64 (and so
+    uniform and normal) computes it over a numpy uint64 counter array.
+    Both advance the same counter, so they are one stream, and the stream
+    position never depends on which of them drew.
 
     The raw integer stream is bit-reproducible on any platform; the float
     transforms are reproducible for a fixed libm.
@@ -58,7 +67,7 @@ class Rng:
     __slots__ = ("seed", "_count")
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = int(seed) & _MASK64
         self._count = 0
 
     def next_u64(self, n: int = 1) -> np.ndarray:
@@ -67,9 +76,9 @@ class Rng:
             raise ValueError("draw count must be >= 0")
         with np.errstate(over="ignore"):
             idx = (np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
-                   * _SPLITMIX_GAMMA) + _U64(self.seed)
-            z = (idx ^ (idx >> _U64(30))) * _SPLITMIX_MUL1
-            z = (z ^ (z >> _U64(27))) * _SPLITMIX_MUL2
+                   * _U64(_GAMMA)) + _U64(self.seed)
+            z = (idx ^ (idx >> _U64(30))) * _U64(_MUL1)
+            z = (z ^ (z >> _U64(27))) * _U64(_MUL2)
             z = z ^ (z >> _U64(31))
         self._count += n
         return z
@@ -83,16 +92,26 @@ class Rng:
         return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
 
     def randint(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("range must be >= 1")
-        return int(self.next_u64(1)[0] % _U64(n))
+        """One draw % n; n is any integer (numpy ones too) in 1..2**64."""
+        n = operator.index(n)
+        if not 1 <= n <= 1 << 64:
+            raise ValueError(f"range must be in 1..2**64, got {n}")
+        self._count += 1
+        z = (self.seed + self._count * _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
+        return (z ^ (z >> 31)) % n
 
 
-def he_init(shape, fan_in: int, rng: Rng) -> np.ndarray:
-    """Zero-mean normal draws with variance 2/fan_in, in row-major order."""
+def he_init(shape, fan_in: int, rng: Rng | None) -> np.ndarray:
+    """Zero-mean normal draws with variance 2/fan_in, in row-major order.
+    With rng None, zeros: np.zeros touches no page until it is written, so
+    a net whose weights are read from files next pays for no draw."""
     shape = _check_shape(shape)
     if fan_in < 1:
         raise ValueError("fan_in must be >= 1")
+    if rng is None:
+        return np.zeros(shape)
     std = float(np.sqrt(2.0 / fan_in))
     return (rng.normal(int(np.prod(shape))) * std).reshape(shape)
 

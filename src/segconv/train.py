@@ -182,7 +182,9 @@ class ToyNet:
 
     @staticmethod
     def build(d: int, schedule: DilationSchedule, decoder: str, classes: int,
-              seed: int, width: int = 8, cell: int = 1) -> "ToyNet":
+              seed: int | None, width: int = 8, cell: int = 1) -> "ToyNet":
+        """He-normal weights drawn from Rng(seed), or zeros with seed None
+        (load_net, which reads the weights next)."""
         if d not in (2, 4):
             raise ValueError(f"downsampling factor must be 2 or 4, got {d}")
         if decoder not in DECODERS:
@@ -190,7 +192,7 @@ class ToyNet:
         if cell != 1 and decoder != "duc":
             raise ValueError("cell > 1 only applies to the duc decoder")
         net = ToyNet(d, schedule, decoder, classes, width, cell)
-        rng = Rng(seed)
+        rng = None if seed is None else Rng(seed)
         k, c = schedule.kernel, 1  # one-channel images
         enc = []
         for cw in [width] if d == 2 else [width, 2 * width]:
@@ -404,8 +406,9 @@ def _geometry(entries) -> list:
 
 def load_net(dirpath) -> ToyNet:
     """Rebuild a directory written by save_net: build() with net.json's
-    topology, every layer entry checked against the built layer (bias values
-    aside), then the entry's bias and the .bin weights read into it. A
+    topology and zero weights, every layer entry checked against the built
+    layer (bias values aside), then the entry's bias and the .bin weights
+    read into it. A
     malformed net.json, or one whose entries are not the layers its topology
     builds, raises ValueError naming it; a bad weight file, naming the .bin."""
     d = Path(dirpath)
@@ -417,7 +420,7 @@ def load_net(dirpath) -> ToyNet:
         s = topo["schedule"]
         schedule = DilationSchedule(rates=tuple(s["rates"]), kernel=s["kernel"])
         net = ToyNet.build(topo["d"], schedule, topo["decoder"], topo["classes"],
-                           seed=0, width=topo["width"], cell=topo["cell"])
+                           seed=None, width=topo["width"], cell=topo["cell"])
         for key, layers in (("encoder", net.encoder_layers),
                             ("decoder_layers", net.decoder_layers)):
             if _geometry(topo[key]) != _geometry(map(_layer_entry, layers)):

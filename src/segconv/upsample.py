@@ -184,7 +184,7 @@ class TransposedConvLayer:
         _set_params(self, spec, weights, bias, (spec.c_in, spec.c_out, spec.k, spec.k))
 
     @staticmethod
-    def initialized(spec: TransposedConvSpec, rng: Rng) -> "TransposedConvLayer":
+    def initialized(spec: TransposedConvSpec, rng: Rng | None) -> "TransposedConvLayer":
         fan_in = spec.c_in * spec.k * spec.k
         w = he_init((spec.c_in, spec.c_out, spec.k, spec.k), fan_in, rng)
         return TransposedConvLayer(spec, w)

@@ -167,43 +167,22 @@ def test_forward_matches_naive_loop_bitwise_over_geometry_sweep(k):
                 assert np.array_equal(got, expect), (r, stride, pad)
 
 
-def test_forward_matches_naive_loop_bitwise_across_buffer_chunks():
-    # 29 output channels of 36 taps on 256 pixels: 267,264 products, over
-    # 2 MiB of float64
-    rng = Rng(33)
-    x = he_init((1, 4, 16, 16), 3, rng)
-    layer = random_layer(rng, k=3, r=2, c_in=4, c_out=29, pad=2)
-    assert (4 * 9, 29, layer.spec.out_size(16, 16)) == (36, 29, (16, 16))
-    got = conv2d_forward(x, layer)
-    expect = naive_conv2d(x, layer.weights, layer.bias, pad=2, dilation=2)
-    assert np.array_equal(got, expect)
-
-
-def test_forward_matches_naive_loop_bitwise_tap_by_tap():
-    # 16 input channels of 9 taps on a 32x32 grid: 147,456 products, over
-    # 1 MiB of float64, for one output channel alone
-    rng = Rng(36)
-    x = he_init((1, 16, 32, 32), 3, rng)
-    layer = random_layer(rng, k=3, r=1, c_in=16, c_out=2, pad=1)
-    assert (16 * 9, layer.spec.out_size(32, 32)) == (144, (32, 32))
-    got = conv2d_forward(x, layer)
-    expect = naive_conv2d(x, layer.weights, layer.bias, pad=1)
-    assert np.array_equal(got, expect)
-
-
-@pytest.mark.parametrize("c_in, k, c_out, hw, one_row", [
-    (16, 3, 5, (25, 41), False),  # 144 taps, 1025 pixels
-    (64, 5, 2, (2, 41), True),    # 1600 taps, 82 pixels
+# Planes of over 1 MiB of float64 products: a numpy that reordered or fused
+# the sum on large operands would show there. Pixel counts that are no
+# multiple of 8 end einsum's unrolled pixel loop in its remainder.
+@pytest.mark.parametrize("seed, c_in, k, r, c_out, hw", [
+    pytest.param(33, 4, 3, 2, 29, (16, 16), id="36taps-29out-256px"),
+    pytest.param(36, 16, 3, 1, 2, (32, 32), id="144taps-2out-1024px"),
+    pytest.param(40, 16, 3, 1, 5, (25, 41), id="144taps-5out-1025px"),
+    pytest.param(42, 64, 5, 1, 2, (2, 41), id="1600taps-2out-82px"),
 ])
-def test_forward_matches_naive_loop_bitwise_across_pixel_tiles(c_in, k, c_out, hw, one_row):
-    rng = Rng(37 + k)
+def test_forward_bitwise_on_large_planes(seed, c_in, k, r, c_out, hw):
+    rng = Rng(seed)
     x = he_init((1, c_in) + hw, 3, rng)
-    layer = random_layer(rng, k=k, r=1, c_in=c_in, c_out=c_out, pad=k // 2)
-    # over 1 MiB of products per output channel, on pixel counts that are
-    # no multiple of 8, so that einsum's unrolled pixel loop ends in its remainder
-    assert (c_in * k * k, hw[0] * hw[1]) == ((1600, 82) if one_row else (144, 1025))
+    pad = same_padding(k, r)
+    layer = random_layer(rng, k=k, r=r, c_in=c_in, c_out=c_out, pad=pad)
     got = conv2d_forward(x, layer)
-    expect = naive_conv2d(x, layer.weights, layer.bias, pad=k // 2)
+    expect = naive_conv2d(x, layer.weights, layer.bias, pad=pad, dilation=r)
     assert np.array_equal(got, expect)
 
 
@@ -441,47 +420,20 @@ def test_backward_grad_x_matches_naive_scatter_order_bitwise(k):
                     assert np.array_equal(gx, want), (r, stride, pad, c_out)
 
 
-def test_backward_grad_x_matches_naive_scatter_order_bitwise_across_buffer_chunks():
-    # 36 (tap, input channel) rows of 29 output channels on 256 pixels:
-    # 267,264 products, over 2 MiB of float64
-    rng = Rng(45)
-    hw = (16, 16)
-    x = he_init((1, 4) + hw, 3, rng)
-    layer = random_layer(rng, k=3, r=2, c_in=4, c_out=29, pad=2)
-    g = he_init((1, 29) + layer.spec.out_size(*hw), 1, rng)
-    assert (9 * 4, 29, layer.spec.out_size(*hw)) == (36, 29, (16, 16))
-    gx, _, _ = conv2d_backward(x, layer, g)
-    want = naive_conv2d_grad_x(g, layer.weights, hw, pad=2, dilation=2)
-    assert np.array_equal(gx, want)
-
-
-def test_backward_grad_x_matches_naive_scatter_order_bitwise_tap_by_tap():
-    # 33 output channels of a 64x64 grid: 135,168 products, over 1 MiB of
-    # float64, for one column alone
-    rng = Rng(46)
-    hw = (64, 64)
-    x = he_init((1, 2) + hw, 3, rng)
-    layer = random_layer(rng, k=1, r=1, c_in=2, c_out=33)
-    g = he_init((1, 33) + hw, 1, rng)
-    assert (layer.spec.c_out, g.shape[2:]) == (33, (64, 64))
-    gx, _, _ = conv2d_backward(x, layer, g)
-    want = naive_conv2d_grad_x(g, layer.weights, hw)
-    assert np.array_equal(gx, want)
-
-
-@pytest.mark.parametrize("c_out, c_in, hw, one_row", [
-    (128, 4, (25, 41), False),  # 1025 pixels
-    (520, 3, (11, 23), True),   # 253 pixels
+# grad_x on planes of over 1 MiB of float64 products, summed over c_out;
+# see test_forward_bitwise_on_large_planes
+@pytest.mark.parametrize("seed, c_in, k, r, c_out, hw", [
+    pytest.param(45, 4, 3, 2, 29, (16, 16), id="36rows-29out-256px"),
+    pytest.param(46, 2, 1, 1, 33, (64, 64), id="2rows-33out-4096px"),
+    pytest.param(51, 4, 1, 1, 128, (25, 41), id="4rows-128out-1025px"),
+    pytest.param(50, 3, 1, 1, 520, (11, 23), id="3rows-520out-253px"),
 ])
-def test_backward_grad_x_matches_naive_scatter_order_bitwise_across_pixel_tiles(
-        c_out, c_in, hw, one_row):
-    rng = Rng(47 + c_in)
+def test_grad_x_bitwise_on_large_planes(seed, c_in, k, r, c_out, hw):
+    rng = Rng(seed)
     x = he_init((1, c_in) + hw, 3, rng)
-    layer = random_layer(rng, k=1, r=1, c_in=c_in, c_out=c_out)
-    g = he_init((1, c_out) + hw, 1, rng)
-    # over 1 MiB of products per column, on pixel counts that are no
-    # multiple of 8, so that einsum's unrolled pixel loop ends in its remainder
-    assert (c_out, hw[0] * hw[1]) == ((520, 253) if one_row else (128, 1025))
+    pad = same_padding(k, r)
+    layer = random_layer(rng, k=k, r=r, c_in=c_in, c_out=c_out, pad=pad)
+    g = he_init((1, c_out) + layer.spec.out_size(*hw), 1, rng)
     gx, _, _ = conv2d_backward(x, layer, g)
-    want = naive_conv2d_grad_x(g, layer.weights, hw)
+    want = naive_conv2d_grad_x(g, layer.weights, hw, pad=pad, dilation=r)
     assert np.array_equal(gx, want)

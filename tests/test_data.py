@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,15 @@ def test_same_seed_identical_datasets():
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.image, sb.image)
         assert np.array_equal(sa.labels, sb.labels)
+
+
+def test_criterion_8_labels_keep_their_digest():
+    # the labels of acceptance criterion 8's training data, recorded before
+    # Rng.randint drew in Python integers; integer-only, so no libm enters
+    samples = gen_thin_structures(200, 32, 32, 1, 3, Rng(17))
+    labels = np.stack([s.labels for s in samples]).astype("<i8")
+    assert hashlib.sha256(labels.tobytes()).hexdigest() == (
+        "b9ff1317a0df5fc66385ff06d63a09edcb3d0576d7ea06734856f5428b20c094")
 
 
 def test_different_seed_differs():

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segconv.tensor import Rng, he_init, tensor_from_bytes, tensor_to_bytes
 
@@ -35,6 +37,65 @@ def test_rng_equal_seeds_equal_streams():
     b = Rng(123).next_u64(n)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, Rng(124).next_u64(n))
+
+
+def test_rng_first_draw_is_the_published_splitmix64_output():
+    # the first SplitMix64 output for seed 0, as published with the algorithm
+    assert Rng(0).next_u64(1)[0] == 0xE220A8397B1DCDAF
+    assert Rng(0).randint(2**64) == 0xE220A8397B1DCDAF
+
+
+_DRAWS = st.lists(st.one_of(
+    st.tuples(st.just("randint"), st.sampled_from([1, 2, 3, 2**63 + 1, 2**64])),
+    st.tuples(st.just("next_u64"), st.integers(0, 5)),
+    st.tuples(st.just("normal"), st.integers(0, 3)),
+), max_size=12)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]),
+                      st.integers(0, 2**64 - 1)),
+       draws=_DRAWS)
+def test_scalar_and_vector_draws_are_one_stream(seed, draws):
+    """randint computes the recipe in Python integers and next_u64 in numpy
+    arrays; interleaved in any order they must read one stream, each
+    randint being int(next_u64) % n of a fresh Rng at the same position."""
+    rng = Rng(seed)
+    raw = [int(v) for v in Rng(seed).next_u64(sum(
+        {"randint": 1, "next_u64": k, "normal": 2 * k}[op] for op, k in draws))]
+    pos = 0
+    for op, k in draws:
+        if op == "randint":
+            got = rng.randint(k)
+            assert type(got) is int and got == raw[pos] % k, (pos, k)
+            pos += 1
+        elif op == "next_u64":
+            assert [int(v) for v in rng.next_u64(k)] == raw[pos : pos + k]
+            pos += k
+        else:
+            at = Rng(seed)
+            at.next_u64(pos)
+            assert np.array_equal(rng.normal(k), at.normal(k))
+            pos += 2 * k
+    assert rng.randint(2**64) == int(Rng(seed).next_u64(pos + 1)[-1])
+
+
+def test_randint_takes_n_through_operator_index():
+    # numpy integers work (z % np.int64(n) would overflow once z >= 2**63)
+    want = int(Rng(5).next_u64(1)[0])
+    assert Rng(5).randint(np.uint64(2**64 - 1)) == want % (2**64 - 1)
+    assert Rng(5).randint(np.int64(2**63 - 1)) == want % (2**63 - 1)
+    assert Rng(5).randint(np.int32(7)) == want % 7
+    with pytest.raises(TypeError):
+        Rng(5).randint(3.0)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2**64 + 1, np.int64(0)])
+def test_randint_rejects_ranges_outside_one_to_two_pow_64(n):
+    rng = Rng(0)
+    with pytest.raises(ValueError, match=r"1\.\.2\*\*64"):
+        rng.randint(n)
+    assert rng.randint(2**64) == int(Rng(0).next_u64(1)[0])  # no draw consumed
 
 
 def test_rng_stream_position_independent_of_chunking():

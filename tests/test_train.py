@@ -405,6 +405,19 @@ def test_committed_nets_load_as_built_and_save_byte_identical(tmp_path, decoder)
         assert (tmp_path / f.name).read_bytes() == f.read_bytes(), f.name
 
 
+def test_load_net_builds_zero_weights_and_draws_none(monkeypatch):
+    # the .bin files fill every weight, so a He draw before them is waste
+    net = ToyNet.build(d=2, schedule=DilationSchedule(rates=(1, 2), kernel=3),
+                       decoder="deconv", classes=3, seed=None, width=2)
+    assert all(not p.any() for p in net.params().values())
+
+    def no_draw(self, n=1):
+        raise AssertionError("load_net drew random weights")
+    monkeypatch.setattr(Rng, "normal", no_draw)
+    for decoder in ("duc", "bilinear", "deconv"):
+        load_net(SAVED_NETS / decoder)
+
+
 def test_evaluate_oracle_mode_perfect():
     data = gen_thin_structures(3, 16, 16, 1, 3, Rng(10))
     per, mean = evaluate(small_net(), data, oracle=True)

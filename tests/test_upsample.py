@@ -267,36 +267,22 @@ def test_transposed_forward_matches_naive_scatter_order_bitwise(k):
                 assert np.array_equal(got, want), (s, pad, c_in)
 
 
-def test_transposed_forward_matches_naive_scatter_order_bitwise_across_buffer_chunks():
-    # 64 (tap, output channel) rows of 29 input channels on 256 pixels:
-    # 475,136 products, over 3 MiB of float64
-    rng = Rng(55)
-    spec = TransposedConvSpec(k=4, stride=2, c_in=29, c_out=4, pad=1)
-    layer = TransposedConvLayer.initialized(spec, rng)  # zero bias
-    x = he_init((1, 29, 16, 16), 2, rng)
-    assert (spec.k * spec.k * spec.c_out, spec.c_in, x.shape[2:]) == (64, 29, (16, 16))
-    got = transposed_conv_forward(x, layer)
-    want = naive_conv2d_grad_x(x, layer.weights, spec.out_size(16, 16),
-                               stride=2, pad=1)
-    assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("c_in, c_out, hw, one_row", [
-    (128, 4, (25, 41), False),  # 1025 pixels
-    (520, 3, (11, 23), True),   # 253 pixels
+# the column pass sums over c_in, on planes of over 1 MiB of float64
+# products; pixel counts that are no multiple of 8 end einsum's unrolled
+# pixel loop in its remainder
+@pytest.mark.parametrize("seed, k, stride, pad, c_in, c_out, hw", [
+    pytest.param(55, 4, 2, 1, 29, 4, (16, 16), id="64rows-29in-256px"),
+    pytest.param(60, 1, 1, 0, 128, 4, (25, 41), id="4rows-128in-1025px"),
+    pytest.param(59, 1, 1, 0, 520, 3, (11, 23), id="3rows-520in-253px"),
 ])
-def test_transposed_forward_matches_naive_scatter_order_bitwise_across_pixel_tiles(
-        c_in, c_out, hw, one_row):
-    # the column pass sums over c_in: over 1 MiB of products per column, on
-    # pixel counts that are no multiple of 8, so that einsum's unrolled
-    # pixel loop ends in its remainder
-    rng = Rng(56 + c_out)
-    spec = TransposedConvSpec(k=1, stride=1, c_in=c_in, c_out=c_out)
+def test_transposed_forward_bitwise_on_large_planes(seed, k, stride, pad, c_in, c_out, hw):
+    rng = Rng(seed)
+    spec = TransposedConvSpec(k=k, stride=stride, c_in=c_in, c_out=c_out, pad=pad)
     layer = TransposedConvLayer.initialized(spec, rng)  # zero bias
     x = he_init((1, c_in) + hw, 2, rng)
-    assert (c_in, hw[0] * hw[1]) == ((520, 253) if one_row else (128, 1025))
     got = transposed_conv_forward(x, layer)
-    want = naive_conv2d_grad_x(x, layer.weights, hw)
+    want = naive_conv2d_grad_x(x, layer.weights, spec.out_size(*hw),
+                               stride=stride, pad=pad)
     assert np.array_equal(got, want)
 
 
