@@ -26,7 +26,6 @@ from .tensor import Rng, he_init, load_tensor, save_tensor
 from .train import SgdConfig, ToyNet, evaluate, miou, poly_lr, sgd_step, softmax_ce_loss, train
 from .upsample import (
     DucSpec,
-    TransposedConvLayer,
     TransposedConvSpec,
     bilinear_upsample,
     duc_backward,

@@ -51,7 +51,6 @@ from .train import (
 )
 from .upsample import (
     DucSpec,
-    TransposedConvLayer,
     TransposedConvSpec,
     duc_forward,
     duc_rearrange,
@@ -107,7 +106,7 @@ def _check_size(size: int, d: int) -> None:
 
 def cmd_check(args) -> int:
     sched = DilationSchedule(rates=_parse_rates(args.rates), kernel=args.kernel)
-    report = schedule_report(sched, include_footprint=False)
+    report = schedule_report(sched)
     _emit(report)
     return EXIT_OK if report["valid"] else EXIT_INVALID
 
@@ -175,7 +174,7 @@ def cmd_duc_demo(args) -> int:
 
     tspec = TransposedConvSpec(k=args.d, stride=args.d, c_in=args.channels,
                                c_out=args.classes, pad=0)
-    tlayer = TransposedConvLayer.initialized(tspec, rng)
+    tlayer = ConvLayer.initialized(tspec, rng)
     tlayer.bias[:] = rng.normal(args.classes)
     duc_layer, duc_spec = duc_weights_from_transposed(tlayer)
     same = bool(np.array_equal(

@@ -33,8 +33,9 @@ Conventions, fixed once here:
 * grad_w, here and in the transposed conv, is one BLAS contraction over a
   strided window view and has no order contract; its tests use a tolerance.
 
-Layers have no file format of their own; train.save_net writes them as part
-of a whole net.
+ConvLayer is the one layer type, for the conv and upsample's transposed conv;
+_checked_out_size is the one shape check of their four ops. Layers have no
+file format of their own; train.save_net writes them as part of a whole net.
 """
 
 from __future__ import annotations
@@ -84,6 +85,11 @@ class ConvSpec:
             raise ValueError(f"padding must be >= 0, got {self.pad}")
 
     @property
+    def weight_shape(self) -> tuple[int, int, int, int]:
+        """(c_out, c_in, k, k): one k x k kernel per (output, input) channel."""
+        return (self.c_out, self.c_in, self.k, self.k)
+
+    @property
     def k_d(self) -> int:
         return dilated_kernel_size(self.k, self.r)
 
@@ -99,28 +105,35 @@ class ConvSpec:
 
 
 class ConvLayer:
-    """ConvSpec plus weights (c_out, c_in, k, k) and per-output-channel bias."""
+    """A ConvSpec or upsample.TransposedConvSpec, whose weight_shape fixes the
+    weights' layout, plus the weights (C-contiguous float64: the same array
+    if it is one) and a per-output-channel bias (zeros if None)."""
 
-    def __init__(self, spec: ConvSpec, weights: np.ndarray, bias=None):
-        _set_params(self, spec, weights, bias, (spec.c_out, spec.c_in, spec.k, spec.k))
+    def __init__(self, spec, weights: np.ndarray, bias=None):
+        weights = np.ascontiguousarray(weights, dtype=np.float64)
+        if weights.shape != spec.weight_shape:
+            raise ValueError(f"weight shape {weights.shape} != {spec.weight_shape}")
+        bias = np.zeros(spec.c_out) if bias is None else np.asarray(bias, np.float64).ravel()
+        if bias.size != spec.c_out:
+            raise ValueError(f"bias length {bias.size} != c_out {spec.c_out}")
+        self.spec, self.weights, self.bias = spec, weights, bias
 
     @staticmethod
-    def initialized(spec: ConvSpec, rng: Rng | None) -> "ConvLayer":
-        fan_in = spec.c_in * spec.k * spec.k
-        w = he_init((spec.c_out, spec.c_in, spec.k, spec.k), fan_in, rng)
-        return ConvLayer(spec, w)
+    def initialized(spec, rng: Rng | None) -> "ConvLayer":
+        """He-normal weights, fan_in = c_in*k*k (zeros with rng None)."""
+        return ConvLayer(spec, he_init(spec.weight_shape, spec.c_in * spec.k * spec.k, rng))
 
 
-def _set_params(layer, spec, weights: np.ndarray, bias, expected: tuple) -> None:
-    """Check weight shape and bias length; set layer.spec, .weights (C-contiguous
-    float64: the same array if it is one) and .bias (zeros if None)."""
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    if weights.shape != expected:
-        raise ValueError(f"weight shape {weights.shape} != {expected}")
-    bias = np.zeros(spec.c_out) if bias is None else np.asarray(bias, dtype=np.float64).ravel()
-    if bias.size != spec.c_out:
-        raise ValueError(f"bias length {bias.size} != c_out {spec.c_out}")
-    layer.spec, layer.weights, layer.bias = spec, weights, bias
+def _checked_out_size(x: np.ndarray, spec, grad_out: np.ndarray | None = None):
+    """spec.out_size of x's plane, after checking x's channels against
+    spec.c_in and, when given, grad_out's shape against the output's."""
+    n, c, h, w = x.shape
+    if c != spec.c_in:
+        raise ValueError(f"input has {c} channels, layer expects {spec.c_in}")
+    ho, wo = spec.out_size(h, w)
+    if grad_out is not None and grad_out.shape != (n, spec.c_out, ho, wo):
+        raise ValueError(f"grad_out shape {grad_out.shape} != {(n, spec.c_out, ho, wo)}")
+    return ho, wo
 
 
 def _pad(x: np.ndarray, p: int) -> np.ndarray:
@@ -164,10 +177,8 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     order. Bias is added last.
     """
     spec = layer.spec
-    n, c, h, w = x.shape
-    if c != spec.c_in:
-        raise ValueError(f"input has {c} channels, layer expects {spec.c_in}")
-    ho, wo = spec.out_size(h, w)
+    n, _, h, w = x.shape
+    ho, wo = _checked_out_size(x, spec)
 
     win = _window(_pad(x, spec.pad), spec.k, spec.r, spec.stride, ho, wo)
     # taps[(ci, ky, kx), (n, oy, ox)], wgt[(ci, ky, kx), co]
@@ -210,14 +221,8 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
     (grad_x a view into a padded canvas when pad > 0) and a c_out vector.
     """
     spec = layer.spec
-    n, c, h, w = x.shape
-    if c != spec.c_in:
-        raise ValueError(f"input has {c} channels, layer expects {spec.c_in}")
-    ho, wo = spec.out_size(h, w)
-    if grad_out.shape != (n, spec.c_out, ho, wo):
-        raise ValueError(
-            f"grad_out shape {grad_out.shape} != {(n, spec.c_out, ho, wo)}"
-        )
+    _, _, h, w = x.shape
+    ho, wo = _checked_out_size(x, spec, grad_out)
     p, r, s = spec.pad, spec.r, spec.stride
     grad_b = grad_out.sum(axis=(0, 2, 3))
 

@@ -180,9 +180,10 @@ def schedule_search(n: int, kernel: int, rf_target: int) -> list[DilationSchedul
     return found
 
 
-def schedule_report(schedule: DilationSchedule, include_footprint: bool = True) -> dict:
+def schedule_report(schedule: DilationSchedule, fp: FootprintMap | None = None) -> dict:
     """JSON-ready summary: rates, kernel, M values, validity, RF increase,
-    gcd flag, and (optionally) oracle hole counts."""
+    gcd flag, and, when the schedule's footprint fp is given, its hole
+    counts."""
     m_values, valid = max_distance(schedule)
     report = {
         "rates": list(schedule.rates),
@@ -192,8 +193,8 @@ def schedule_report(schedule: DilationSchedule, include_footprint: bool = True) 
         "rf_increase": rf_increase_for_rates(schedule.rates, schedule.kernel),
         "gcd_flag": common_factor_check(schedule.rates),
     }
-    if include_footprint:
-        holes, coverage, gridding = coverage_report(footprint(schedule))
+    if fp is not None:
+        holes, coverage, gridding = coverage_report(fp)
         report["holes"] = holes
         report["coverage_fraction"] = coverage
         report["gridding_fraction"] = gridding
@@ -223,7 +224,7 @@ def write_footprint(path, fp: FootprintMap, fmt: str) -> None:
         path.write_text(footprint_to_csv(fp), encoding="ascii")
     elif fmt == "json":
         path.write_text(
-            json.dumps(schedule_report(fp.schedule), sort_keys=True, indent=1) + "\n",
+            json.dumps(schedule_report(fp.schedule, fp), sort_keys=True, indent=1) + "\n",
             encoding="ascii",
         )
     else:

@@ -10,19 +10,17 @@ strided-stem + dilated-body + learned-decoder structure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .conv import (ConvLayer, ConvSpec, _set_params, conv2d_backward, conv2d_forward,
-                   same_padding)
+from .conv import ConvLayer, ConvSpec, conv2d_backward, conv2d_forward, same_padding
 from .data import IGNORE_LABEL
 from .hdc import DilationSchedule
 from .tensor import Rng, load_tensor, save_tensor
 from .upsample import (
     DucSpec,
-    TransposedConvLayer,
     TransposedConvSpec,
     bilinear_backward,
     bilinear_upsample,
@@ -160,9 +158,11 @@ class ToyNet:
     better on a zero-mean signal).
 
     build() is the one constructor and the one place that depends on the
-    decoder: each of its branches makes a layer and appends that layer's
-    stage to one ordered stage list, which is the whole forward pass. A stage
-    is (param name, forward(x), backward(x, g) -> (gx, gw, gb), tanh after?):
+    decoder: each of its branches makes a ConvLayer (the one layer type; the
+    transposed convs hold a TransposedConvSpec) through ConvLayer.initialized
+    and appends that layer's stage to one ordered stage list, which is the
+    whole forward pass. A stage is (param name, forward(x), backward(x, g) ->
+    (gx, gw, gb), tanh after?):
     conv+tanh per encoder layer; DUC; bilinear as conv then fixed upsampling;
     or transposed convs with tanh on all but the last. The stage functions
     are lambdas that look up conv2d_forward, duc_backward, ... in this
@@ -227,7 +227,7 @@ class ToyNet:
             for i in range(d // 2):
                 spec = TransposedConvSpec(k=4, stride=2, c_in=c,
                                           c_out=classes if i == last else c, pad=1)
-                L = TransposedConvLayer.initialized(spec, rng)
+                L = ConvLayer.initialized(spec, rng)
                 net.decoder_layers.append(L)
                 net.stages.append((
                     f"dec{i}", lambda x, L=L: transposed_conv_forward(x, L),
@@ -366,16 +366,10 @@ def evaluate(net: ToyNet, samples, oracle: bool = False):
 
 
 def _layer_entry(layer) -> dict:
-    """net.json entry of one layer; its weights go to a separate .bin file."""
-    s = layer.spec
-    entry = {
-        "k": s.k, "stride": s.stride, "c_in": s.c_in, "c_out": s.c_out,
-        "pad": s.pad, "bias": [float(v) for v in layer.bias],
-        "transposed": isinstance(layer, TransposedConvLayer),
-    }
-    if not entry["transposed"]:
-        entry["r"] = s.r
-    return entry
+    """net.json entry of one layer: its spec's fields, bias values and whether
+    it is transposed; its weights go to a separate .bin file."""
+    return dict(asdict(layer.spec), bias=[float(v) for v in layer.bias],
+                transposed=isinstance(layer.spec, TransposedConvSpec))
 
 
 def save_net(dirpath, net: ToyNet) -> None:
@@ -408,7 +402,7 @@ def load_net(dirpath) -> ToyNet:
     """Rebuild a directory written by save_net: build() with net.json's
     topology and zero weights, every layer entry checked against the built
     layer (bias values aside), then the entry's bias and the .bin weights
-    read into it. A
+    checked by the ConvLayer constructor and set on the built layer. A
     malformed net.json, or one whose entries are not the layers its topology
     builds, raises ValueError naming it; a bad weight file, naming the .bin."""
     d = Path(dirpath)
@@ -431,8 +425,9 @@ def load_net(dirpath) -> ToyNet:
     for (name, layer), bias in zip(net.named_layers(), biases):
         weights = d / f"{name}.bin"
         try:
-            _set_params(layer, layer.spec, load_tensor(weights), bias,
-                        layer.weights.shape)
+            loaded = ConvLayer(layer.spec, load_tensor(weights), bias)
         except ValueError as e:
             raise ValueError(f"{weights}: {e}") from e
+        # the stage lambdas close over the built layer, so it takes the arrays
+        layer.weights, layer.bias = loaded.weights, loaded.bias
     return net

@@ -3,6 +3,10 @@ maps: the dense-upsampling-convolution (DUC) rearrangement, fixed bilinear
 interpolation, and learnable transposed convolution. Each takes and returns
 (n, c, h, w) float64 ndarrays.
 
+The learnable decoders' layers are conv.ConvLayer objects: the DUC decode
+conv holds a ConvSpec, and the transposed conv a TransposedConvSpec, whose
+weight_shape gives its (c_in, c_out, k, k) layout.
+
 DUC channel layout is class-major and fixed package-wide: with s = d / cell,
 pre-rearrangement channel chan(l, dy, dx) = l*s*s + dy*s + dx holds the
 prediction for class l at sub-pixel offset (dy, dx). Keeping the s*s offsets
@@ -17,9 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conv import (ConvLayer, ConvSpec, _pad, _scatter_input_grad, _set_params, _window,
-                   conv2d_backward, conv2d_forward)
-from .tensor import Rng, he_init
+from .conv import (ConvLayer, ConvSpec, _checked_out_size, _pad, _scatter_input_grad,
+                   _window, conv2d_backward, conv2d_forward)
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,15 @@ class TransposedConvSpec:
         if self.pad < 0:
             raise ValueError("padding must be >= 0")
 
+    @property
+    def weight_shape(self) -> tuple[int, int, int, int]:
+        """(c_in, c_out, k, k): the op scatters each input pixel's value
+        through the kernel onto the stride grid, which is exactly the input
+        gradient of a forward conv whose weights are this same array read as
+        (its c_out, its c_in, k, k) -- the transposed conv is that conv's
+        adjoint."""
+        return (self.c_in, self.c_out, self.k, self.k)
+
     def out_size(self, h: int, w: int) -> tuple[int, int]:
         ho = (h - 1) * self.stride + self.k - 2 * self.pad
         wo = (w - 1) * self.stride + self.k - 2 * self.pad
@@ -174,46 +186,23 @@ class TransposedConvSpec:
         return ho, wo
 
 
-class TransposedConvLayer:
-    """Weights are stored (c_in, c_out, k, k): the op scatters each input
-    pixel's value through the kernel onto the stride grid, which is exactly
-    the input-gradient of a forward conv whose weights are this same array
-    read as (its c_out, its c_in, k, k)."""
-
-    def __init__(self, spec: TransposedConvSpec, weights: np.ndarray, bias=None):
-        _set_params(self, spec, weights, bias, (spec.c_in, spec.c_out, spec.k, spec.k))
-
-    @staticmethod
-    def initialized(spec: TransposedConvSpec, rng: Rng | None) -> "TransposedConvLayer":
-        fan_in = spec.c_in * spec.k * spec.k
-        w = he_init((spec.c_in, spec.c_out, spec.k, spec.k), fan_in, rng)
-        return TransposedConvLayer(spec, w)
-
-
-def transposed_conv_forward(x: np.ndarray, layer: TransposedConvLayer) -> np.ndarray:
-    """Transposed conv of (n, c_in, h, w) plus bias: (n, c_out, ho, wo)."""
+def transposed_conv_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
+    """Transposed conv of (n, c_in, h, w) plus bias: (n, c_out, ho, wo); the
+    layer's spec is a TransposedConvSpec."""
     spec = layer.spec
-    n, c, h, w = x.shape
-    if c != spec.c_in:
-        raise ValueError(f"input has {c} channels, layer expects {spec.c_in}")
-    ho, wo = spec.out_size(h, w)
+    ho, wo = _checked_out_size(x, spec)
     p = spec.pad
     full = _scatter_input_grad(x, layer.weights, r=1, s=spec.stride,
                                padded_hw=(ho + 2 * p, wo + 2 * p))
     return full[:, :, p : p + ho, p : p + wo] + layer.bias[None, :, None, None]
 
 
-def transposed_conv_backward(x: np.ndarray, layer: TransposedConvLayer,
-                             grad_out: np.ndarray):
+def transposed_conv_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
     """Gradients of sum(grad_out * transposed_conv_forward(x, layer)):
     (grad_x, grad_w, grad_b), grad_x a transposed view shaped like x."""
     spec = layer.spec
-    n, c, h, w = x.shape
-    ho, wo = spec.out_size(h, w)
-    if grad_out.shape != (n, spec.c_out, ho, wo):
-        raise ValueError(
-            f"grad_out shape {grad_out.shape} != {(n, spec.c_out, ho, wo)}"
-        )
+    _checked_out_size(x, spec, grad_out)
+    _, _, h, w = x.shape
     grad_b = grad_out.sum(axis=(0, 2, 3))
 
     # forward scattered x onto a padded canvas; the adjoint gathers it back:
@@ -225,7 +214,7 @@ def transposed_conv_backward(x: np.ndarray, layer: TransposedConvLayer,
     return grad_x, grad_w, grad_b
 
 
-def duc_weights_from_transposed(layer: TransposedConvLayer):
+def duc_weights_from_transposed(layer: ConvLayer):
     """Construct the 1x1 decode conv that makes DUC reproduce a
     non-overlapping transposed conv (stride == kernel size, pad 0) exactly.
 

@@ -21,7 +21,6 @@ from segconv.tensor import Rng, he_init
 from segconv.train import SgdConfig, ToyNet, evaluate, softmax_ce_loss, train
 from segconv.upsample import (
     DucSpec,
-    TransposedConvLayer,
     TransposedConvSpec,
     duc_backward,
     duc_forward,
@@ -144,7 +143,7 @@ def _fd_conv_instance(rng, tol):
 def _fd_tconv_instance(rng, tol):
     c_in, c_out = 1 + rng.randint(2), 1 + rng.randint(2)
     s = 2
-    layer = TransposedConvLayer.initialized(
+    layer = ConvLayer.initialized(
         TransposedConvSpec(k=4, stride=s, c_in=c_in, c_out=c_out, pad=1), rng)
     layer.bias[:] = rng.normal(c_out)
     h, w = 3 + rng.randint(2), 3 + rng.randint(2)
@@ -241,7 +240,7 @@ def test_criterion_7_duc_expressiveness():
             d = (2, 4)[rng.randint(2)]
             c_in = 1 + rng.randint(4)
             classes = 2 + rng.randint(3)
-            tlayer = TransposedConvLayer.initialized(
+            tlayer = ConvLayer.initialized(
                 TransposedConvSpec(k=d, stride=d, c_in=c_in, c_out=classes, pad=0),
                 rng)
             tlayer.bias[:] = rng.normal(classes)

@@ -211,7 +211,8 @@ def test_search_rejects_single_layer():
 
 
 def test_schedule_report_fields():
-    rep = schedule_report(sched([1, 2, 5]))
+    s = sched([1, 2, 5])
+    rep = schedule_report(s, footprint(s))
     assert rep["rates"] == [1, 2, 5]
     assert rep["K"] == 3
     assert rep["M_values"] == [2, 5]

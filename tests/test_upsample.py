@@ -12,7 +12,6 @@ from segconv.conv import ConvLayer, ConvSpec, conv2d_backward
 from segconv.tensor import Rng, he_init
 from segconv.upsample import (
     DucSpec,
-    TransposedConvLayer,
     TransposedConvSpec,
     _bilinear_matrix,
     bilinear_backward,
@@ -203,7 +202,7 @@ def test_bilinear_matrix_is_cached_read_only():
 def test_transposed_delta_input_stamps_kernel():
     spec = TransposedConvSpec(k=3, stride=2, c_in=1, c_out=1, pad=0)
     rng = Rng(10)
-    layer = TransposedConvLayer.initialized(spec, rng)
+    layer = ConvLayer.initialized(spec, rng)
     x = np.zeros((1, 1, 2, 2))
     x[0, 0, 0, 0] = 1.0
     out = transposed_conv_forward(x, layer)
@@ -214,7 +213,7 @@ def test_transposed_delta_input_stamps_kernel():
 
 def test_transposed_output_shape_k4_s2_p1():
     spec = TransposedConvSpec(k=4, stride=2, c_in=1, c_out=1, pad=1)
-    layer = TransposedConvLayer.initialized(spec, Rng(11))
+    layer = ConvLayer.initialized(spec, Rng(11))
     out = transposed_conv_forward(np.ones((1, 1, 4, 4)), layer)
     assert out.shape == (1, 1, 8, 8)
 
@@ -222,7 +221,7 @@ def test_transposed_output_shape_k4_s2_p1():
 def test_transposed_matches_naive_stamping():
     rng = Rng(12)
     spec = TransposedConvSpec(k=4, stride=2, c_in=2, c_out=3, pad=1)
-    layer = TransposedConvLayer.initialized(spec, rng)
+    layer = ConvLayer.initialized(spec, rng)
     layer.bias[:] = rng.normal(3)
     x = he_init((2, 2, 3, 4), 2, rng)
     got = transposed_conv_forward(x, layer)
@@ -244,7 +243,7 @@ def test_transposed_equals_conv_input_gradient():
     gx, _, _ = conv2d_backward(x_up, conv, g)
 
     tspec = TransposedConvSpec(k=k, stride=s, c_in=c_low, c_out=c_up, pad=pad)
-    tlayer = TransposedConvLayer(tspec, conv.weights)  # zero bias
+    tlayer = ConvLayer(tspec, conv.weights)  # zero bias
     up = transposed_conv_forward(g, tlayer)
     # the scatter reconstructs only positions reachable from the output grid
     assert np.array_equal(up, gx[:, :, :up.shape[2], :up.shape[3]])
@@ -259,7 +258,7 @@ def test_transposed_forward_matches_naive_scatter_order_bitwise(k):
         for pad in (0, 1, 2):
             for c_in in (1, 3, 29):
                 spec = TransposedConvSpec(k=k, stride=s, c_in=c_in, c_out=2, pad=pad)
-                layer = TransposedConvLayer.initialized(spec, rng)  # zero bias
+                layer = ConvLayer.initialized(spec, rng)  # zero bias
                 x = he_init((2, c_in, 6, 5), 2, rng)
                 got = transposed_conv_forward(x, layer)
                 want = naive_conv2d_grad_x(x, layer.weights,
@@ -278,7 +277,7 @@ def test_transposed_forward_matches_naive_scatter_order_bitwise(k):
 def test_transposed_forward_bitwise_on_large_planes(seed, k, stride, pad, c_in, c_out, hw):
     rng = Rng(seed)
     spec = TransposedConvSpec(k=k, stride=stride, c_in=c_in, c_out=c_out, pad=pad)
-    layer = TransposedConvLayer.initialized(spec, rng)  # zero bias
+    layer = ConvLayer.initialized(spec, rng)  # zero bias
     x = he_init((1, c_in) + hw, 2, rng)
     got = transposed_conv_forward(x, layer)
     want = naive_conv2d_grad_x(x, layer.weights, spec.out_size(*hw),
@@ -289,7 +288,7 @@ def test_transposed_forward_bitwise_on_large_planes(seed, k, stride, pad, c_in, 
 def test_transposed_gradients_match_finite_differences():
     rng = Rng(14)
     spec = TransposedConvSpec(k=4, stride=2, c_in=2, c_out=2, pad=1)
-    layer = TransposedConvLayer.initialized(spec, rng)
+    layer = ConvLayer.initialized(spec, rng)
     layer.bias[:] = rng.normal(2)
     x = he_init((1, 2, 3, 3), 2, rng)
     g = he_init((1, 2, 6, 6), 1, rng)
@@ -311,7 +310,7 @@ def test_transposed_backward_is_exact_adjoint_over_geometry_sweep():
         for s in (1, 2, 3):
             for pad in (0, 1):
                 spec = TransposedConvSpec(k=k, stride=s, c_in=2, c_out=3, pad=pad)
-                layer = TransposedConvLayer.initialized(spec, rng)  # zero bias
+                layer = ConvLayer.initialized(spec, rng)  # zero bias
                 x = he_init((2, 2, 4, 3), 2, rng)
                 g = he_init((2, 3) + spec.out_size(4, 3), 1, rng)
                 gx, gw, _ = transposed_conv_backward(x, layer, g)
@@ -326,10 +325,30 @@ def test_transposed_backward_is_exact_adjoint_over_geometry_sweep():
 def test_transposed_grad_shape_mismatch_rejected():
     rng = Rng(15)
     spec = TransposedConvSpec(k=4, stride=2, c_in=1, c_out=1, pad=1)
-    layer = TransposedConvLayer.initialized(spec, rng)
+    layer = ConvLayer.initialized(spec, rng)
     x = np.zeros((1, 1, 3, 3))
     with pytest.raises(ValueError):
         transposed_conv_backward(x, layer, np.zeros((1, 1, 5, 5)))
+
+
+def test_transposed_backward_rejects_wrong_input_channels():
+    spec = TransposedConvSpec(k=4, stride=2, c_in=2, c_out=3, pad=1)
+    layer = ConvLayer.initialized(spec, Rng(17))
+    x = np.zeros((1, 5, 3, 3))
+    with pytest.raises(ValueError, match="input has 5 channels, layer expects 2"):
+        transposed_conv_backward(x, layer, np.zeros((1, 3, 6, 6)))
+
+
+def test_layer_weight_layout_comes_from_the_spec():
+    # a transposed conv stores (c_in, c_out, k, k), a conv (c_out, c_in, k, k)
+    tspec = TransposedConvSpec(k=4, stride=2, c_in=2, c_out=3, pad=1)
+    cspec = ConvSpec(k=3, stride=2, c_in=2, c_out=3, pad=1)
+    assert ConvLayer(tspec, np.zeros((2, 3, 4, 4))).weights.shape == (2, 3, 4, 4)
+    assert ConvLayer(cspec, np.zeros((3, 2, 3, 3))).weights.shape == (3, 2, 3, 3)
+    with pytest.raises(ValueError, match=r"\(2, 3, 4, 4\)"):
+        ConvLayer(tspec, np.zeros((3, 2, 4, 4)))
+    with pytest.raises(ValueError, match=r"\(3, 2, 3, 3\)"):
+        ConvLayer(cspec, np.zeros((2, 3, 3, 3)))
 
 
 # -- expressiveness: DUC subsumes non-overlapping transposed conv ------------------
@@ -342,7 +361,7 @@ def test_duc_reproduces_nonoverlapping_transposed_conv_bitwise(seed):
     c_in = 1 + rng.randint(4)
     classes = 2 + rng.randint(3)
     spec = TransposedConvSpec(k=d, stride=d, c_in=c_in, c_out=classes, pad=0)
-    tlayer = TransposedConvLayer.initialized(spec, rng)
+    tlayer = ConvLayer.initialized(spec, rng)
     tlayer.bias[:] = rng.normal(classes)
     feats = he_init((1 + rng.randint(2), c_in, 2 + rng.randint(4), 2 + rng.randint(4)),
                     2, rng)
@@ -356,4 +375,4 @@ def test_duc_reproduces_nonoverlapping_transposed_conv_bitwise(seed):
 def test_duc_weight_mapping_rejects_overlapping_layers():
     spec = TransposedConvSpec(k=4, stride=2, c_in=1, c_out=2, pad=1)
     with pytest.raises(ValueError):
-        duc_weights_from_transposed(TransposedConvLayer.initialized(spec, Rng(0)))
+        duc_weights_from_transposed(ConvLayer.initialized(spec, Rng(0)))
