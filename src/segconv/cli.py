@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conv import ConvLayer, ConvSpec
+from .conv import ConvLayer, ConvSpec, TransposedConvSpec, transposed_conv_forward
 from .data import gen_thin_structures, write_sample_pgm
 from .hdc import (
     DilationSchedule,
@@ -51,12 +51,10 @@ from .train import (
 )
 from .upsample import (
     DucSpec,
-    TransposedConvSpec,
     duc_forward,
     duc_rearrange,
     duc_rearrange_inverse,
     duc_weights_from_transposed,
-    transposed_conv_forward,
 )
 
 EXIT_OK = 0

@@ -1,4 +1,5 @@
-"""Dilated 2-D convolution on (n, c, h, w) float64 ndarrays, with analytic gradients.
+"""Dilated 2-D convolution and its adjoint, the transposed conv, on (n, c, h, w)
+float64 ndarrays, with analytic gradients.
 
 Conventions, fixed once here:
 
@@ -30,12 +31,13 @@ Conventions, fixed once here:
   tests (their *_bitwise_on_large_planes tables run planes of over 1 MiB
   of products), test_one_pixel_results_keep_the_sequential_order and
   test_forward_keeps_signed_zeros_of_the_naive_loop.
-* grad_w, here and in the transposed conv, is one BLAS contraction over a
-  strided window view and has no order contract; its tests use a tolerance.
+* grad_w, of the conv and the transposed conv, is one BLAS contraction over
+  a strided window view and has no order contract; its tests use a tolerance.
 
-ConvLayer is the one layer type, for the conv and upsample's transposed conv;
-_checked_out_size is the one shape check of their four ops. Layers have no
-file format of their own; train.save_net writes them as part of a whole net.
+ConvLayer, the one layer type, holds a ConvSpec (for conv2d_*) or a
+TransposedConvSpec (for transposed_conv_*); each of the four ops starts with
+_checked_geometry, which rejects the other kind and checks the shapes. Layers
+have no file format; train.save_net writes them as part of a whole net.
 """
 
 from __future__ import annotations
@@ -104,8 +106,44 @@ class ConvSpec:
         return ho, wo
 
 
+@dataclass(frozen=True)
+class TransposedConvSpec:
+    """Geometry of a transposed conv; k may be even (the usual 2x choice is
+    k=4, stride=2, pad=1)."""
+
+    k: int
+    stride: int
+    c_in: int
+    c_out: int
+    pad: int = 0
+
+    def __post_init__(self):
+        if self.k < 1 or self.stride < 1:
+            raise ValueError("kernel size and stride must be >= 1")
+        if self.c_in < 1 or self.c_out < 1:
+            raise ValueError("channel counts must be >= 1")
+        if self.pad < 0:
+            raise ValueError("padding must be >= 0")
+
+    @property
+    def weight_shape(self) -> tuple[int, int, int, int]:
+        """(c_in, c_out, k, k): the op scatters each input pixel through the
+        kernel onto the stride grid, which is the input gradient of a conv
+        whose weights are this same array read as (its c_out, its c_in, k, k).
+        So transposed_conv_forward runs that conv's _scatter_input_grad, and
+        its backward gathers through the conv's _window."""
+        return (self.c_in, self.c_out, self.k, self.k)
+
+    def out_size(self, h: int, w: int) -> tuple[int, int]:
+        ho = (h - 1) * self.stride + self.k - 2 * self.pad
+        wo = (w - 1) * self.stride + self.k - 2 * self.pad
+        if ho < 1 or wo < 1:
+            raise ValueError(f"transposed conv output collapses for input {h}x{w}")
+        return ho, wo
+
+
 class ConvLayer:
-    """A ConvSpec or upsample.TransposedConvSpec, whose weight_shape fixes the
+    """A ConvSpec or TransposedConvSpec, whose weight_shape fixes the
     weights' layout, plus the weights (C-contiguous float64: the same array
     if it is one) and a per-output-channel bias (zeros if None)."""
 
@@ -124,16 +162,22 @@ class ConvLayer:
         return ConvLayer(spec, he_init(spec.weight_shape, spec.c_in * spec.k * spec.k, rng))
 
 
-def _checked_out_size(x: np.ndarray, spec, grad_out: np.ndarray | None = None):
-    """spec.out_size of x's plane, after checking x's channels against
+def _checked_geometry(layer: ConvLayer, kind: type, x: np.ndarray,
+                      grad_out: np.ndarray | None = None):
+    """(spec, ho, wo): the layer's spec and spec.out_size of x's plane, after
+    checking that the spec is the kind the op reads, x's channels against
     spec.c_in and, when given, grad_out's shape against the output's."""
+    spec = layer.spec
+    if not isinstance(spec, kind):
+        raise ValueError(f"layer holds a {type(spec).__name__}, "
+                         f"the op needs a {kind.__name__}")
     n, c, h, w = x.shape
     if c != spec.c_in:
         raise ValueError(f"input has {c} channels, layer expects {spec.c_in}")
     ho, wo = spec.out_size(h, w)
     if grad_out is not None and grad_out.shape != (n, spec.c_out, ho, wo):
         raise ValueError(f"grad_out shape {grad_out.shape} != {(n, spec.c_out, ho, wo)}")
-    return ho, wo
+    return spec, ho, wo
 
 
 def _pad(x: np.ndarray, p: int) -> np.ndarray:
@@ -176,9 +220,8 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     of the window view gives each output element a scalar loop's exact
     order. Bias is added last.
     """
-    spec = layer.spec
-    n, _, h, w = x.shape
-    ho, wo = _checked_out_size(x, spec)
+    spec, ho, wo = _checked_geometry(layer, ConvSpec, x)
+    n = x.shape[0]
 
     win = _window(_pad(x, spec.pad), spec.k, spec.r, spec.stride, ho, wo)
     # taps[(ci, ky, kx), (n, oy, ox)], wgt[(ci, ky, kx), co]
@@ -191,27 +234,28 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     return out
 
 
-def _scatter_input_grad(g: np.ndarray, wgt: np.ndarray, r: int, s: int,
-                        padded_hw: tuple[int, int]) -> np.ndarray:
+def _scatter_input_grad(g: np.ndarray, wgt: np.ndarray, r: int, s: int, p: int,
+                        hw: tuple[int, int]) -> np.ndarray:
     """Adjoint of the gather in conv2d_forward.
 
-    Distributes g (n, c_out, ho, wo) onto a padded input canvas (n, c_in,
-    *padded_hw) through weights (c_out, c_in, k, k): one ordered product sum
-    over c_out gives cols[(ky, kx, ci), (n, oy, ox)], then an overlap-add
+    Distributes g (n, c_out, ho, wo) onto a canvas (n, c_in, *hw) padded by p
+    on each side, through weights (c_out, c_in, k, k): one ordered product
+    sum over c_out gives cols[(ky, kx, ci), (n, oy, ox)], then an overlap-add
     adds the k*k planes onto the canvas in (ky, kx) order, the order the
-    module docstring's tests pin.
+    module docstring's tests pin. Returns the unpadded view of the canvas.
     """
     n, c_out, ho, wo = g.shape
     _, c_in, k, _ = wgt.shape
+    h, w = hw
     cols = np.empty((k * k * c_in, n * ho * wo), dtype=np.float64)
     _product_sum(g.transpose(1, 0, 2, 3).reshape(c_out, -1),
                  wgt.transpose(0, 2, 3, 1).reshape(c_out, -1), cols)
-    acc = np.zeros((n, c_in) + padded_hw, dtype=np.float64)
+    acc = np.zeros((n, c_in, h + 2 * p, w + 2 * p), dtype=np.float64)
     for (ky, kx), col in zip(np.ndindex(k, k), cols.reshape(k * k, c_in, n, ho, wo)):
         acc[:, :,
             ky * r : ky * r + (ho - 1) * s + 1 : s,
             kx * r : kx * r + (wo - 1) * s + 1 : s] += col.transpose(1, 0, 2, 3)
-    return acc
+    return acc[:, :, p : p + h, p : p + w]
 
 
 def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
@@ -220,14 +264,36 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
     Returns (grad_x, grad_w, grad_b): arrays shaped like x and the weights
     (grad_x a view into a padded canvas when pad > 0) and a c_out vector.
     """
-    spec = layer.spec
-    _, _, h, w = x.shape
-    ho, wo = _checked_out_size(x, spec, grad_out)
+    spec, ho, wo = _checked_geometry(layer, ConvSpec, x, grad_out)
     p, r, s = spec.pad, spec.r, spec.stride
     grad_b = grad_out.sum(axis=(0, 2, 3))
 
     win = _window(_pad(x, p), spec.k, r, s, ho, wo)
     grad_w = np.tensordot(grad_out, win, axes=([0, 2, 3], [0, 2, 3]))
 
-    grad_xp = _scatter_input_grad(grad_out, layer.weights, r, s, (h + 2 * p, w + 2 * p))
-    return grad_xp[:, :, p : p + h, p : p + w], grad_w, grad_b
+    grad_x = _scatter_input_grad(grad_out, layer.weights, r, s, p, x.shape[2:])
+    return grad_x, grad_w, grad_b
+
+
+def transposed_conv_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
+    """Transposed conv of (n, c_in, h, w) plus bias: (n, c_out, ho, wo); the
+    layer's spec is a TransposedConvSpec."""
+    spec, ho, wo = _checked_geometry(layer, TransposedConvSpec, x)
+    full = _scatter_input_grad(x, layer.weights, 1, spec.stride, spec.pad, (ho, wo))
+    return full + layer.bias[None, :, None, None]
+
+
+def transposed_conv_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
+    """Gradients of sum(grad_out * transposed_conv_forward(x, layer)):
+    (grad_x, grad_w, grad_b), grad_x a transposed view shaped like x."""
+    spec, _, _ = _checked_geometry(layer, TransposedConvSpec, x, grad_out)
+    _, _, h, w = x.shape
+    grad_b = grad_out.sum(axis=(0, 2, 3))
+
+    # forward scattered x onto a padded canvas; the adjoint gathers it back:
+    # win[n, co, y, x, ky, kx] == padded g[n, co, y*s + ky, x*s + kx], (y, x) < (h, w)
+    win = _window(_pad(grad_out, spec.pad), spec.k, 1, spec.stride, h, w)
+    grad_x = np.tensordot(layer.weights, win,
+                          axes=([1, 2, 3], [1, 4, 5])).transpose(1, 0, 2, 3)
+    grad_w = np.tensordot(x, win, axes=([0, 2, 3], [0, 2, 3]))
+    return grad_x, grad_w, grad_b

@@ -43,6 +43,8 @@ def gen_thin_structures(n: int, height: int, width: int, thickness: int,
         raise ValueError("thickness must be >= 1")
     if height < 8 or width < 8:
         raise ValueError("images smaller than 8x8 are not useful here")
+    if thickness > min(height, width):
+        raise ValueError(f"thickness {thickness} does not fit a {height}x{width} image")
     samples = []
     for _ in range(n):
         labels = np.zeros((height, width), dtype=np.int64)

@@ -15,29 +15,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .conv import ConvLayer, ConvSpec, conv2d_backward, conv2d_forward, same_padding
+from .conv import (ConvLayer, ConvSpec, TransposedConvSpec, conv2d_backward, conv2d_forward,
+                   same_padding, transposed_conv_backward, transposed_conv_forward)
 from .data import IGNORE_LABEL
 from .hdc import DilationSchedule
 from .tensor import Rng, load_tensor, save_tensor
-from .upsample import (
-    DucSpec,
-    TransposedConvSpec,
-    bilinear_backward,
-    bilinear_upsample,
-    duc_backward,
-    duc_forward,
-    transposed_conv_backward,
-    transposed_conv_forward,
-)
+from .upsample import DucSpec, bilinear_backward, bilinear_upsample, duc_backward, duc_forward
 
 DECODERS = ("duc", "bilinear", "deconv")
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss stops being finite; carries where and at what lr."""
+    """Raised when the loss (or a parameter after the last step) is not finite."""
 
-    def __init__(self, iteration: int, lr: float):
-        super().__init__(f"non-finite loss at iteration {iteration} (lr={lr!r})")
+    def __init__(self, iteration: int, lr: float, what: str = "loss"):
+        super().__init__(f"non-finite {what} at iteration {iteration} (lr={lr!r})")
         self.iteration = iteration
         self.lr = lr
 
@@ -54,6 +46,9 @@ class SgdConfig:
     mean_loss: bool = False  # summed pixel loss by default; mean is opt-in
 
     def __post_init__(self):
+        for name in ("base_lr", "weight_decay"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.base_lr < 0:
             raise ValueError("base_lr must be >= 0 (0 freezes the parameters)")
         if not 0 <= self.momentum < 1:
@@ -317,6 +312,10 @@ def train(net: ToyNet, data, cfg: SgdConfig):
         grads = net.backward(cache, grad)
         sgd_step(params, grads, state, cfg, it)
         curve.append(loss)
+    # a blow-up in the last step has no next loss to show it
+    for name, p in params.items():
+        if curve and not np.isfinite(p).all():
+            raise TrainingDiverged(it, poly_lr(it, cfg), f"parameter {name} after the step")
     return curve
 
 

@@ -1,11 +1,12 @@
 """Decoders that turn low-resolution feature maps into full-resolution label
-maps: the dense-upsampling-convolution (DUC) rearrangement, fixed bilinear
-interpolation, and learnable transposed convolution. Each takes and returns
+maps: dense upsampling convolution (DUC: a decode conv, then a sub-pixel
+rearrangement) and fixed bilinear interpolation. Each takes and returns
 (n, c, h, w) float64 ndarrays.
 
-The learnable decoders' layers are conv.ConvLayer objects: the DUC decode
-conv holds a ConvSpec, and the transposed conv a TransposedConvSpec, whose
-weight_shape gives its (c_in, c_out, k, k) layout.
+The third decoder, the learnable transposed conv, is the conv's adjoint, so
+its spec and ops live in conv.py beside the kernels they share. This module
+uses only conv.py's public names; duc_weights_from_transposed maps a
+non-overlapping transposed-conv layer onto a DUC decode that reproduces it.
 
 DUC channel layout is class-major and fixed package-wide: with s = d / cell,
 pre-rearrangement channel chan(l, dy, dx) = l*s*s + dy*s + dx holds the
@@ -21,8 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conv import (ConvLayer, ConvSpec, _checked_out_size, _pad, _scatter_input_grad,
-                   _window, conv2d_backward, conv2d_forward)
+from .conv import ConvLayer, ConvSpec, TransposedConvSpec, conv2d_backward, conv2d_forward
 
 
 @dataclass(frozen=True)
@@ -145,75 +145,6 @@ def bilinear_backward(grad_out: np.ndarray, in_hw: tuple[int, int],
     return np.einsum("oh,ncow->nchw", my, np.einsum("pw,ncop->ncow", mx, grad_out))
 
 
-# ---------------------------------------------------------------------------
-# transposed (fractionally strided) convolution
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransposedConvSpec:
-    """Geometry of a transposed conv; k may be even (the usual 2x choice is
-    k=4, stride=2, pad=1)."""
-
-    k: int
-    stride: int
-    c_in: int
-    c_out: int
-    pad: int = 0
-
-    def __post_init__(self):
-        if self.k < 1 or self.stride < 1:
-            raise ValueError("kernel size and stride must be >= 1")
-        if self.c_in < 1 or self.c_out < 1:
-            raise ValueError("channel counts must be >= 1")
-        if self.pad < 0:
-            raise ValueError("padding must be >= 0")
-
-    @property
-    def weight_shape(self) -> tuple[int, int, int, int]:
-        """(c_in, c_out, k, k): the op scatters each input pixel's value
-        through the kernel onto the stride grid, which is exactly the input
-        gradient of a forward conv whose weights are this same array read as
-        (its c_out, its c_in, k, k) -- the transposed conv is that conv's
-        adjoint."""
-        return (self.c_in, self.c_out, self.k, self.k)
-
-    def out_size(self, h: int, w: int) -> tuple[int, int]:
-        ho = (h - 1) * self.stride + self.k - 2 * self.pad
-        wo = (w - 1) * self.stride + self.k - 2 * self.pad
-        if ho < 1 or wo < 1:
-            raise ValueError(f"transposed conv output collapses for input {h}x{w}")
-        return ho, wo
-
-
-def transposed_conv_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """Transposed conv of (n, c_in, h, w) plus bias: (n, c_out, ho, wo); the
-    layer's spec is a TransposedConvSpec."""
-    spec = layer.spec
-    ho, wo = _checked_out_size(x, spec)
-    p = spec.pad
-    full = _scatter_input_grad(x, layer.weights, r=1, s=spec.stride,
-                               padded_hw=(ho + 2 * p, wo + 2 * p))
-    return full[:, :, p : p + ho, p : p + wo] + layer.bias[None, :, None, None]
-
-
-def transposed_conv_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
-    """Gradients of sum(grad_out * transposed_conv_forward(x, layer)):
-    (grad_x, grad_w, grad_b), grad_x a transposed view shaped like x."""
-    spec = layer.spec
-    _checked_out_size(x, spec, grad_out)
-    _, _, h, w = x.shape
-    grad_b = grad_out.sum(axis=(0, 2, 3))
-
-    # forward scattered x onto a padded canvas; the adjoint gathers it back:
-    # win[n, co, y, x, ky, kx] == padded g[n, co, y*s + ky, x*s + kx], (y, x) < (h, w)
-    win = _window(_pad(grad_out, spec.pad), spec.k, 1, spec.stride, h, w)
-    grad_x = np.tensordot(layer.weights, win,
-                          axes=([1, 2, 3], [1, 4, 5])).transpose(1, 0, 2, 3)
-    grad_w = np.tensordot(x, win, axes=([0, 2, 3], [0, 2, 3]))
-    return grad_x, grad_w, grad_b
-
-
 def duc_weights_from_transposed(layer: ConvLayer):
     """Construct the 1x1 decode conv that makes DUC reproduce a
     non-overlapping transposed conv (stride == kernel size, pad 0) exactly.
@@ -222,6 +153,9 @@ def duc_weights_from_transposed(layer: ConvLayer):
     transposed_conv_forward with `layer`, bit for bit.
     """
     spec = layer.spec
+    if not isinstance(spec, TransposedConvSpec):
+        raise ValueError(f"layer holds a {type(spec).__name__}, "
+                         "the mapping needs a TransposedConvSpec")
     if spec.stride != spec.k or spec.pad != 0:
         raise ValueError("mapping requires a non-overlapping layer: stride == k, pad 0")
     if spec.c_out < 2:

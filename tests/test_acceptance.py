@@ -14,21 +14,26 @@ import pytest
 
 from oracles import fd_gradient, max_rel_err
 from segconv.cli import EXIT_INVALID, EXIT_OK, main as cli_main
-from segconv.conv import ConvLayer, ConvSpec, conv2d_backward, conv2d_forward
+from segconv.conv import (
+    ConvLayer,
+    ConvSpec,
+    TransposedConvSpec,
+    conv2d_backward,
+    conv2d_forward,
+    transposed_conv_backward,
+    transposed_conv_forward,
+)
 from segconv.data import gen_thin_structures
 from segconv.hdc import DilationSchedule, coverage_report, footprint, max_distance, rf_increase
 from segconv.tensor import Rng, he_init
 from segconv.train import SgdConfig, ToyNet, evaluate, softmax_ce_loss, train
 from segconv.upsample import (
     DucSpec,
-    TransposedConvSpec,
     duc_backward,
     duc_forward,
     duc_rearrange,
     duc_rearrange_inverse,
     duc_weights_from_transposed,
-    transposed_conv_backward,
-    transposed_conv_forward,
 )
 
 RUNLOG = json.loads(

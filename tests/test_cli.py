@@ -360,6 +360,8 @@ def test_train_bad_sizes_fail_before_work(tmp_path, capsys, flags, needle):
     ("train", ("--classes", "2"),
      "generator needs >= 3 classes (background, thin, blob)"),
     ("eval", ("--thickness", "0"), "thickness must be >= 1"),
+    ("train", ("--thickness", "17"), "thickness 17 does not fit a 16x16 image"),
+    ("eval", ("--thickness", "17"), "thickness 17 does not fit a 16x16 image"),
 ])
 def test_bad_data_flags_fail_before_out_dir(trained_dir, tmp_path, capsys, verb,
                                             flags, problem):
@@ -375,6 +377,29 @@ def test_train_divergence_has_its_own_exit_code(tmp_path, capsys):
     msg = fails(capsys, EXIT_DIVERGED, "train", "--lr", "1e8", "--iters", "300",
                 "--train-size", "1", "--size", "16", "--out", str(tmp_path / "t"))
     assert msg.startswith("training diverged: non-finite loss at iteration")
+
+
+def test_train_divergence_in_the_last_step_writes_no_net(tmp_path, capsys):
+    # one step at lr 1e308 leaves infinite parameters but no loss to show it
+    out = tmp_path / "t"
+    msg = fails(capsys, EXIT_DIVERGED, "train", "--lr", "1e308", "--iters", "1",
+                "--train-size", "1", "--size", "16", "--out", str(out))
+    assert msg.startswith("training diverged: non-finite parameter ")
+    assert msg.endswith(" after the step at iteration 0 (lr=1e+308)")
+    assert not (out / "net").exists()
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--lr", "nan", "base_lr"),
+    ("--lr", "inf", "base_lr"),
+    ("--weight-decay", "nan", "weight_decay"),
+])
+def test_non_finite_sgd_flags_fail_before_out_dir(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "t"
+    msg = fails(capsys, EXIT_USAGE, "train", flag, value, "--iters", "0",
+                "--size", "16", "--out", str(out))
+    assert msg == f"usage error: {field} must be finite, got {value}"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags,needle", [

@@ -16,11 +16,14 @@ from oracles import (
 from segconv.conv import (
     ConvLayer,
     ConvSpec,
+    TransposedConvSpec,
     _product_sum,
     conv2d_backward,
     conv2d_forward,
     dilated_kernel_size,
     same_padding,
+    transposed_conv_backward,
+    transposed_conv_forward,
 )
 from segconv.tensor import Rng, he_init
 
@@ -292,6 +295,22 @@ def test_channel_mismatch_rejected():
     layer = random_layer(rng, k=3, r=1, c_in=2, c_out=1)
     with pytest.raises(ValueError):
         conv2d_forward(np.zeros((1, 3, 5, 5)), layer)
+
+
+@pytest.mark.parametrize("op", [conv2d_forward, conv2d_backward, transposed_conv_forward,
+                                transposed_conv_backward], ids=lambda op: op.__name__)
+def test_each_op_rejects_the_other_spec_kind(op):
+    # the channels match, so only the spec kind can stop the op
+    conv = ConvSpec(k=3, r=2, stride=1, c_in=4, c_out=4, pad=2)
+    tconv = TransposedConvSpec(k=4, stride=2, c_in=4, c_out=4, pad=1)
+    given, needed = ((tconv, "ConvSpec") if op.__name__.startswith("conv2d")
+                     else (conv, "TransposedConvSpec"))
+    layer = ConvLayer.initialized(given, Rng(23))
+    x = np.ones((1, 4, 8, 8))
+    grad = (np.ones((1, 4, 8, 8)),) if op.__name__.endswith("backward") else ()
+    with pytest.raises(ValueError, match=f"^layer holds a {type(given).__name__}, "
+                                         f"the op needs a {needed}$"):
+        op(x, layer, *grad)
 
 
 def test_too_small_input_rejected():

@@ -55,6 +55,10 @@ def test_sgd_config_validation():
         SgdConfig(power=0.0)
     with pytest.raises(ValueError):
         SgdConfig(base_lr=-1e-3)
+    for field in ("base_lr", "weight_decay"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                SgdConfig(**{field: value})
 
 
 # -- the SGD update --------------------------------------------------------------

@@ -8,11 +8,17 @@ from oracles import (
     naive_conv2d_grad_x,
     naive_transposed_conv2d,
 )
-from segconv.conv import ConvLayer, ConvSpec, conv2d_backward
+from segconv.conv import (
+    ConvLayer,
+    ConvSpec,
+    TransposedConvSpec,
+    conv2d_backward,
+    transposed_conv_backward,
+    transposed_conv_forward,
+)
 from segconv.tensor import Rng, he_init
 from segconv.upsample import (
     DucSpec,
-    TransposedConvSpec,
     _bilinear_matrix,
     bilinear_backward,
     bilinear_upsample,
@@ -21,8 +27,6 @@ from segconv.upsample import (
     duc_rearrange,
     duc_rearrange_inverse,
     duc_weights_from_transposed,
-    transposed_conv_backward,
-    transposed_conv_forward,
 )
 
 BILINEAR_2X_GOLDEN = np.array([
@@ -375,4 +379,12 @@ def test_duc_reproduces_nonoverlapping_transposed_conv_bitwise(seed):
 def test_duc_weight_mapping_rejects_overlapping_layers():
     spec = TransposedConvSpec(k=4, stride=2, c_in=1, c_out=2, pad=1)
     with pytest.raises(ValueError):
+        duc_weights_from_transposed(ConvLayer.initialized(spec, Rng(0)))
+
+
+def test_duc_weight_mapping_rejects_a_conv_layer():
+    # a stride-3 3x3 conv passes the non-overlap test but is no transposed conv
+    spec = ConvSpec(k=3, r=1, stride=3, c_in=2, c_out=3, pad=0)
+    with pytest.raises(ValueError, match="layer holds a ConvSpec, "
+                                         "the mapping needs a TransposedConvSpec"):
         duc_weights_from_transposed(ConvLayer.initialized(spec, Rng(0)))
