@@ -8,7 +8,8 @@ net.json or one whose layer entries its topology does not build), a file
 that cannot be read or written, or out of memory (a net too wide to
 allocate, from --channels or a net.json width); 2 schedule invalid (`check`,
 gridding holes predicted) or a failed equivalence (`duc-demo`); 3 training
-diverged (non-finite loss). Every failure prints one line to stderr. All
+diverged (non-finite loss or parameter; --out and --dump-data are not
+made). Every failure prints one line to stderr. All
 output is deterministic for fixed flags and seed; numbers are printed in
 shortest round-trip form.
 
@@ -214,6 +215,12 @@ def cmd_train(args) -> int:
                     momentum=args.momentum, weight_decay=args.weight_decay,
                     batch=args.batch, seed=args.seed, mean_loss=args.mean_loss)
     data = _gen_dataset(args.train_size, args, args.data_seed)
+
+    # TrainingDiverged reports a blow-up; numpy's overflow warnings would bury it
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve = train(net, data, cfg) if args.iters > 0 else []
+
+    # a run that diverged has raised by now and leaves no directory behind
     out = Path(args.out) if args.out else _default_out("train")
     out.mkdir(parents=True, exist_ok=True)
     if args.dump_data:
@@ -221,11 +228,6 @@ def cmd_train(args) -> int:
         dump.mkdir(parents=True, exist_ok=True)
         for i, s in enumerate(data):
             write_sample_pgm(s, dump / f"sample{i:04d}")
-
-    # TrainingDiverged reports a blow-up; numpy's overflow warnings would bury it
-    with np.errstate(over="ignore", invalid="ignore"):
-        curve = train(net, data, cfg) if args.iters > 0 else []
-
     lines = ["iteration,lr,loss"]
     for it, loss in enumerate(curve):
         lines.append(f"{it},{poly_lr(it, cfg)!r},{loss!r}")

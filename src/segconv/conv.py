@@ -14,7 +14,12 @@ Conventions, fixed once here:
   in (ky, kx) order, each tap a sequential sum over c_out; sharing it makes
   test_transposed_equals_conv_input_gradient exact, and k == stride, pad 0
   (one tap per element) gives acceptance criterion 7 and
-  test_duc_reproduces_nonoverlapping_transposed_conv_bitwise.
+  test_duc_reproduces_nonoverlapping_transposed_conv_bitwise. Its
+  overlap-add has two branches that both add the taps in that order from
+  0.0: one np.bincount below _BINCOUNT_MAX column elements (the 32x32
+  training shapes) and k*k strided slice-adds at or above it (the 128x128
+  eval transposed convs); the *_bitwise_on_large_planes tests run cases on
+  both sides of the constant and at it.
 * Both run through _product_sum, out[j, m] = 0.0 + a[0, m]*b[0, j] +
   a[1, m]*b[1, j] + ..., one np.einsum("tm,tj->jm") into out with no
   product buffer. The order comes from einsum's loop order: with a and b
@@ -31,8 +36,13 @@ Conventions, fixed once here:
   tests (their *_bitwise_on_large_planes tables run planes of over 1 MiB
   of products), test_one_pixel_results_keep_the_sequential_order and
   test_forward_keeps_signed_zeros_of_the_naive_loop.
-* grad_w, of the conv and the transposed conv, is one BLAS contraction over
-  a strided window view and has no order contract; its tests use a tolerance.
+* grad_w has no order contract; its tests use a tolerance. The conv's is one
+  GEMM, grad_out[co, (n, oy, ox)] @ taps.T, over the im2col taps matrix
+  taps[(ci, ky, kx), (n, oy, ox)] (Chellapilla et al., 2006) that
+  conv2d_forward builds for its product sum; the forward returns it on
+  request (return_taps) and conv2d_backward takes it, so a training step
+  builds it once per conv. The transposed conv's is one BLAS contraction
+  over a strided window view.
 
 ConvLayer, the one layer type, holds a ConvSpec (for conv2d_*) or a
 TransposedConvSpec (for transposed_conv_*); each of the four ops starts with
@@ -43,6 +53,7 @@ have no file format; train.save_net writes them as part of a whole net.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -212,26 +223,61 @@ def _product_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         out[...] = np.add.accumulate(np.append(0.0, a.ravel() * b.ravel()))[-1]
 
 
-def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """Dilated cross-correlation of the zero-padded input (n, c_in, h, w),
-    plus bias; returns a C-contiguous (n, c_out, ho, wo) array.
+def _taps(x: np.ndarray, spec: ConvSpec, ho: int, wo: int) -> np.ndarray:
+    """The C-contiguous im2col matrix taps[(ci, ky, kx), (n, oy, ox)] ==
+    padded x[n, ci, oy*stride + ky*r, ox*stride + kx*r], a tap-major copy of
+    the window view: the forward's product sum and grad_w's GEMM read it."""
+    win = _window(_pad(x, spec.pad), spec.k, spec.r, spec.stride, ho, wo)
+    taps = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3))
+    return taps.reshape(-1, x.shape[0] * ho * wo)
 
-    One ordered product sum over the (c_in, ky, kx) taps of a tap-major copy
-    of the window view gives each output element a scalar loop's exact
-    order. Bias is added last.
+
+def conv2d_forward(x: np.ndarray, layer: ConvLayer, return_taps: bool = False):
+    """Dilated cross-correlation of the zero-padded input (n, c_in, h, w),
+    plus bias; returns a C-contiguous (n, c_out, ho, wo) array, or with
+    return_taps the pair (output, taps) whose taps conv2d_backward takes
+    for this same x.
+
+    One ordered product sum over the (c_in, ky, kx) taps of the taps matrix
+    gives each output element a scalar loop's exact order. Bias is added
+    last.
     """
     spec, ho, wo = _checked_geometry(layer, ConvSpec, x)
     n = x.shape[0]
-
-    win = _window(_pad(x, spec.pad), spec.k, spec.r, spec.stride, ho, wo)
-    # taps[(ci, ky, kx), (n, oy, ox)], wgt[(ci, ky, kx), co]
-    taps = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(-1, n * ho * wo)
-    wgt = layer.weights.transpose(1, 2, 3, 0).reshape(-1, spec.c_out)
+    taps = _taps(x, spec, ho, wo)
+    wgt = layer.weights.transpose(1, 2, 3, 0).reshape(-1, spec.c_out)  # [(ci, ky, kx), co]
     out = np.empty((spec.c_out, n * ho * wo), dtype=np.float64)
     _product_sum(taps, wgt, out)
     out = np.ascontiguousarray(out.reshape(spec.c_out, n, ho, wo).transpose(1, 0, 2, 3))
     out += layer.bias[None, :, None, None]
-    return out
+    return (out, taps) if return_taps else out
+
+
+# The overlap-add is one np.bincount when the columns hold fewer elements than
+# this, k*k strided slice-adds otherwise: each slice-add costs a few us of
+# call setup, which dominates on small planes, while bincount's scattered
+# writes lose on large ones. bincount's time as a share of the slice loop's,
+# in-process on a 2-core shared VM (numpy 2.4.6), medians of 10-800 calls in
+# two runs: 0.21-0.23 at 2,304 elements, 0.41-0.54 at 9,216, 0.39-0.51 at
+# 16,384, 0.55-0.72 at 27,648, 0.78-0.97 at 36,864, 0.78-1.10 at 57,600-65,536,
+# 1.29-1.50 at 147,456, 0.98-1.04 at 196,608, 1.17-1.19 at 262,144. Every
+# 32x32 training shape (<= 16,384) is below, every 128x128 eval transposed
+# conv (>= 196,608) above.
+_BINCOUNT_MAX = 1 << 15
+
+
+@lru_cache
+def _scatter_offsets(c_in: int, k: int, r: int, s: int, n: int, ho: int, wo: int,
+                     hp: int, wp: int):
+    """(tap_off, pix_off), read-only: the canvas (n, c_in, hp, wp) index of
+    cols[(ky, kx, ci), (n, oy, ox)] is tap_off[(ky, kx, ci)] + pix_off[(n, oy, ox)].
+    Cached per geometry and shared by every caller."""
+    tap_off = (np.arange(k)[:, None, None] * (r * wp) + np.arange(k)[:, None] * r
+               + np.arange(c_in) * (hp * wp)).ravel()
+    pix_off = (np.arange(n)[:, None, None] * (c_in * hp * wp)
+               + np.arange(ho)[:, None] * (s * wp) + np.arange(wo) * s).ravel()
+    tap_off.flags.writeable = pix_off.flags.writeable = False
+    return tap_off, pix_off
 
 
 def _scatter_input_grad(g: np.ndarray, wgt: np.ndarray, r: int, s: int, p: int,
@@ -241,37 +287,52 @@ def _scatter_input_grad(g: np.ndarray, wgt: np.ndarray, r: int, s: int, p: int,
     Distributes g (n, c_out, ho, wo) onto a canvas (n, c_in, *hw) padded by p
     on each side, through weights (c_out, c_in, k, k): one ordered product
     sum over c_out gives cols[(ky, kx, ci), (n, oy, ox)], then an overlap-add
-    adds the k*k planes onto the canvas in (ky, kx) order, the order the
-    module docstring's tests pin. Returns the unpadded view of the canvas.
+    adds the k*k planes onto the zeroed canvas in (ky, kx) order, the order
+    the module docstring's tests pin. Below _BINCOUNT_MAX column elements
+    that is one np.bincount over the canvas index of each column element in
+    cols' row-major order, which adds each bin's values one at a time in
+    that order, so in (ky, kx) order from 0.0; above it, one strided
+    slice-add per (ky, kx). Returns the unpadded view of the canvas.
     """
     n, c_out, ho, wo = g.shape
     _, c_in, k, _ = wgt.shape
     h, w = hw
+    hp, wp = h + 2 * p, w + 2 * p
     cols = np.empty((k * k * c_in, n * ho * wo), dtype=np.float64)
     _product_sum(g.transpose(1, 0, 2, 3).reshape(c_out, -1),
                  wgt.transpose(0, 2, 3, 1).reshape(c_out, -1), cols)
-    acc = np.zeros((n, c_in, h + 2 * p, w + 2 * p), dtype=np.float64)
-    for (ky, kx), col in zip(np.ndindex(k, k), cols.reshape(k * k, c_in, n, ho, wo)):
-        acc[:, :,
-            ky * r : ky * r + (ho - 1) * s + 1 : s,
-            kx * r : kx * r + (wo - 1) * s + 1 : s] += col.transpose(1, 0, 2, 3)
+    if cols.size < _BINCOUNT_MAX:
+        tap_off, pix_off = _scatter_offsets(c_in, k, r, s, n, ho, wo, hp, wp)
+        idx = tap_off[:, None] + pix_off
+        acc = np.bincount(idx.ravel(), cols.ravel(), minlength=n * c_in * hp * wp)
+        acc = acc.reshape(n, c_in, hp, wp)
+    else:
+        acc = np.zeros((n, c_in, hp, wp), dtype=np.float64)
+        for (ky, kx), col in zip(np.ndindex(k, k), cols.reshape(k * k, c_in, n, ho, wo)):
+            acc[:, :,
+                ky * r : ky * r + (ho - 1) * s + 1 : s,
+                kx * r : kx * r + (wo - 1) * s + 1 : s] += col.transpose(1, 0, 2, 3)
     return acc[:, :, p : p + h, p : p + w]
 
 
-def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
+def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
+                    taps: np.ndarray | None = None):
     """Exact gradients of sum(grad_out * conv2d_forward(x, layer)).
 
     Returns (grad_x, grad_w, grad_b): arrays shaped like x and the weights
     (grad_x a view into a padded canvas when pad > 0) and a c_out vector.
+    grad_w is one GEMM against the taps matrix: taps, when given, are those
+    that conv2d_forward(x, layer, return_taps=True) returned for this x;
+    otherwise they are built here.
     """
     spec, ho, wo = _checked_geometry(layer, ConvSpec, x, grad_out)
-    p, r, s = spec.pad, spec.r, spec.stride
     grad_b = grad_out.sum(axis=(0, 2, 3))
-
-    win = _window(_pad(x, p), spec.k, r, s, ho, wo)
-    grad_w = np.tensordot(grad_out, win, axes=([0, 2, 3], [0, 2, 3]))
-
-    grad_x = _scatter_input_grad(grad_out, layer.weights, r, s, p, x.shape[2:])
+    if taps is None:
+        taps = _taps(x, spec, ho, wo)
+    g_mat = grad_out.transpose(1, 0, 2, 3).reshape(spec.c_out, -1)
+    grad_w = (g_mat @ taps.T).reshape(spec.weight_shape)
+    grad_x = _scatter_input_grad(grad_out, layer.weights, spec.r, spec.stride, spec.pad,
+                                 x.shape[2:])
     return grad_x, grad_w, grad_b
 
 

@@ -10,6 +10,7 @@ strided-stem + dilated-body + learned-decoder structure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -68,13 +69,18 @@ def poly_lr(iteration: int, cfg: SgdConfig) -> float:
 
 def sgd_step(params: dict, grads: dict, state: dict, cfg: SgdConfig,
              iteration: int) -> None:
-    """In-place momentum update: v <- m*v - lr*(g + wd*p); p <- p + v."""
+    """In-place momentum update: v <- m*v - lr*(g + wd*p); p <- p + v, with
+    the velocity v of each name kept in state. The update is elementwise, so
+    train passes one-entry dicts of the net's flat parameter and gradient
+    vectors and this loop runs once per step."""
     lr = poly_lr(iteration, cfg)
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
-        v = state.setdefault(name, np.zeros_like(p))
+        v = state.get(name)
+        if v is None:
+            v = state[name] = np.zeros_like(p)
         v *= cfg.momentum
         v -= lr * (g + cfg.weight_decay * p)
         p += v
@@ -156,14 +162,20 @@ class ToyNet:
     decoder: each of its branches makes a ConvLayer (the one layer type; the
     transposed convs hold a TransposedConvSpec) through ConvLayer.initialized
     and appends that layer's stage to one ordered stage list, which is the
-    whole forward pass. A stage is (param name, forward(x), backward(x, g) ->
-    (gx, gw, gb), tanh after?):
-    conv+tanh per encoder layer; DUC; bilinear as conv then fixed upsampling;
-    or transposed convs with tanh on all but the last. The stage functions
-    are lambdas that look up conv2d_forward, duc_backward, ... in this
-    module's globals at call time, with the raw layer object as the second
-    argument, so replacing one of those module attributes (to trace calls,
-    say) reaches every stage of every existing net."""
+    whole forward pass. A stage is (param name, forward(x) -> (out, taps),
+    backward(x, g, taps) -> (gx, gw, gb), tanh after?), taps being the conv's
+    im2col matrix that its backward reuses for grad_w (None for a transposed
+    conv; forward's cache keeps it with the stage's input and activation,
+    predict keeps none of them): conv+tanh per encoder layer; DUC; bilinear as conv then fixed
+    upsampling; or transposed convs with tanh on all but the last. The stage
+    functions look up conv2d_forward, duc_backward, ... in this module's
+    globals at call time, with the raw layer object as the second argument,
+    so replacing one of those module attributes (to trace calls, say)
+    reaches every stage of every existing net.
+
+    Every weight and bias lives in one float64 vector, `flat`, laid out in
+    params() order; the layers hold views into it, so one update of `flat`
+    updates them all."""
 
     INPUT_OFFSET = 0.3
     INPUT_SCALE = 2.0
@@ -198,24 +210,31 @@ class ToyNet:
         for i, spec in enumerate(enc):
             L = ConvLayer.initialized(spec, rng)
             net.encoder_layers.append(L)
-            net.stages.append((f"enc{i}", lambda x, L=L: conv2d_forward(x, L),
-                               lambda x, g, L=L: conv2d_backward(x, L, g), True))
+            net.stages.append((f"enc{i}",
+                               lambda x, L=L: conv2d_forward(x, L, return_taps=True),
+                               lambda x, g, taps, L=L: conv2d_backward(x, L, g, taps),
+                               True))
 
         if decoder == "duc":
             duc = DucSpec(d=d, classes=classes, cell=cell)
             L = ConvLayer.initialized(ConvSpec(k=3, r=1, stride=1, c_in=c,
                                                c_out=duc.conv_channels, pad=1), rng)
             net.decoder_layers.append(L)
-            net.stages.append(("dec0", lambda x: duc_forward(x, L, duc),
-                               lambda x, g: duc_backward(x, L, duc, g), False))
+            net.stages.append(("dec0", lambda x: duc_forward(x, L, duc, return_taps=True),
+                               lambda x, g, taps: duc_backward(x, L, duc, g, taps), False))
         elif decoder == "bilinear":
             L = ConvLayer.initialized(ConvSpec(k=3, r=1, stride=1, c_in=c,
                                                c_out=classes, pad=1), rng)
             net.decoder_layers.append(L)
+
+            def upsampled(x):
+                out, taps = conv2d_forward(x, L, return_taps=True)
+                return bilinear_upsample(out, d), taps
+
             net.stages.append((
-                "dec0", lambda x: bilinear_upsample(conv2d_forward(x, L), d),
-                lambda x, g: conv2d_backward(
-                    x, L, bilinear_backward(g, x.shape[2:], d)),
+                "dec0", upsampled,
+                lambda x, g, taps: conv2d_backward(
+                    x, L, bilinear_backward(g, x.shape[2:], d), taps),
                 False))
         else:  # one x2 transposed conv per factor of 2 in d
             last = d // 2 - 1
@@ -225,8 +244,13 @@ class ToyNet:
                 L = ConvLayer.initialized(spec, rng)
                 net.decoder_layers.append(L)
                 net.stages.append((
-                    f"dec{i}", lambda x, L=L: transposed_conv_forward(x, L),
-                    lambda x, g, L=L: transposed_conv_backward(x, L, g), i < last))
+                    f"dec{i}", lambda x, L=L: (transposed_conv_forward(x, L), None),
+                    lambda x, g, taps, L=L: transposed_conv_backward(x, L, g), i < last))
+
+        net.flat = np.concatenate([p.ravel() for p in net.params().values()])
+        views = net.param_views(net.flat)
+        for name, layer in net.named_layers():
+            layer.weights, layer.bias = views[f"{name}.w"], views[f"{name}.b"]
         return net
 
     # -- parameters ---------------------------------------------------------
@@ -244,36 +268,58 @@ class ToyNet:
             out[f"{name}.b"] = layer.bias
         return out
 
+    def param_views(self, vec: np.ndarray) -> dict:
+        """Views of a vector laid out like `flat`, shaped and keyed as params()."""
+        out, i = {}, 0
+        for name, layer in self.named_layers():
+            for key, shape in ((f"{name}.w", layer.spec.weight_shape),
+                               (f"{name}.b", (layer.spec.c_out,))):
+                size = math.prod(shape)
+                out[key] = vec[i : i + size].reshape(shape)
+                i += size
+        return out
+
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, x: np.ndarray):
-        """Returns (logits, cache) for images x (n, 1, H, W); the
-        cache holds (name, backward, input, activation or None) per stage."""
-        cache = []
+    def _run(self, x: np.ndarray, cache: list | None) -> np.ndarray:
+        """Logits for images x (n, 1, H, W); appends (name, backward, input,
+        taps, activation or None) per stage to cache unless it is None."""
         cur = (x - self.INPUT_OFFSET) * self.INPUT_SCALE
         for name, fwd, bwd, tanh in self.stages:
-            out = fwd(cur)
+            out, taps = fwd(cur)
             if tanh:
-                out = np.tanh(out)
-            cache.append((name, bwd, cur, out if tanh else None))
+                out = np.tanh(out, out=out)
+            if cache is not None:
+                cache.append((name, bwd, cur, taps, out if tanh else None))
             cur = out
-        return cur, cache
+            del taps  # without a cache, no stage's taps outlive it
+        return cur
 
-    def backward(self, cache, grad_logits: np.ndarray) -> dict:
-        grads = {}
+    def forward(self, x: np.ndarray):
+        """Returns (logits, cache) for images x (n, 1, H, W); the cache holds
+        what backward needs: each stage's input, taps and activation."""
+        cache = []
+        return self._run(x, cache), cache
+
+    def backward(self, cache, grad_logits: np.ndarray, grads: dict | None = None) -> dict:
+        """Gradients of every parameter, written into grads (views shaped
+        and keyed like params(), from param_views()) or else into views of a
+        new vector; returns them."""
+        if grads is None:
+            grads = self.param_views(np.empty_like(self.flat))
         g = grad_logits
-        for name, bwd, inp, act in reversed(cache):
+        for name, bwd, inp, taps, act in reversed(cache):
             if act is not None:
                 g = g * (1.0 - act * act)
-            g, gw, gb = bwd(inp, g)
-            grads[f"{name}.w"] = gw
-            grads[f"{name}.b"] = gb
+            g, gw, gb = bwd(inp, g, taps)
+            grads[f"{name}.w"][...] = gw
+            grads[f"{name}.b"][...] = gb
         return grads
 
     def predict(self, image: np.ndarray) -> np.ndarray:
-        """Argmax label grid at full input resolution (cell blocks repeated)."""
-        logits, _ = self.forward(image)
-        pred = logits.argmax(axis=1)[0]
+        """Argmax label grid at full input resolution (cell blocks repeated);
+        keeps no cache."""
+        pred = self._run(image, None).argmax(axis=1)[0]
         if self.cell > 1:
             pred = np.repeat(np.repeat(pred, self.cell, axis=0), self.cell, axis=1)
         return pred.astype(np.int64)
@@ -291,11 +337,15 @@ def _stack_batch(samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 def train(net: ToyNet, data, cfg: SgdConfig):
-    """SGD over randomly drawn full-image batches; returns the loss curve."""
+    """SGD over randomly drawn full-image batches; returns the loss curve.
+    The net's flat vector, one gradient vector and one momentum vector (in
+    sgd_step's state) are the whole update."""
     if not data:
         raise ValueError("training data must be nonempty")
     rng = Rng(cfg.seed)
-    params = net.params()
+    flat_grad = np.empty_like(net.flat)
+    grads = net.param_views(flat_grad)
+    params, flat_grads = {"flat": net.flat}, {"flat": flat_grad}
     state = {}
     curve = []
     for it in range(cfg.max_iter):
@@ -309,13 +359,13 @@ def train(net: ToyNet, data, cfg: SgdConfig):
         loss, grad = softmax_ce_loss(logits, labels, mean=cfg.mean_loss)
         if not np.isfinite(loss):
             raise TrainingDiverged(it, poly_lr(it, cfg))
-        grads = net.backward(cache, grad)
-        sgd_step(params, grads, state, cfg, it)
+        net.backward(cache, grad, grads)
+        sgd_step(params, flat_grads, state, cfg, it)
         curve.append(loss)
     # a blow-up in the last step has no next loss to show it
-    for name, p in params.items():
-        if curve and not np.isfinite(p).all():
-            raise TrainingDiverged(it, poly_lr(it, cfg), f"parameter {name} after the step")
+    if curve and not np.isfinite(net.flat).all():
+        name = next(n for n, p in net.params().items() if not np.isfinite(p).all())
+        raise TrainingDiverged(it, poly_lr(it, cfg), f"parameter {name} after the step")
     return curve
 
 
@@ -401,9 +451,11 @@ def load_net(dirpath) -> ToyNet:
     """Rebuild a directory written by save_net: build() with net.json's
     topology and zero weights, every layer entry checked against the built
     layer (bias values aside), then the entry's bias and the .bin weights
-    checked by the ConvLayer constructor and set on the built layer. A
-    malformed net.json, or one whose entries are not the layers its topology
-    builds, raises ValueError naming it; a bad weight file, naming the .bin."""
+    checked by the ConvLayer constructor and copied into the built layer's
+    views of the net's flat vector. A malformed net.json, one whose entries
+    are not the layers its topology builds, or one with a non-finite bias,
+    raises ValueError naming it; a bad or non-finite weight file, naming the
+    .bin."""
     d = Path(dirpath)
     path = d / "net.json"
     topo = json.loads(path.read_text(encoding="ascii"))
@@ -419,14 +471,18 @@ def load_net(dirpath) -> ToyNet:
             if _geometry(topo[key]) != _geometry(map(_layer_entry, layers)):
                 raise ValueError(f"{key} entries are not the layers the topology builds")
         biases = [meta["bias"] for meta in topo["encoder"] + topo["decoder_layers"]]
+        for (name, _), bias in zip(net.named_layers(), biases):
+            if not np.isfinite(np.asarray(bias, dtype=np.float64)).all():
+                raise ValueError(f"{name} bias holds a non-finite value")
     except (KeyError, TypeError, AttributeError, ValueError) as e:
         raise ValueError(f"malformed {path}: {e!r}") from e
     for (name, layer), bias in zip(net.named_layers(), biases):
         weights = d / f"{name}.bin"
         try:
             loaded = ConvLayer(layer.spec, load_tensor(weights), bias)
+            if not np.isfinite(loaded.weights).all():
+                raise ValueError("weights hold a non-finite value")
         except ValueError as e:
             raise ValueError(f"{weights}: {e}") from e
-        # the stage lambdas close over the built layer, so it takes the arrays
-        layer.weights, layer.bias = loaded.weights, loaded.bias
+        layer.weights[...], layer.bias[...] = loaded.weights, loaded.bias
     return net

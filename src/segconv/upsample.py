@@ -81,22 +81,28 @@ def duc_rearrange_inverse(y: np.ndarray, spec: DucSpec) -> np.ndarray:
     return v.reshape(n, spec.conv_channels, h, w)
 
 
-def duc_forward(features: np.ndarray, layer: ConvLayer, spec: DucSpec) -> np.ndarray:
-    """Decode conv then rearrange: (n, c, h, w) -> (n, L, h*s, w*s)."""
+def duc_forward(features: np.ndarray, layer: ConvLayer, spec: DucSpec,
+                return_taps: bool = False):
+    """Decode conv then rearrange: (n, c, h, w) -> (n, L, h*s, w*s); with
+    return_taps, the pair (output, the conv's taps) for duc_backward."""
     if layer.spec.c_out != spec.conv_channels:
         raise ValueError(
             f"decode conv produces {layer.spec.c_out} channels, "
             f"spec needs {spec.conv_channels}"
         )
+    if return_taps:
+        out, taps = conv2d_forward(features, layer, return_taps=True)
+        return duc_rearrange(out, spec), taps
     return duc_rearrange(conv2d_forward(features, layer), spec)
 
 
 def duc_backward(features: np.ndarray, layer: ConvLayer, spec: DucSpec,
-                 grad_out: np.ndarray):
+                 grad_out: np.ndarray, taps: np.ndarray | None = None):
     """Gradients of sum(grad_out * duc_forward(...)); returns
-    (grad_features, grad_w, grad_b)."""
+    (grad_features, grad_w, grad_b). taps, when given, are duc_forward's
+    for these features."""
     grad_conv = duc_rearrange_inverse(grad_out, spec)
-    return conv2d_backward(features, layer, grad_conv)
+    return conv2d_backward(features, layer, grad_conv, taps)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,23 @@ def naive_conv2d_grad_w(x, g, k, stride=1, pad=0, dilation=1):
     return grad_w
 
 
+def window_conv2d_grad_w(x, g, k, stride=1, pad=0, dilation=1):
+    """The weight gradient of naive_conv2d as one np.tensordot over a strided
+    window view of the padded input: g[n, co, oy, ox] contracted with
+    xpad[n, ci, oy*stride + ky*dilation, ox*stride + kx*dilation] over
+    (n, oy, ox), the BLAS contraction segconv used before grad_w became a
+    GEMM over the forward's taps."""
+    n, c_in, h, wdt = x.shape
+    _, _, ho, wo = g.shape
+    xp = np.zeros((n, c_in, h + 2 * pad, wdt + 2 * pad))
+    xp[:, :, pad : pad + h, pad : pad + wdt] = x
+    sn, sc, sy, sx = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (n, c_in, ho, wo, k, k),
+        (sn, sc, sy * stride, sx * stride, sy * dilation, sx * dilation), writeable=False)
+    return np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
+
+
 def naive_conv2d_grad_x(g, w, in_hw, stride=1, pad=0, dilation=1):
     """Scalar loop for the input gradient of naive_conv2d, in a pinned
     order: each padded-input element walks the taps (ky, kx) in raster
@@ -170,6 +187,17 @@ def naive_product_sum(a, b):
                 acc += float(a[k][p]) * float(b[k][j])
             out[j, p] = acc
     return out
+
+
+def naive_sgd_step(params, grads, state, lr, momentum, weight_decay):
+    """The momentum update one parameter array at a time, as segconv ran it
+    before the parameters shared one vector: v <- m*v - lr*(g + wd*p);
+    p <- p + v, in place, with each name's v kept in state."""
+    for name, p in params.items():
+        v = state.setdefault(name, np.zeros_like(p))
+        v *= momentum
+        v -= lr * (grads[name] + weight_decay * p)
+        p += v
 
 
 def naive_majority_downsample(labels, cell, ignore):

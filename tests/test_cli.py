@@ -374,9 +374,12 @@ def test_bad_data_flags_fail_before_out_dir(trained_dir, tmp_path, capsys, verb,
 
 
 def test_train_divergence_has_its_own_exit_code(tmp_path, capsys):
+    out, dump = tmp_path / "t", tmp_path / "dump"
     msg = fails(capsys, EXIT_DIVERGED, "train", "--lr", "1e8", "--iters", "300",
-                "--train-size", "1", "--size", "16", "--out", str(tmp_path / "t"))
+                "--train-size", "1", "--size", "16", "--out", str(out),
+                "--dump-data", str(dump))
     assert msg.startswith("training diverged: non-finite loss at iteration")
+    assert not out.exists() and not dump.exists()
 
 
 def test_train_divergence_in_the_last_step_writes_no_net(tmp_path, capsys):
@@ -434,7 +437,10 @@ def test_eval_missing_net_dir_is_io_error(tmp_path, capsys):
      "tensor blob has 100 bytes, expected 592"),
     (lambda net: shutil.copy(net / "enc1.bin", net / "enc0.bin"),
      "weight shape (16, 8, 3, 3) != (8, 1, 3, 3)"),
-], ids=["truncated", "wrong_shape"])
+    (lambda net: (net / "enc0.bin").write_bytes((net / "enc0.bin").read_bytes()[:-8]
+                                                + np.float64(np.nan).tobytes()),
+     "weights hold a non-finite value"),
+], ids=["truncated", "wrong_shape", "nan_weight"])
 def test_eval_corrupt_weight_file_names_it(trained_dir, tmp_path, capsys, corrupt,
                                            problem):
     net = tmp_path / "net"
@@ -471,6 +477,21 @@ def test_eval_net_json_that_its_topology_does_not_build_names_it(
     msg = fails(capsys, EXIT_USAGE, "eval", "--net", str(net), "--size", "16",
                 "--out", str(tmp_path / "eval"))
     assert msg.startswith(f"usage error: malformed {net / 'net.json'}: ")
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_eval_non_finite_bias_in_net_json_names_it(trained_dir, tmp_path, capsys, value):
+    # Python's json reads Infinity and NaN
+    net = tmp_path / "net"
+    shutil.copytree(trained_dir / "net", net)
+    topo = json.loads((net / "net.json").read_text())
+    topo["encoder"][0]["bias"][0] = value
+    (net / "net.json").write_text(json.dumps(topo))
+    msg = fails(capsys, EXIT_USAGE, "eval", "--net", str(net), "--size", "16",
+                "--out", str(tmp_path / "eval"))
+    assert msg.startswith(f"usage error: malformed {net / 'net.json'}: ")
+    assert "enc0 bias holds a non-finite value" in msg
     assert not (tmp_path / "eval").exists()
 
 

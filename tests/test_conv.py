@@ -12,8 +12,10 @@ from oracles import (
     naive_conv2d_grad_w,
     naive_conv2d_grad_x,
     naive_product_sum,
+    window_conv2d_grad_w,
 )
 from segconv.conv import (
+    _BINCOUNT_MAX,
     ConvLayer,
     ConvSpec,
     TransposedConvSpec,
@@ -439,20 +441,61 @@ def test_backward_grad_x_matches_naive_scatter_order_bitwise(k):
                     assert np.array_equal(gx, want), (r, stride, pad, c_out)
 
 
-# grad_x on planes of over 1 MiB of float64 products, summed over c_out;
-# see test_forward_bitwise_on_large_planes
-@pytest.mark.parametrize("seed, c_in, k, r, c_out, hw", [
-    pytest.param(45, 4, 3, 2, 29, (16, 16), id="36rows-29out-256px"),
-    pytest.param(46, 2, 1, 1, 33, (64, 64), id="2rows-33out-4096px"),
-    pytest.param(51, 4, 1, 1, 128, (25, 41), id="4rows-128out-1025px"),
-    pytest.param(50, 3, 1, 1, 520, (11, 23), id="3rows-520out-253px"),
+# grad_x on large planes, summed over c_out; the `below` cases hold over
+# 1 MiB of float64 products (see test_forward_bitwise_on_large_planes). The
+# columns (rows x pixels) fall on the side of _BINCOUNT_MAX that `side`
+# names, so both overlap-add branches and the boundary itself are checked
+# against the oracle.
+@pytest.mark.parametrize("seed, c_in, k, r, c_out, hw, side", [
+    pytest.param(45, 4, 3, 2, 29, (16, 16), "below", id="36rows-29out-256px"),
+    pytest.param(46, 2, 1, 1, 33, (64, 64), "below", id="2rows-33out-4096px"),
+    pytest.param(51, 4, 1, 1, 128, (25, 41), "below", id="4rows-128out-1025px"),
+    pytest.param(50, 3, 1, 1, 520, (11, 23), "below", id="3rows-520out-253px"),
+    pytest.param(52, 8, 1, 1, 3, (64, 64), "at", id="8rows-3out-4096px"),
+    pytest.param(53, 4, 3, 2, 5, (32, 33), "above", id="36rows-5out-1056px"),
 ])
-def test_grad_x_bitwise_on_large_planes(seed, c_in, k, r, c_out, hw):
+def test_grad_x_bitwise_on_large_planes(seed, c_in, k, r, c_out, hw, side):
     rng = Rng(seed)
     x = he_init((1, c_in) + hw, 3, rng)
     pad = same_padding(k, r)
     layer = random_layer(rng, k=k, r=r, c_in=c_in, c_out=c_out, pad=pad)
+    cols = k * k * c_in * hw[0] * hw[1]  # stride 1, same padding
+    assert {"below": cols < _BINCOUNT_MAX, "at": cols == _BINCOUNT_MAX,
+            "above": cols > _BINCOUNT_MAX}[side]
     g = he_init((1, c_out) + layer.spec.out_size(*hw), 1, rng)
     gx, _, _ = conv2d_backward(x, layer, g)
     want = naive_conv2d_grad_x(g, layer.weights, hw, pad=pad, dilation=r)
     assert np.array_equal(gx, want)
+
+
+def test_backward_with_the_forwards_taps_is_identical():
+    # taps from the forward stand in for the ones the backward would build
+    rng = Rng(24)
+    for k, r, stride, pad in ((1, 1, 1, 0), (3, 1, 2, 1), (3, 2, 1, 2), (5, 3, 3, 1)):
+        layer = random_layer(rng, k=k, r=r, c_in=3, c_out=4, stride=stride, pad=pad)
+        x = he_init((2, 3, 17, 15), 3, rng)
+        out, taps = conv2d_forward(x, layer, return_taps=True)
+        assert np.array_equal(out, conv2d_forward(x, layer))
+        g = he_init(out.shape, 1, rng)
+        for got, want in zip(conv2d_backward(x, layer, g, taps),
+                             conv2d_backward(x, layer, g)):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
+def test_grad_w_matches_the_window_contraction_over_geometry_sweep():
+    # the GEMM over the taps matrix computes what the tensordot over a
+    # strided window view did, in another summation order
+    rng = Rng(22)
+    for k in (1, 3, 5):
+        for r in (1, 2, 3):
+            for stride in (1, 2, 3):
+                for pad in (0, 1, 2):
+                    layer = random_layer(rng, k=k, r=r, c_in=2, c_out=3,
+                                         stride=stride, pad=pad, bias=False)
+                    x = he_init((2, 2, 14, 13), 3, rng)
+                    g = he_init((2, 3) + layer.spec.out_size(14, 13), 1, rng)
+                    _, gw, _ = conv2d_backward(x, layer, g)
+                    want = window_conv2d_grad_w(x, g, k, stride=stride, pad=pad,
+                                                dilation=r)
+                    assert np.allclose(gw, want, rtol=1e-12, atol=1e-12), \
+                        (k, r, stride, pad)

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import fd_gradient, max_rel_err, naive_majority_downsample
+from oracles import fd_gradient, max_rel_err, naive_majority_downsample, naive_sgd_step
 from segconv.data import IGNORE_LABEL, gen_thin_structures
 from segconv.hdc import DilationSchedule, coverage_report, footprint
 from segconv.tensor import Rng
@@ -98,6 +98,25 @@ def test_sgd_shape_mismatch_rejected():
     cfg = SgdConfig(max_iter=1)
     with pytest.raises(ValueError):
         sgd_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, {}, cfg, 0)
+
+
+def test_sgd_step_over_the_flat_vector_matches_per_parameter_updates():
+    # train updates the net's one flat vector; the update is elementwise, so
+    # it must equal the per-array loop bit for bit
+    net = small_net(seed=5)
+    ref = {k: v.copy() for k, v in net.params().items()}
+    cfg = SgdConfig(base_lr=0.1, momentum=0.9, weight_decay=5e-4, max_iter=10)
+    grad = np.empty_like(net.flat)
+    grads = net.param_views(grad)
+    state, ref_state = {}, {}
+    rng = Rng(6)
+    for it in range(3):
+        grad[:] = rng.normal(grad.size)
+        naive_sgd_step(ref, grads, ref_state, poly_lr(it, cfg), cfg.momentum,
+                       cfg.weight_decay)
+        sgd_step({"flat": net.flat}, {"flat": grad}, state, cfg, it)
+    for name, p in net.params().items():
+        assert p.tobytes() == ref[name].tobytes(), name
 
 
 # -- loss --------------------------------------------------------------------------
@@ -420,6 +439,40 @@ def test_load_net_builds_zero_weights_and_draws_none(monkeypatch):
     monkeypatch.setattr(Rng, "normal", no_draw)
     for decoder in ("duc", "bilinear", "deconv"):
         load_net(SAVED_NETS / decoder)
+
+
+def test_params_share_the_nets_flat_vector():
+    net = small_net("deconv")
+    params = net.params()
+    assert sum(p.size for p in params.values()) == net.flat.size
+    for name, p in params.items():
+        assert np.shares_memory(p, net.flat), name
+    net.flat[:] = 7.0
+    assert all((L.weights == 7.0).all() and (L.bias == 7.0).all()
+               for _, L in net.named_layers())
+
+
+def test_a_loaded_net_trains_in_place():
+    # load_net copies the files into the layers' views of the flat vector;
+    # rebinding the layers' arrays would leave the step without effect
+    net = load_net(SAVED_NETS / "duc")
+    before = net.encoder_layers[0].weights.copy()
+    data = gen_thin_structures(1, 16, 16, 1, 3, Rng(12))
+    train(net, data, SgdConfig(base_lr=1e-2, max_iter=1))
+    assert not np.array_equal(net.encoder_layers[0].weights, before)
+    assert np.shares_memory(net.encoder_layers[0].weights, net.flat)
+
+
+def test_evaluate_keeps_no_taps_or_cache():
+    # a training forward keeps each stage's input and taps for the backward;
+    # evaluate must leave nothing of the kind on the net or its layers
+    net = small_net()
+    attrs = {k: v for k, v in vars(net).items()}
+    evaluate(net, gen_thin_structures(2, 16, 16, 1, 3, Rng(13)))
+    assert vars(net).keys() == attrs.keys()
+    assert all(vars(net)[k] is v for k, v in attrs.items())
+    for _, layer in net.named_layers():
+        assert set(vars(layer)) == {"spec", "weights", "bias"}
 
 
 def test_evaluate_oracle_mode_perfect():

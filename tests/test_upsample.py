@@ -9,6 +9,7 @@ from oracles import (
     naive_transposed_conv2d,
 )
 from segconv.conv import (
+    _BINCOUNT_MAX,
     ConvLayer,
     ConvSpec,
     TransposedConvSpec,
@@ -157,6 +158,20 @@ def test_duc_backward_matches_finite_differences():
 # -- bilinear --------------------------------------------------------------------
 
 
+def test_duc_taps_pass_through_to_the_backward():
+    # duc_forward's taps stand in for the ones duc_backward would build
+    rng = Rng(8)
+    spec = DucSpec(d=4, classes=3)
+    layer = duc_layer(rng, 5, spec)
+    feats = he_init((2, 5, 3, 4), 2, rng)
+    out, taps = duc_forward(feats, layer, spec, return_taps=True)
+    assert np.array_equal(out, duc_forward(feats, layer, spec))
+    g = he_init(out.shape, 1, rng)
+    for got, want in zip(duc_backward(feats, layer, spec, g, taps),
+                         duc_backward(feats, layer, spec, g)):
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
 def test_bilinear_factor1_identity():
     x = he_init((1, 2, 3, 3), 2, Rng(8))
     assert np.array_equal(bilinear_upsample(x, 1), x)
@@ -270,17 +285,26 @@ def test_transposed_forward_matches_naive_scatter_order_bitwise(k):
                 assert np.array_equal(got, want), (s, pad, c_in)
 
 
-# the column pass sums over c_in, on planes of over 1 MiB of float64
-# products; pixel counts that are no multiple of 8 end einsum's unrolled
-# pixel loop in its remainder
-@pytest.mark.parametrize("seed, k, stride, pad, c_in, c_out, hw", [
-    pytest.param(55, 4, 2, 1, 29, 4, (16, 16), id="64rows-29in-256px"),
-    pytest.param(60, 1, 1, 0, 128, 4, (25, 41), id="4rows-128in-1025px"),
-    pytest.param(59, 1, 1, 0, 520, 3, (11, 23), id="3rows-520in-253px"),
+# the column pass sums over c_in, on large planes: the `below` cases hold
+# over 1 MiB of float64 products, and pixel counts that are no multiple of 8
+# end einsum's unrolled pixel loop in its remainder. The columns (k*k*c_out
+# rows x pixels) fall on the side of _BINCOUNT_MAX that `side` names, so
+# both overlap-add branches and the boundary itself are checked against the
+# oracle.
+@pytest.mark.parametrize("seed, k, stride, pad, c_in, c_out, hw, side", [
+    pytest.param(55, 4, 2, 1, 29, 4, (16, 16), "below", id="64rows-29in-256px"),
+    pytest.param(60, 1, 1, 0, 128, 4, (25, 41), "below", id="4rows-128in-1025px"),
+    pytest.param(59, 1, 1, 0, 520, 3, (11, 23), "below", id="3rows-520in-253px"),
+    pytest.param(61, 4, 2, 1, 3, 2, (32, 32), "at", id="32rows-3in-1024px"),
+    pytest.param(62, 4, 2, 1, 5, 3, (24, 30), "above", id="48rows-5in-720px"),
 ])
-def test_transposed_forward_bitwise_on_large_planes(seed, k, stride, pad, c_in, c_out, hw):
+def test_transposed_forward_bitwise_on_large_planes(seed, k, stride, pad, c_in, c_out,
+                                                    hw, side):
     rng = Rng(seed)
     spec = TransposedConvSpec(k=k, stride=stride, c_in=c_in, c_out=c_out, pad=pad)
+    cols = k * k * c_out * hw[0] * hw[1]
+    assert {"below": cols < _BINCOUNT_MAX, "at": cols == _BINCOUNT_MAX,
+            "above": cols > _BINCOUNT_MAX}[side]
     layer = ConvLayer.initialized(spec, rng)  # zero bias
     x = he_init((1, c_in) + hw, 2, rng)
     got = transposed_conv_forward(x, layer)
