@@ -7,25 +7,24 @@ Conventions, fixed once here:
   convention. A kernel tap (ky, kx) with dilation r reads the padded input at
   (out_y * stride + ky * r, out_x * stride + kx * r). The paper's 1-D
   textbook form lives in tests/oracles.py as a reference.
-* Two ops have a pinned accumulation order, compared bit for bit with the
-  scalar loops in tests/oracles.py. conv2d_forward sums each output element
-  channel-major then (ky, kx). _scatter_input_grad (conv grad_x and the
-  transposed conv forward) sums each target element over its reaching taps
-  in (ky, kx) order, each tap a sequential sum over c_out; sharing it makes
-  test_transposed_equals_conv_input_gradient exact, and k == stride, pad 0
-  (one tap per element) gives acceptance criterion 7 and
-  test_duc_reproduces_nonoverlapping_transposed_conv_bitwise. Its
-  overlap-add has two branches that both add the taps in that order from
-  0.0: one np.bincount below _BINCOUNT_MAX column elements (the 32x32
-  training shapes) and k*k strided slice-adds at or above it (the 128x128
-  eval transposed convs); the *_bitwise_on_large_planes tests run cases on
-  both sides of the constant and at it.
-* Both run through _product_sum, out[j, m] = 0.0 + a[0, m]*b[0, j] +
-  a[1, m]*b[1, j] + ..., one np.einsum("tm,tj->jm") into out with no
-  product buffer. The order comes from einsum's loop order: with a and b
-  C-contiguous, numpy's iterator keeps the tap axis t outside the row and
-  pixel axes (for the callers' C-ordered out, m is innermost), so it
-  zero-fills out and then adds one tap's products at a time, each a
+* A pinned accumulation order, compared bit for bit with the scalar loops
+  in tests/oracles.py, covers the forward ops. conv2d_forward sums each
+  output element channel-major then (ky, kx). transposed_conv_forward sums
+  its columns over c_in in order, then _overlap_add (shared with conv
+  grad_x) sums each target element over its reaching taps in (ky, kx)
+  order from 0.0; k == stride, pad 0 (one tap per element) gives
+  acceptance criterion 7 and
+  test_duc_reproduces_nonoverlapping_transposed_conv_bitwise. Both
+  overlap-add branches keep that order: one np.bincount below _BINCOUNT_MAX
+  column elements (the 32x32 training shapes), k*k strided slice-adds at
+  or above it (the 128x128 eval transposed convs); the
+  *_bitwise_on_large_planes tests run cases on both sides and at it.
+* Both forward column passes run through _product_sum, out[j, m] = 0.0 +
+  a[0, m]*b[0, j] + a[1, m]*b[1, j] + ..., one np.einsum("tm,tj->jm") into
+  out with no product buffer. The order comes from einsum's loop order:
+  with a and b C-contiguous, numpy's iterator keeps the tap axis t outside
+  the row and pixel axes (for the callers' C-ordered out, m is innermost),
+  so it zero-fills out and then adds one tap's products at a time, each a
   separate multiply and add at numpy's SIMD baseline (x86-64 has no fused
   multiply-add there). No optimize= is passed: it would hand the sum to
   tensordot/BLAS, whose order is its own.
@@ -36,13 +35,15 @@ Conventions, fixed once here:
   tests (their *_bitwise_on_large_planes tables run planes of over 1 MiB
   of products), test_one_pixel_results_keep_the_sequential_order and
   test_forward_keeps_signed_zeros_of_the_naive_loop.
-* grad_w has no order contract; its tests use a tolerance. The conv's is one
-  GEMM, grad_out[co, (n, oy, ox)] @ taps.T, over the im2col taps matrix
-  taps[(ci, ky, kx), (n, oy, ox)] (Chellapilla et al., 2006) that
-  conv2d_forward builds for its product sum; the forward returns it on
-  request (return_taps) and conv2d_backward takes it, so a training step
-  builds it once per conv. The transposed conv's is one BLAS contraction
-  over a strided window view.
+* The backward products are BLAS, with no order contract; tests give them
+  a 1e-12 tolerance. The conv's grad_w is one GEMM, grad_out[co, (n, oy,
+  ox)] @ taps.T, over the im2col taps matrix taps[(ci, ky, kx), (n, oy, ox)]
+  (Chellapilla et al., 2006) that conv2d_forward builds for its product sum
+  and returns on request (return_taps), so a training step builds it once
+  per conv. Its grad_x columns are one GEMM, the weights as [(ky, kx, ci),
+  co] @ the same grad_out matrix, then the ordered overlap-add (bit for bit
+  when c_out == 1, one product per column element). The transposed conv's
+  backward is two contractions over a strided window view.
 
 ConvLayer, the one layer type, holds a ConvSpec (for conv2d_*) or a
 TransposedConvSpec (for transposed_conv_*); each of the four ops starts with
@@ -141,8 +142,9 @@ class TransposedConvSpec:
         """(c_in, c_out, k, k): the op scatters each input pixel through the
         kernel onto the stride grid, which is the input gradient of a conv
         whose weights are this same array read as (its c_out, its c_in, k, k).
-        So transposed_conv_forward runs that conv's _scatter_input_grad, and
-        its backward gathers through the conv's _window."""
+        So transposed_conv_forward ends in that conv's _overlap_add, after
+        its own ordered column pass, and its backward gathers through the
+        conv's _window."""
         return (self.c_in, self.c_out, self.k, self.k)
 
     def out_size(self, h: int, w: int) -> tuple[int, int]:
@@ -267,62 +269,56 @@ _BINCOUNT_MAX = 1 << 15
 
 
 @lru_cache
-def _scatter_offsets(c_in: int, k: int, r: int, s: int, n: int, ho: int, wo: int,
-                     hp: int, wp: int):
-    """(tap_off, pix_off), read-only: the canvas (n, c_in, hp, wp) index of
-    cols[(ky, kx, ci), (n, oy, ox)] is tap_off[(ky, kx, ci)] + pix_off[(n, oy, ox)].
-    Cached per geometry and shared by every caller."""
-    tap_off = (np.arange(k)[:, None, None] * (r * wp) + np.arange(k)[:, None] * r
-               + np.arange(c_in) * (hp * wp)).ravel()
-    pix_off = (np.arange(n)[:, None, None] * (c_in * hp * wp)
-               + np.arange(ho)[:, None] * (s * wp) + np.arange(wo) * s).ravel()
-    tap_off.flags.writeable = pix_off.flags.writeable = False
-    return tap_off, pix_off
+def _overlap_index(c_in: int, k: int, r: int, s: int, n: int, ho: int, wo: int,
+                   hp: int, wp: int) -> np.ndarray:
+    """Read-only flat canvas (n, c_in, hp, wp) index of each
+    cols[ky, kx, ci, n, oy, ox] element, in that row-major order; cached per
+    geometry, under 256 KiB each (only columns below _BINCOUNT_MAX ask)."""
+    tap = (np.arange(k)[:, None, None] * (r * wp) + np.arange(k)[:, None] * r
+           + np.arange(c_in) * (hp * wp))
+    pix = (np.arange(n)[:, None, None] * (c_in * hp * wp)
+           + np.arange(ho)[:, None] * (s * wp) + np.arange(wo) * s)
+    idx = (tap.reshape(-1, 1) + pix.ravel()).ravel()
+    idx.flags.writeable = False
+    return idx
 
 
-def _scatter_input_grad(g: np.ndarray, wgt: np.ndarray, r: int, s: int, p: int,
-                        hw: tuple[int, int]) -> np.ndarray:
-    """Adjoint of the gather in conv2d_forward.
+def _overlap_add(cols: np.ndarray, r: int, s: int, p: int, hw: tuple[int, int]):
+    """The scatter adjoint to _taps' gather: adds the C-contiguous columns
+    cols[ky, kx, ci, n, oy, ox] onto a zeroed canvas (n, c_in, *hw) padded
+    by p, each at (n, ci, oy*s + ky*r, ox*s + kx*r); returns the unpadded view.
 
-    Distributes g (n, c_out, ho, wo) onto a canvas (n, c_in, *hw) padded by p
-    on each side, through weights (c_out, c_in, k, k): one ordered product
-    sum over c_out gives cols[(ky, kx, ci), (n, oy, ox)], then an overlap-add
-    adds the k*k planes onto the zeroed canvas in (ky, kx) order, the order
-    the module docstring's tests pin. Below _BINCOUNT_MAX column elements
-    that is one np.bincount over the canvas index of each column element in
-    cols' row-major order, which adds each bin's values one at a time in
-    that order, so in (ky, kx) order from 0.0; above it, one strided
-    slice-add per (ky, kx). Returns the unpadded view of the canvas.
+    Each canvas element gets 0.0 + its reaching taps in (ky, kx) order. Below
+    _BINCOUNT_MAX column elements one np.bincount over _overlap_index adds
+    each bin's values one at a time in cols' row-major order, which for one
+    canvas element (one ci) is (ky, kx) order; otherwise one strided
+    slice-add per (ky, kx).
     """
-    n, c_out, ho, wo = g.shape
-    _, c_in, k, _ = wgt.shape
+    k, _, c_in, n, ho, wo = cols.shape
     h, w = hw
     hp, wp = h + 2 * p, w + 2 * p
-    cols = np.empty((k * k * c_in, n * ho * wo), dtype=np.float64)
-    _product_sum(g.transpose(1, 0, 2, 3).reshape(c_out, -1),
-                 wgt.transpose(0, 2, 3, 1).reshape(c_out, -1), cols)
     if cols.size < _BINCOUNT_MAX:
-        tap_off, pix_off = _scatter_offsets(c_in, k, r, s, n, ho, wo, hp, wp)
-        idx = tap_off[:, None] + pix_off
-        acc = np.bincount(idx.ravel(), cols.ravel(), minlength=n * c_in * hp * wp)
+        idx = _overlap_index(c_in, k, r, s, n, ho, wo, hp, wp)
+        acc = np.bincount(idx, cols.ravel(), minlength=n * c_in * hp * wp)
         acc = acc.reshape(n, c_in, hp, wp)
     else:
         acc = np.zeros((n, c_in, hp, wp), dtype=np.float64)
-        for (ky, kx), col in zip(np.ndindex(k, k), cols.reshape(k * k, c_in, n, ho, wo)):
+        for ky, kx in np.ndindex(k, k):
             acc[:, :,
                 ky * r : ky * r + (ho - 1) * s + 1 : s,
-                kx * r : kx * r + (wo - 1) * s + 1 : s] += col.transpose(1, 0, 2, 3)
+                kx * r : kx * r + (wo - 1) * s + 1 : s] += cols[ky, kx].transpose(1, 0, 2, 3)
     return acc[:, :, p : p + h, p : p + w]
 
 
 def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
-                    taps: np.ndarray | None = None):
+                    taps: np.ndarray | None = None, input_grad: bool = True):
     """Exact gradients of sum(grad_out * conv2d_forward(x, layer)).
 
     Returns (grad_x, grad_w, grad_b): arrays shaped like x and the weights
-    (grad_x a view into a padded canvas when pad > 0) and a c_out vector.
-    grad_w is one GEMM against the taps matrix: taps, when given, are those
-    that conv2d_forward(x, layer, return_taps=True) returned for this x;
+    (grad_x a view into a padded canvas when pad > 0, or None when
+    input_grad is False) and a c_out vector. grad_w is one GEMM against the
+    taps matrix: taps, when given, are those that
+    conv2d_forward(x, layer, return_taps=True) returned for this x;
     otherwise they are built here.
     """
     spec, ho, wo = _checked_geometry(layer, ConvSpec, x, grad_out)
@@ -331,16 +327,25 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
         taps = _taps(x, spec, ho, wo)
     g_mat = grad_out.transpose(1, 0, 2, 3).reshape(spec.c_out, -1)
     grad_w = (g_mat @ taps.T).reshape(spec.weight_shape)
-    grad_x = _scatter_input_grad(grad_out, layer.weights, spec.r, spec.stride, spec.pad,
-                                 x.shape[2:])
+    grad_x = None
+    if input_grad:
+        cols = layer.weights.transpose(2, 3, 1, 0).reshape(-1, spec.c_out) @ g_mat
+        cols = cols.reshape((spec.k, spec.k, spec.c_in, x.shape[0], ho, wo))
+        grad_x = _overlap_add(cols, spec.r, spec.stride, spec.pad, x.shape[2:])
     return grad_x, grad_w, grad_b
 
 
 def transposed_conv_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     """Transposed conv of (n, c_in, h, w) plus bias: (n, c_out, ho, wo); the
-    layer's spec is a TransposedConvSpec."""
+    layer's spec is a TransposedConvSpec. Ordered columns, then conv
+    grad_x's overlap-add."""
     spec, ho, wo = _checked_geometry(layer, TransposedConvSpec, x)
-    full = _scatter_input_grad(x, layer.weights, 1, spec.stride, spec.pad, (ho, wo))
+    n, c_in, h, w = x.shape
+    cols = np.empty((spec.k, spec.k, spec.c_out, n, h, w), dtype=np.float64)
+    _product_sum(x.transpose(1, 0, 2, 3).reshape(c_in, -1),
+                 layer.weights.transpose(0, 2, 3, 1).reshape(c_in, -1),
+                 cols.reshape(-1, n * h * w))
+    full = _overlap_add(cols, 1, spec.stride, spec.pad, (ho, wo))
     return full + layer.bias[None, :, None, None]
 
 

@@ -166,8 +166,10 @@ class ToyNet:
     backward(x, g, taps) -> (gx, gw, gb), tanh after?), taps being the conv's
     im2col matrix that its backward reuses for grad_w (None for a transposed
     conv; forward's cache keeps it with the stage's input and activation,
-    predict keeps none of them): conv+tanh per encoder layer; DUC; bilinear as conv then fixed
-    upsampling; or transposed convs with tanh on all but the last. The stage
+    predict keeps none of them): conv+tanh per encoder layer; DUC; bilinear
+    as conv then fixed upsampling; or transposed convs with tanh on all but
+    the last. The first stage's backward skips the image gradient, which
+    nothing reads, and returns None in its place. The stage
     functions look up conv2d_forward, duc_backward, ... in this module's
     globals at call time, with the raw layer object as the second argument,
     so replacing one of those module attributes (to trace calls, say)
@@ -212,7 +214,8 @@ class ToyNet:
             net.encoder_layers.append(L)
             net.stages.append((f"enc{i}",
                                lambda x, L=L: conv2d_forward(x, L, return_taps=True),
-                               lambda x, g, taps, L=L: conv2d_backward(x, L, g, taps),
+                               lambda x, g, taps, L=L, gx=i > 0:
+                                   conv2d_backward(x, L, g, taps, input_grad=gx),
                                True))
 
         if decoder == "duc":

@@ -206,21 +206,20 @@ def test_forward_keeps_signed_zeros_of_the_naive_loop():
 
 @pytest.mark.parametrize("channels", (1, 5))
 def test_one_pixel_results_keep_the_sequential_order(channels):
-    # one output pixel of 18 taps, and one input pixel reached by 29 output
-    # channels: numpy sums a lone element, or a buffer whose fast axis is
-    # the summed one, pairwise
+    # one output pixel of 18 taps, and one transposed-conv output pixel
+    # reached by 29 input channels: numpy sums a lone element, or a buffer
+    # whose fast axis is the summed one, pairwise
     rng = Rng(35 + channels)
     layer = random_layer(rng, k=3, r=1, c_in=2, c_out=channels)
     x = he_init((1, 2, 3, 3), 3, rng)
     expect = naive_conv2d(x, layer.weights, layer.bias)
     assert np.array_equal(conv2d_forward(x, layer), expect)
 
-    layer = random_layer(rng, k=1, r=1, c_in=channels, c_out=29)
-    x = he_init((1, channels, 1, 1), 3, rng)
-    g = he_init((1, 29, 1, 1), 1, rng)
-    gx, _, _ = conv2d_backward(x, layer, g)
-    want = naive_conv2d_grad_x(g, layer.weights, (1, 1))
-    assert np.array_equal(gx, want)
+    layer = ConvLayer.initialized(TransposedConvSpec(k=1, stride=1, c_in=29,
+                                                     c_out=channels), rng)
+    x = he_init((1, 29, 1, 1), 3, rng)
+    want = naive_conv2d_grad_x(x, layer.weights, (1, 1))
+    assert np.array_equal(transposed_conv_forward(x, layer), want)
 
 
 def sizes(top):
@@ -419,11 +418,20 @@ def test_backward_is_exact_adjoint_over_geometry_sweep():
                     assert np.allclose(gw, want, rtol=1e-12, atol=1e-12)
 
 
+def grad_x_matches(gx, want, c_out):
+    # the columns are a BLAS GEMM over c_out with no order contract, so a
+    # sum over c_out gets grad_w's tolerance; with c_out=1 each column
+    # element is one product, so the overlap-add's (ky, kx) order shows
+    # bit for bit
+    if c_out == 1:
+        return np.array_equal(gx, want)
+    return np.allclose(gx, want, rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("k", (1, 3, 5))
 def test_backward_grad_x_matches_naive_scatter_order_bitwise(k):
-    # grad_x sums each element's reaching taps in (ky, kx) order, each tap a
-    # sequential sum over c_out; c_out=29 is long enough for any reordering
-    # of that sum to show in the last bits
+    # grad_x adds each element's reaching taps in (ky, kx) order, bitwise
+    # for c_out=1; c_out=29 is a long sum over the GEMM's inner axis
     rng = Rng(40 + k)
     for r in (1, 2, 3):
         for stride in (1, 2, 3):
@@ -438,14 +446,13 @@ def test_backward_grad_x_matches_naive_scatter_order_bitwise(k):
                     gx, _, _ = conv2d_backward(x, layer, g)
                     want = naive_conv2d_grad_x(g, layer.weights, hw,
                                                stride=stride, pad=pad, dilation=r)
-                    assert np.array_equal(gx, want), (r, stride, pad, c_out)
+                    assert grad_x_matches(gx, want, c_out), (r, stride, pad, c_out)
 
 
-# grad_x on large planes, summed over c_out; the `below` cases hold over
-# 1 MiB of float64 products (see test_forward_bitwise_on_large_planes). The
-# columns (rows x pixels) fall on the side of _BINCOUNT_MAX that `side`
-# names, so both overlap-add branches and the boundary itself are checked
-# against the oracle.
+# grad_x on large planes, summed over c_out, and the same geometry with
+# c_out=1, bitwise. The columns (rows x pixels, whatever c_out is) fall on
+# the side of _BINCOUNT_MAX that `side` names, so both overlap-add branches
+# and the boundary itself are checked against the oracle.
 @pytest.mark.parametrize("seed, c_in, k, r, c_out, hw, side", [
     pytest.param(45, 4, 3, 2, 29, (16, 16), "below", id="36rows-29out-256px"),
     pytest.param(46, 2, 1, 1, 33, (64, 64), "below", id="2rows-33out-4096px"),
@@ -458,18 +465,20 @@ def test_grad_x_bitwise_on_large_planes(seed, c_in, k, r, c_out, hw, side):
     rng = Rng(seed)
     x = he_init((1, c_in) + hw, 3, rng)
     pad = same_padding(k, r)
-    layer = random_layer(rng, k=k, r=r, c_in=c_in, c_out=c_out, pad=pad)
     cols = k * k * c_in * hw[0] * hw[1]  # stride 1, same padding
     assert {"below": cols < _BINCOUNT_MAX, "at": cols == _BINCOUNT_MAX,
             "above": cols > _BINCOUNT_MAX}[side]
-    g = he_init((1, c_out) + layer.spec.out_size(*hw), 1, rng)
-    gx, _, _ = conv2d_backward(x, layer, g)
-    want = naive_conv2d_grad_x(g, layer.weights, hw, pad=pad, dilation=r)
-    assert np.array_equal(gx, want)
+    for co in (c_out, 1):
+        layer = random_layer(rng, k=k, r=r, c_in=c_in, c_out=co, pad=pad)
+        g = he_init((1, co) + layer.spec.out_size(*hw), 1, rng)
+        gx, _, _ = conv2d_backward(x, layer, g)
+        want = naive_conv2d_grad_x(g, layer.weights, hw, pad=pad, dilation=r)
+        assert grad_x_matches(gx, want, co), co
 
 
 def test_backward_with_the_forwards_taps_is_identical():
-    # taps from the forward stand in for the ones the backward would build
+    # taps from the forward stand in for the ones the backward would build;
+    # skipping grad_x leaves grad_w and grad_b as they are
     rng = Rng(24)
     for k, r, stride, pad in ((1, 1, 1, 0), (3, 1, 2, 1), (3, 2, 1, 2), (5, 3, 3, 1)):
         layer = random_layer(rng, k=k, r=r, c_in=3, c_out=4, stride=stride, pad=pad)
@@ -477,9 +486,12 @@ def test_backward_with_the_forwards_taps_is_identical():
         out, taps = conv2d_forward(x, layer, return_taps=True)
         assert np.array_equal(out, conv2d_forward(x, layer))
         g = he_init(out.shape, 1, rng)
-        for got, want in zip(conv2d_backward(x, layer, g, taps),
-                             conv2d_backward(x, layer, g)):
+        built = conv2d_backward(x, layer, g)
+        for got, want in zip(conv2d_backward(x, layer, g, taps), built):
             assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        gx, gw, gb = conv2d_backward(x, layer, g, taps, input_grad=False)
+        assert gx is None
+        assert gw.tobytes() == built[1].tobytes() and gb.tobytes() == built[2].tobytes()
 
 
 def test_grad_w_matches_the_window_contraction_over_geometry_sweep():

@@ -1,3 +1,8 @@
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +334,32 @@ def test_full_net_gradients_match_finite_differences(decoder):
         assert abs(an - fd) / max(abs(an), abs(fd), 1e-8) < 1e-3
 
 
+@pytest.mark.parametrize("decoder", ["duc", "bilinear", "deconv"])
+def test_skipping_the_image_gradient_keeps_every_parameter_gradient(decoder,
+                                                                    monkeypatch):
+    # the first stage asks conv2d_backward for no image gradient; forcing it
+    # on in every conv backward must give the same gradients, bit for bit
+    sample = gen_thin_structures(1, 16, 16, 1, 3, Rng(14))[0]
+    net = small_net(decoder, seed=5)
+    logits, cache = net.forward(sample.image)
+    _, grad_logits = softmax_ce_loss(logits, sample.labels)
+    skipped = net.backward(cache, grad_logits)
+
+    asked = []
+    train_module = importlib.import_module("segconv.train")  # the package exports train()
+    real = train_module.conv2d_backward
+
+    def with_image_gradient(x, layer, g, taps=None, input_grad=True):
+        asked.append(input_grad)
+        return real(x, layer, g, taps)
+
+    monkeypatch.setattr(train_module, "conv2d_backward", with_image_gradient)
+    forced = net.backward(cache, grad_logits)
+    assert asked.count(False) == 1 and asked[-1] is False  # enc0 runs last
+    for name, g in skipped.items():
+        assert g.tobytes() == forced[name].tobytes(), name
+
+
 def test_training_zero_lr_leaves_parameters():
     data = gen_thin_structures(2, 16, 16, 1, 3, Rng(6))
     net = small_net()
@@ -347,6 +378,42 @@ def test_training_determinism_bitwise():
     c1 = train(small_net(seed=1), data, cfg)
     c2 = train(small_net(seed=1), data, cfg)
     assert c1 == c2
+
+
+# Trains one net per decoder at 64x64 and prints each loss curve and the
+# sha256 of the net's final flat parameter vector.
+_TRAIN_AND_HASH = """
+import hashlib, json
+from segconv.data import gen_thin_structures
+from segconv.hdc import DilationSchedule
+from segconv.tensor import Rng
+from segconv.train import SgdConfig, ToyNet, train
+data = gen_thin_structures(4, 64, 64, 1, 3, Rng(21))
+out = {}
+for dec in ("duc", "bilinear", "deconv"):
+    net = ToyNet.build(d=4, schedule=DilationSchedule(rates=(1, 2, 3), kernel=3),
+                       decoder=dec, classes=3, seed=2, width=8)
+    curve = train(net, data, SgdConfig(base_lr=2.5e-4, max_iter=30, seed=3))
+    out[dec] = [curve, hashlib.sha256(net.flat.tobytes()).hexdigest()]
+print(json.dumps(out))
+"""
+
+
+def test_training_is_identical_under_one_and_two_blas_threads():
+    # both GEMMs of every conv backward run in BLAS, whose thread count must
+    # not change a training run; json round-trips each float exactly
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", _TRAIN_AND_HASH], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        runs.append(json.loads(done.stdout))
+    assert sorted(runs[0]) == ["bilinear", "deconv", "duc"]
+    for dec in runs[0]:
+        assert len(runs[0][dec][0]) == 30
+        assert runs[0][dec] == runs[1][dec], dec
 
 
 def test_training_requires_data():
