@@ -7,6 +7,13 @@ Conventions, fixed once here:
   convention. A kernel tap (ky, kx) with dilation r reads the padded input at
   (out_y * stride + ky * r, out_x * stride + kx * r). The paper's 1-D
   textbook form lives in tests/oracles.py as a reference.
+* One gather and one scatter serve all four ops. _taps reads a zero-padded
+  copy of its input through one strided view into the im2col matrix
+  taps[(c, ky, kx), (n, oy, ox)] (Chellapilla et al., 2006), for the conv
+  forward, conv grad_w and the transposed-conv backward. _overlap_add adds
+  columns back onto a canvas, for conv grad_x and the transposed-conv
+  forward. Ordered products serve the two forwards, BLAS GEMMs the two
+  backwards.
 * A pinned accumulation order, compared bit for bit with the scalar loops
   in tests/oracles.py, covers the forward ops. conv2d_forward sums each
   output element channel-major then (ky, kx). transposed_conv_forward sums
@@ -27,7 +34,7 @@ Conventions, fixed once here:
   so it zero-fills out and then adds one tap's products at a time, each a
   separate multiply and add at numpy's SIMD baseline (x86-64 has no fused
   multiply-add there). No optimize= is passed: it would hand the sum to
-  tensordot/BLAS, whose order is its own.
+  BLAS, whose order is its own.
   einsum sums a one-element out along t pairwise, so that one is
   accumulated instead. There is no second path: a numpy that fused or
   reordered would fail test_product_sum_matches_naive_order_bitwise (which
@@ -35,15 +42,14 @@ Conventions, fixed once here:
   tests (their *_bitwise_on_large_planes tables run planes of over 1 MiB
   of products), test_one_pixel_results_keep_the_sequential_order and
   test_forward_keeps_signed_zeros_of_the_naive_loop.
-* The backward products are BLAS, with no order contract; tests give them
-  a 1e-12 tolerance. The conv's grad_w is one GEMM, grad_out[co, (n, oy,
-  ox)] @ taps.T, over the im2col taps matrix taps[(ci, ky, kx), (n, oy, ox)]
-  (Chellapilla et al., 2006) that conv2d_forward builds for its product sum
-  and returns on request (return_taps), so a training step builds it once
-  per conv. Its grad_x columns are one GEMM, the weights as [(ky, kx, ci),
-  co] @ the same grad_out matrix, then the ordered overlap-add (bit for bit
-  when c_out == 1, one product per column element). The transposed conv's
-  backward is two contractions over a strided window view.
+* The backward GEMMs have no order contract; tests give them a 1e-12
+  tolerance. Conv grad_w is grad_out[co, (n, oy, ox)] @ taps.T, with the
+  taps that conv2d_forward returns on request (return_taps), so a training
+  step builds them once per conv; its grad_x columns are the weights as
+  [(ky, kx, ci), co] @ that grad_out matrix, then the ordered overlap-add
+  (bit for bit when c_out == 1, one product per column element). The
+  transposed conv gathers grad_out with _taps (r = 1): grad_x is the
+  weights as [ci, (co, ky, kx)] @ taps, grad_w is x[ci, (n, y, x)] @ taps.T.
 
 ConvLayer, the one layer type, holds a ConvSpec (for conv2d_*) or a
 TransposedConvSpec (for transposed_conv_*); each of the four ops starts with
@@ -143,8 +149,8 @@ class TransposedConvSpec:
         kernel onto the stride grid, which is the input gradient of a conv
         whose weights are this same array read as (its c_out, its c_in, k, k).
         So transposed_conv_forward ends in that conv's _overlap_add, after
-        its own ordered column pass, and its backward gathers through the
-        conv's _window."""
+        its own ordered column pass, and its backward reads grad_out
+        through the conv's _taps."""
         return (self.c_in, self.c_out, self.k, self.k)
 
     def out_size(self, h: int, w: int) -> tuple[int, int]:
@@ -193,22 +199,6 @@ def _checked_geometry(layer: ConvLayer, kind: type, x: np.ndarray,
     return spec, ho, wo
 
 
-def _pad(x: np.ndarray, p: int) -> np.ndarray:
-    """A copy of x with p zero rows and columns added on each side."""
-    n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float64)
-    xp[:, :, p : p + h, p : p + w] = x
-    return xp
-
-
-def _window(xp: np.ndarray, k: int, r: int, s: int, ho: int, wo: int) -> np.ndarray:
-    """Read-only view[n, c, oy, ox, ky, kx] == xp[n, c, oy*s + ky*r, ox*s + kx*r];
-    the caller keeps (ho-1)*s + (k-1)*r inside both spatial axes."""
-    sn, sc, sy, sx = xp.strides
-    return as_strided(xp, xp.shape[:2] + (ho, wo, k, k),
-                      (sn, sc, sy * s, sx * s, sy * r, sx * r), writeable=False)
-
-
 def _product_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """out[j, m] = 0.0 + a[0, m]*b[0, j] + a[1, m]*b[1, j] + ..., summed in
     t order, as the module docstring sets out.
@@ -225,13 +215,18 @@ def _product_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         out[...] = np.add.accumulate(np.append(0.0, a.ravel() * b.ravel()))[-1]
 
 
-def _taps(x: np.ndarray, spec: ConvSpec, ho: int, wo: int) -> np.ndarray:
-    """The C-contiguous im2col matrix taps[(ci, ky, kx), (n, oy, ox)] ==
-    padded x[n, ci, oy*stride + ky*r, ox*stride + kx*r], a tap-major copy of
-    the window view: the forward's product sum and grad_w's GEMM read it."""
-    win = _window(_pad(x, spec.pad), spec.k, spec.r, spec.stride, ho, wo)
-    taps = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3))
-    return taps.reshape(-1, x.shape[0] * ho * wo)
+def _taps(x: np.ndarray, k: int, r: int, s: int, p: int, ho: int, wo: int) -> np.ndarray:
+    """The C-contiguous im2col matrix taps[(c, ky, kx), (n, oy, ox)] ==
+    x zero-padded by p at [n, c, oy*s + ky*r, ox*s + kx*r]: the forward's
+    product sum and the backwards' GEMMs read it. The caller keeps
+    (ho-1)*s + (k-1)*r inside both padded spatial axes."""
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float64)
+    xp[:, :, p : p + h, p : p + w] = x
+    sn, sc, sy, sx = xp.strides
+    win = as_strided(xp, (c, k, k, n, ho, wo),
+                     (sc, sy * r, sx * r, sn, sy * s, sx * s), writeable=False)
+    return np.ascontiguousarray(win).reshape(c * k * k, n * ho * wo)
 
 
 def conv2d_forward(x: np.ndarray, layer: ConvLayer, return_taps: bool = False):
@@ -246,7 +241,7 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, return_taps: bool = False):
     """
     spec, ho, wo = _checked_geometry(layer, ConvSpec, x)
     n = x.shape[0]
-    taps = _taps(x, spec, ho, wo)
+    taps = _taps(x, spec.k, spec.r, spec.stride, spec.pad, ho, wo)
     wgt = layer.weights.transpose(1, 2, 3, 0).reshape(-1, spec.c_out)  # [(ci, ky, kx), co]
     out = np.empty((spec.c_out, n * ho * wo), dtype=np.float64)
     _product_sum(taps, wgt, out)
@@ -324,7 +319,7 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
     spec, ho, wo = _checked_geometry(layer, ConvSpec, x, grad_out)
     grad_b = grad_out.sum(axis=(0, 2, 3))
     if taps is None:
-        taps = _taps(x, spec, ho, wo)
+        taps = _taps(x, spec.k, spec.r, spec.stride, spec.pad, ho, wo)
     g_mat = grad_out.transpose(1, 0, 2, 3).reshape(spec.c_out, -1)
     grad_w = (g_mat @ taps.T).reshape(spec.weight_shape)
     grad_x = None
@@ -351,15 +346,15 @@ def transposed_conv_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
 
 def transposed_conv_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
     """Gradients of sum(grad_out * transposed_conv_forward(x, layer)):
-    (grad_x, grad_w, grad_b), grad_x a transposed view shaped like x."""
+    (grad_x, grad_w, grad_b), grad_x a transposed view shaped like x. The
+    forward scattered x onto a padded canvas; the adjoint gathers grad_out
+    back, taps[(co, ky, kx), (n, y, x)] == padded grad_out[n, co, y*stride +
+    ky, x*stride + kx], and each gradient is one GEMM against those taps."""
     spec, _, _ = _checked_geometry(layer, TransposedConvSpec, x, grad_out)
-    _, _, h, w = x.shape
+    n, c_in, h, w = x.shape
     grad_b = grad_out.sum(axis=(0, 2, 3))
-
-    # forward scattered x onto a padded canvas; the adjoint gathers it back:
-    # win[n, co, y, x, ky, kx] == padded g[n, co, y*s + ky, x*s + kx], (y, x) < (h, w)
-    win = _window(_pad(grad_out, spec.pad), spec.k, 1, spec.stride, h, w)
-    grad_x = np.tensordot(layer.weights, win,
-                          axes=([1, 2, 3], [1, 4, 5])).transpose(1, 0, 2, 3)
-    grad_w = np.tensordot(x, win, axes=([0, 2, 3], [0, 2, 3]))
+    taps = _taps(grad_out, spec.k, 1, spec.stride, spec.pad, h, w)
+    grad_x = layer.weights.reshape(c_in, -1) @ taps
+    grad_x = grad_x.reshape(c_in, n, h, w).transpose(1, 0, 2, 3)
+    grad_w = (x.transpose(1, 0, 2, 3).reshape(c_in, -1) @ taps.T).reshape(spec.weight_shape)
     return grad_x, grad_w, grad_b

@@ -88,31 +88,35 @@ def common_factor_check(rates) -> bool:
 @dataclass
 class FootprintMap:
     """Exact contribution counts of the bottom-layer pixels feeding one
-    top-layer pixel; odd-sided square grid centered on that pixel."""
+    top-layer pixel. The all-ones K x K masks are separable, so the
+    odd-sided square grid centered on that pixel is the outer product of
+    the 1-D line with itself; side, mass and holes read off the line."""
 
-    grid: np.ndarray
+    line: np.ndarray
     schedule: DilationSchedule = field(repr=False)
 
     @property
+    def grid(self) -> np.ndarray:
+        return np.outer(self.line, self.line)
+
+    @property
     def side(self) -> int:
-        return self.grid.shape[0]
+        return self.line.size
 
     def total(self) -> int:
-        return int(self.grid.sum())
+        return int(self.line.sum()) ** 2
 
     def holes(self) -> int:
-        return int(np.count_nonzero(self.grid == 0))
+        return self.side**2 - int(np.count_nonzero(self.line)) ** 2
 
 
 def footprint(schedule: DilationSchedule) -> FootprintMap:
     """Exact oracle: contribution counts of the composed stack over its
-    receptive-field square. The all-ones K x K masks are separable, so the
-    grid is the outer product of footprint_1d with itself. Counts are exact
-    integers and independent of layer order (convolution commutes); grid
-    side = 1 + sum((K-1) * r_i), total mass = K^(2n).
+    receptive-field square. Counts are exact integers and independent of
+    layer order (convolution commutes); grid side = 1 + sum((K-1) * r_i),
+    total mass = K^(2n).
     """
-    line = footprint_1d(schedule)
-    return FootprintMap(grid=np.outer(line, line), schedule=schedule)
+    return FootprintMap(line=footprint_1d(schedule), schedule=schedule)
 
 
 def footprint_1d(schedule: DilationSchedule) -> np.ndarray:
@@ -130,7 +134,7 @@ def footprint_1d(schedule: DilationSchedule) -> np.ndarray:
 def coverage_report(fp: FootprintMap) -> tuple[int, float, float]:
     """(hole count, covered fraction, gridded fraction) over the full
     theoretical receptive-field square."""
-    area = fp.grid.size
+    area = fp.side**2
     holes = fp.holes()
     return holes, (area - holes) / area, holes / area
 
@@ -208,8 +212,8 @@ def schedule_report(schedule: DilationSchedule, fp: FootprintMap | None = None) 
 
 def footprint_to_pgm(fp: FootprintMap) -> str:
     """Counts linearly mapped to 0..255; zero-count cells stay 0."""
-    # object dtype: Python-int arithmetic, exact for counts of any size
-    return pgm_text(fp.grid.astype(object) * 255 // int(fp.grid.max()))
+    grid = fp.grid.astype(object)  # Python-int arithmetic, exact for any count
+    return pgm_text(grid * 255 // grid.max())
 
 
 def footprint_to_csv(fp: FootprintMap) -> str:

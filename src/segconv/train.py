@@ -67,23 +67,18 @@ def poly_lr(iteration: int, cfg: SgdConfig) -> float:
     return cfg.base_lr * (1.0 - iteration / cfg.max_iter) ** cfg.power
 
 
-def sgd_step(params: dict, grads: dict, state: dict, cfg: SgdConfig,
+def sgd_step(p: np.ndarray, g: np.ndarray, v: np.ndarray, cfg: SgdConfig,
              iteration: int) -> None:
-    """In-place momentum update: v <- m*v - lr*(g + wd*p); p <- p + v, with
-    the velocity v of each name kept in state. The update is elementwise, so
-    train passes one-entry dicts of the net's flat parameter and gradient
-    vectors and this loop runs once per step."""
+    """In-place momentum update of the parameters p with gradient g and
+    velocity v: v <- m*v - lr*(g + wd*p); p <- p + v. The update is
+    elementwise, so train passes the net's flat parameter, gradient and
+    velocity vectors and it runs once per step."""
+    if not p.shape == g.shape == v.shape:
+        raise ValueError(f"shape mismatch: p {p.shape}, g {g.shape}, v {v.shape}")
     lr = poly_lr(iteration, cfg)
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        v = state.get(name)
-        if v is None:
-            v = state[name] = np.zeros_like(p)
-        v *= cfg.momentum
-        v -= lr * (g + cfg.weight_decay * p)
-        p += v
+    v *= cfg.momentum
+    v -= lr * (g + cfg.weight_decay * p)
+    p += v
 
 
 def softmax_ce_loss(logits: np.ndarray, labels: np.ndarray, mean: bool = False):
@@ -341,15 +336,14 @@ def _stack_batch(samples) -> tuple[np.ndarray, np.ndarray]:
 
 def train(net: ToyNet, data, cfg: SgdConfig):
     """SGD over randomly drawn full-image batches; returns the loss curve.
-    The net's flat vector, one gradient vector and one momentum vector (in
-    sgd_step's state) are the whole update."""
+    The net's flat vector, one gradient vector and one velocity vector are
+    the whole update."""
     if not data:
         raise ValueError("training data must be nonempty")
     rng = Rng(cfg.seed)
     flat_grad = np.empty_like(net.flat)
     grads = net.param_views(flat_grad)
-    params, flat_grads = {"flat": net.flat}, {"flat": flat_grad}
-    state = {}
+    velocity = np.zeros_like(net.flat)
     curve = []
     for it in range(cfg.max_iter):
         batch = [data[rng.randint(len(data))] for _ in range(cfg.batch)]
@@ -363,7 +357,7 @@ def train(net: ToyNet, data, cfg: SgdConfig):
         if not np.isfinite(loss):
             raise TrainingDiverged(it, poly_lr(it, cfg))
         net.backward(cache, grad, grads)
-        sgd_step(params, flat_grads, state, cfg, it)
+        sgd_step(net.flat, flat_grad, velocity, cfg, it)
         curve.append(loss)
     # a blow-up in the last step has no next loss to show it
     if curve and not np.isfinite(net.flat).all():

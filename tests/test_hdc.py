@@ -118,8 +118,13 @@ def test_footprint_matches_independent_counting_oracle():
         n = 1 + rng.randint(3)
         k = (3, 5)[rng.randint(2)]
         rates = [1 + rng.randint(4) for _ in range(n)]
-        got = footprint(sched(rates, k)).grid
-        assert np.array_equal(got, footprint_counts_2d(rates, k))
+        fp = footprint(sched(rates, k))
+        want = footprint_counts_2d(rates, k)
+        assert np.array_equal(fp.grid, want)
+        # the counts read off the 1-D line match the independent 2-D grid's
+        assert fp.side == want.shape[0] == want.shape[1]
+        assert fp.total() == int(want.sum())
+        assert fp.holes() == int(np.count_nonzero(want == 0))
 
 
 def test_footprint_order_invariance():

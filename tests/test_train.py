@@ -70,39 +70,37 @@ def test_sgd_config_validation():
 
 
 def test_sgd_zero_grad_zero_wd_leaves_params():
-    p = {"w": np.array([1.0, -2.0])}
-    g = {"w": np.zeros(2)}
-    state = {}
+    p = np.array([1.0, -2.0])
     cfg = SgdConfig(base_lr=0.1, momentum=0.9, weight_decay=0.0, max_iter=10)
-    sgd_step(p, g, state, cfg, 0)
-    assert np.array_equal(p["w"], [1.0, -2.0])
+    sgd_step(p, np.zeros(2), np.zeros(2), cfg, 0)
+    assert np.array_equal(p, [1.0, -2.0])
 
 
 def test_sgd_single_step_expansion():
-    p = {"w": np.array([2.0])}
-    g = {"w": np.array([0.5])}
+    p = np.array([2.0])
     cfg = SgdConfig(base_lr=0.1, momentum=0.9, weight_decay=0.01, max_iter=1)
-    sgd_step(p, g, {}, cfg, 0)
-    assert p["w"][0] == 2.0 - 0.1 * (0.5 + 0.01 * 2.0)
+    sgd_step(p, np.array([0.5]), np.zeros(1), cfg, 0)
+    assert p[0] == 2.0 - 0.1 * (0.5 + 0.01 * 2.0)
 
 
 def test_sgd_two_steps_match_hand_unrolled_recurrence():
     # scalar run with constant gradient, no decay on lr (power irrelevant at it 0)
     cfg = SgdConfig(base_lr=0.1, momentum=0.9, weight_decay=0.0, max_iter=100)
-    p = {"w": np.array([1.0])}
-    state = {}
-    sgd_step(p, {"w": np.array([0.5])}, state, cfg, 0)
-    assert p["w"][0] == 1.0 - 0.1 * 0.5  # v1 = -0.05
+    p, v = np.array([1.0]), np.zeros(1)
+    sgd_step(p, np.array([0.5]), v, cfg, 0)
+    assert p[0] == 1.0 - 0.1 * 0.5  # v1 = -0.05
     lr1 = poly_lr(1, cfg)
-    sgd_step(p, {"w": np.array([0.5])}, state, cfg, 1)
+    sgd_step(p, np.array([0.5]), v, cfg, 1)
     v2 = 0.9 * (-0.05) - lr1 * 0.5
-    assert p["w"][0] == 0.95 + v2
+    assert p[0] == 0.95 + v2
 
 
 def test_sgd_shape_mismatch_rejected():
     cfg = SgdConfig(max_iter=1)
-    with pytest.raises(ValueError):
-        sgd_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, {}, cfg, 0)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        sgd_step(np.zeros(2), np.zeros(3), np.zeros(2), cfg, 0)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        sgd_step(np.zeros(2), np.zeros(2), np.zeros(3), cfg, 0)
 
 
 def test_sgd_step_over_the_flat_vector_matches_per_parameter_updates():
@@ -113,13 +111,13 @@ def test_sgd_step_over_the_flat_vector_matches_per_parameter_updates():
     cfg = SgdConfig(base_lr=0.1, momentum=0.9, weight_decay=5e-4, max_iter=10)
     grad = np.empty_like(net.flat)
     grads = net.param_views(grad)
-    state, ref_state = {}, {}
+    velocity, ref_state = np.zeros_like(net.flat), {}
     rng = Rng(6)
     for it in range(3):
         grad[:] = rng.normal(grad.size)
         naive_sgd_step(ref, grads, ref_state, poly_lr(it, cfg), cfg.momentum,
                        cfg.weight_decay)
-        sgd_step({"flat": net.flat}, {"flat": grad}, state, cfg, it)
+        sgd_step(net.flat, grad, velocity, cfg, it)
     for name, p in net.params().items():
         assert p.tobytes() == ref[name].tobytes(), name
 

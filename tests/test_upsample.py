@@ -4,6 +4,7 @@ import pytest
 from oracles import (
     fd_gradient,
     max_rel_err,
+    naive_conv2d,
     naive_conv2d_grad_w,
     naive_conv2d_grad_x,
     naive_transposed_conv2d,
@@ -337,8 +338,8 @@ def test_transposed_gradients_match_finite_differences():
 
 
 def test_transposed_backward_is_exact_adjoint_over_geometry_sweep():
-    # stride > k leaves canvas positions no input pixel reaches; the window
-    # view must skip them in both gradients
+    # stride > k leaves canvas positions no input pixel reaches; the taps
+    # gather must skip them in both gradients
     rng = Rng(16)
     for k in (1, 2, 3, 4):
         for s in (1, 2, 3):
@@ -354,6 +355,9 @@ def test_transposed_backward_is_exact_adjoint_over_geometry_sweep():
                 assert abs(lhs - float(np.sum(layer.weights * gw))) < tol
                 want = naive_conv2d_grad_w(g, x, k, stride=s, pad=pad)
                 assert np.allclose(gw, want, rtol=1e-12, atol=1e-12)
+                # grad_x is the conv of g with the weights read as (c_in, c_out)
+                want = naive_conv2d(g, layer.weights, np.zeros(2), stride=s, pad=pad)
+                assert np.allclose(gx, want, rtol=1e-12, atol=1e-12)
 
 
 def test_transposed_grad_shape_mismatch_rejected():
