@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
@@ -38,42 +39,55 @@ import numpy as np
 from .tensor import pgm_text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DilationSchedule:
-    """Ordered dilation rates (bottom to top) sharing one square kernel."""
+    """Ordered dilation rates (bottom to top) sharing one square kernel.
+
+    Both fields go through operator.index once, so a float rate or kernel
+    raises ValueError instead of being truncated or kept, and a numpy
+    integer is stored as the Python int that json can write."""
 
     rates: tuple[int, ...]
-    kernel: int = 3
+    kernel: int
 
-    def __post_init__(self):
-        rates = tuple(int(r) for r in self.rates)
-        object.__setattr__(self, "rates", rates)
+    def __init__(self, rates, kernel=3):
+        try:
+            rates = tuple(map(operator.index, rates))
+        except TypeError:
+            raise ValueError(f"rates must be integers, got {rates!r}") from None
+        try:
+            kernel = operator.index(kernel)
+        except TypeError:
+            raise ValueError(f"kernel must be an integer, got {kernel!r}") from None
         if not rates:
             raise ValueError("schedule must contain at least one rate")
-        if any(r < 1 for r in rates):
+        if min(rates) < 1:
             raise ValueError(f"all rates must be >= 1, got {rates}")
-        if self.kernel < 3 or self.kernel % 2 == 0:
-            raise ValueError(f"kernel size must be odd and >= 3, got {self.kernel}")
+        if kernel < 3 or kernel % 2 == 0:
+            raise ValueError(f"kernel size must be odd and >= 3, got {kernel}")
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "kernel", kernel)
 
 
 def max_distance(schedule: DilationSchedule) -> tuple[list[int], bool]:
     """Run the max-gap recurrence; returns ([M_2..M_n], valid).
 
+    max(M - 2r, 2r - M, r) is max(|M - 2r|, r), taken with two compares.
     For n == 1 the list is empty and validity degenerates to r_1 <= K.
     """
-    rates, k = schedule.rates, schedule.kernel
-    n = len(rates)
-    if n == 1:
-        return [], rates[0] <= k
-    m = rates[n - 1]
+    rates = schedule.rates
+    m = rates[-1]
     m_values = [m]
-    for i in range(n - 2, 0, -1):  # fills M_{n-1} .. M_2
-        r = rates[i]
-        m = max(m - 2 * r, 2 * r - m, r)
+    for r in rates[-2:0:-1]:  # r_{n-1} .. r_2 fill M_{n-1} .. M_2
+        d = m - 2 * r
+        if d < 0:
+            d = -d
+        m = d if d > r else r
         m_values.append(m)
+    if len(rates) == 1:
+        return [], m <= schedule.kernel
     m_values.reverse()
-    valid = m_values[0] <= k and rates[0] == 1
-    return m_values, valid
+    return m_values, m <= schedule.kernel and rates[0] == 1
 
 
 def common_factor_check(rates) -> bool:
@@ -124,10 +138,9 @@ def footprint_1d(schedule: DilationSchedule) -> np.ndarray:
     k = schedule.kernel
     line = np.ones(1, dtype=np.int64)
     for r in schedule.rates:
-        nxt = np.zeros(line.size + (k - 1) * r, dtype=np.int64)
-        for t in range(k):
-            nxt[t * r : t * r + line.size] += line
-        line = nxt
+        mask = np.zeros((k - 1) * r + 1, dtype=np.int64)
+        mask[::r] = 1
+        line = np.convolve(line, mask)
     return line
 
 
@@ -163,25 +176,34 @@ def rf_increase_for_rates(rates, kernel: int) -> int:
 
 def schedule_search(n: int, kernel: int, rf_target: int) -> list[DilationSchedule]:
     """Enumerate rate tuples (each rate in 1..rf_target) and keep those that
-    the analytic rule accepts, whose footprint is hole-free, and whose RF
-    increase reaches the target. Sorted by RF descending, then rates."""
+    the analytic rule accepts, whose RF increase (K-1) * sum(rates) reaches
+    the target, and whose footprint is hole-free. Sorted by RF descending,
+    then rates.
+
+    Call contract: max_distance runs exactly once per enumerated tuple
+    (rf_target**n calls) and footprint once per rule-valid tuple that
+    reaches the target, both looked up as module globals. The benchmark's
+    traced runs wrap those two globals and check the call counts against
+    perfbench/reference.json, so a search that skips or batches either call
+    must land with a re-recorded reference, not before.
+    """
     if n < 2:
         raise ValueError("search needs at least 2 layers")
     if rf_target < 1:
         raise ValueError("rf_target must be >= 1")
     found = []
     for rates in product(range(1, rf_target + 1), repeat=n):
-        sched = DilationSchedule(rates=rates, kernel=kernel)
-        _, valid = max_distance(sched)
-        if not valid:
+        sched = DilationSchedule(rates, kernel)
+        if not max_distance(sched)[1]:
             continue
-        if rf_increase_for_rates(rates, kernel) < rf_target:
+        rf = (kernel - 1) * sum(rates)
+        if rf < rf_target:
             continue
         if footprint(sched).holes() != 0:
             continue
-        found.append(sched)
-    found.sort(key=lambda s: (-rf_increase_for_rates(s.rates, kernel), s.rates))
-    return found
+        found.append((-rf, rates, sched))
+    found.sort(key=lambda item: item[:2])
+    return [sched for _, _, sched in found]
 
 
 def schedule_report(schedule: DilationSchedule, fp: FootprintMap | None = None) -> dict:

@@ -239,6 +239,21 @@ def max_rel_err(analytic, numeric, floor=1e-8):
     return float(np.max(np.abs(a - f) / denom)) if a.size else 0.0
 
 
+def max_gap_rule(rates, k):
+    """The paper's HDC recurrence as written (1-indexed, bottom layer r_1):
+    M_n = r_n; M_i = max[M_{i+1} - 2 r_i, M_{i+1} - 2 (M_{i+1} - r_i), r_i]
+    for i = n-1 .. 2; valid iff M_2 <= K and r_1 == 1. A single layer is
+    valid iff r_1 <= K. Returns ([M_2..M_n], valid)."""
+    n = len(rates)
+    r = {i + 1: rate for i, rate in enumerate(rates)}
+    if n == 1:
+        return [], r[1] <= k
+    M = {n: r[n]}
+    for i in range(n - 1, 1, -1):
+        M[i] = max(M[i + 1] - 2 * r[i], M[i + 1] - 2 * (M[i + 1] - r[i]), r[i])
+    return [M[i] for i in range(2, n + 1)], M[2] <= k and r[1] == 1
+
+
 def tap_positions_1d(rates, k):
     """Exact support of the composed 1-D tap pattern, by set arithmetic."""
     pts = {0}

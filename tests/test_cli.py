@@ -495,6 +495,22 @@ def test_eval_non_finite_bias_in_net_json_names_it(trained_dir, tmp_path, capsys
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("field, value", [("rates", [1, 2.7, 3]), ("kernel", 3.0)])
+def test_eval_non_integer_schedule_in_net_json_names_it(trained_dir, tmp_path, capsys,
+                                                        field, value):
+    # a float rate was once truncated to the int the encoder entries hold
+    net = tmp_path / "net"
+    shutil.copytree(trained_dir / "net", net)
+    topo = json.loads((net / "net.json").read_text())
+    topo["schedule"][field] = value
+    (net / "net.json").write_text(json.dumps(topo))
+    msg = fails(capsys, EXIT_USAGE, "eval", "--net", str(net), "--size", "16",
+                "--out", str(tmp_path / "eval"))
+    assert msg.startswith(f"usage error: malformed {net / 'net.json'}: ")
+    assert f"{field} must be" in msg
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("text", ["{", "{}", '{"schedule": 3}'])
 def test_eval_malformed_net_json_is_usage_error(trained_dir, tmp_path, capsys, text):
     net = tmp_path / "net"

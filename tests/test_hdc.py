@@ -1,10 +1,18 @@
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import footprint_counts_2d, max_gap_1d, read_pgm
+from oracles import (
+    footprint_counts_2d,
+    max_gap_1d,
+    max_gap_rule,
+    read_pgm,
+    tap_positions_1d,
+)
+from segconv import hdc
 from segconv.hdc import (
     DilationSchedule,
     common_factor_check,
@@ -66,6 +74,23 @@ def test_empty_schedule_rejected():
         DilationSchedule(rates=(), kernel=3)
 
 
+def test_float_rate_is_refused_not_truncated():
+    with pytest.raises(ValueError, match="rates must be integers"):
+        DilationSchedule(rates=(1, 2.7, 3), kernel=3)
+
+
+def test_float_kernel_is_refused():
+    with pytest.raises(ValueError, match="kernel must be an integer"):
+        DilationSchedule(rates=(1, 2, 3), kernel=3.5)
+
+
+def test_numpy_integers_are_stored_as_python_ints():
+    s = DilationSchedule(rates=tuple(np.array([1, 2, 5])), kernel=np.int64(3))
+    assert type(s.kernel) is int and all(type(r) is int for r in s.rates)
+    assert s == sched([1, 2, 5])
+    assert json.loads(json.dumps(schedule_report(s)))["K"] == 3
+
+
 def test_recurrence_upper_bounds_exact_upper_stack_gap():
     # M_2 must never fall below the true max gap of layers 2..n composed,
     # otherwise the validity rule would pass gridding stacks
@@ -76,6 +101,18 @@ def test_recurrence_upper_bounds_exact_upper_stack_gap():
         rates = [1 + rng.randint(6) for _ in range(n)]
         m, _ = max_distance(sched(rates, k))
         assert m[0] >= max_gap_1d(rates[1:], k)
+
+
+def test_recurrence_matches_the_papers_rule_exhaustively():
+    checked = 0
+    for k in (3, 5):
+        for n in (1, 2, 3, 4):
+            for rates in itertools.product(range(1, 8), repeat=n):
+                got = max_distance(sched(rates, k))
+                assert got == max_gap_rule(rates, k), (rates, k)
+                assert all(type(m) is int for m in got[0])
+                checked += 1
+    assert checked == 2 * (7 + 7 ** 2 + 7 ** 3 + 7 ** 4)
 
 
 # -- the footprint oracle ------------------------------------------------------
@@ -201,6 +238,55 @@ def test_search_finds_canonical_ramp():
     # sorted by receptive field, descending
     rfs = [rf_increase_for_rates(s.rates, 3) for s in results]
     assert rfs == sorted(rfs, reverse=True)
+
+
+def test_search_is_complete_and_in_order():
+    # brute force over every tuple with independent checks: the paper's
+    # recurrence, the RF sum, and a gap-free 1-D tap support (the 2-D
+    # footprint is its outer product, so this is hole-free)
+    for n in (2, 3):
+        for k in (3, 5):
+            for target in (5, 8, 13):
+                want = []
+                for rates in itertools.product(range(1, target + 1), repeat=n):
+                    rf = (k - 1) * sum(rates)
+                    if max_gap_rule(rates, k)[1] and rf >= target:
+                        pts = tap_positions_1d(rates, k)
+                        if len(pts) == pts[-1] + 1:
+                            want.append((-rf, rates))
+                want.sort()
+                found = schedule_search(n, k, target)
+                assert [s.rates for s in found] == [rates for _, rates in want]
+                assert all(s.kernel == k for s in found)
+
+
+def test_search_call_contract_matches_the_benchmark_reference(monkeypatch):
+    """One max_distance call per enumerated tuple and one footprint call per
+    rule-valid, RF-reaching tuple, through the module globals. The
+    benchmark's traced runs wrap both globals and compare the counts with
+    perfbench/reference.json, so a search that batches or skips either call
+    fails every traced run until that reference is re-recorded with it.
+    This test fails first, in about a second, and changes with the
+    reference."""
+    calls = {"max_distance": 0, "footprint": 0}
+
+    def counted(name):
+        fn = getattr(hdc, name)
+
+        def wrapper(schedule):
+            calls[name] += 1
+            return fn(schedule)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(hdc, name, counted(name))
+    ref = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                      / "reference.json").read_text())
+    for key, want in ref["search"].items():
+        n, k, rf = map(int, key.split(","))
+        assert [[s.kernel, *s.rates] for s in schedule_search(n, k, rf)] == want, key
+    assert calls == {"max_distance": 429_568, "footprint": 2_803}
 
 
 def test_search_depth_two_cannot_reach_large_rf():
