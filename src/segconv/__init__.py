@@ -8,7 +8,6 @@ from .conv import (
     TransposedConvSpec,
     conv2d_backward,
     conv2d_forward,
-    dilated_kernel_size,
     same_padding,
     transposed_conv_backward,
     transposed_conv_forward,
@@ -16,17 +15,15 @@ from .conv import (
 from .hdc import (
     DilationSchedule,
     FootprintMap,
-    common_factor_check,
     coverage_report,
     footprint,
     max_distance,
-    rf_increase,
     rf_increase_for_rates,
     schedule_report,
     schedule_search,
 )
 from .tensor import Rng, he_init, load_tensor, save_tensor
-from .train import SgdConfig, ToyNet, evaluate, miou, poly_lr, sgd_step, softmax_ce_loss, train
+from .train import SgdConfig, ToyNet, evaluate, poly_lr, sgd_step, softmax_ce_loss, train
 from .upsample import (
     DucSpec,
     bilinear_upsample,

@@ -74,13 +74,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_rates(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; DilationSchedule rejects a rate < 1."""
     try:
-        rates = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise UsageError(f"rates must be comma-separated integers, got {text!r}")
-    if not rates or any(r < 1 for r in rates):
-        raise UsageError(f"rates must be positive integers, got {text!r}")
-    return rates
 
 
 def _default_out(sub: str) -> Path:

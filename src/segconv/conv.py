@@ -67,12 +67,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Rng, he_init
 
-def dilated_kernel_size(k: int, r: int) -> int:
-    """Spatial extent of a k-tap kernel dilated by r: k + (k-1)*(r-1)."""
-    if k < 1 or r < 1:
-        raise ValueError("kernel size and dilation rate must be >= 1")
-    return k + (k - 1) * (r - 1)
-
 
 def same_padding(k: int, r: int) -> int:
     """Padding that keeps spatial size unchanged at stride 1 (odd k)."""
@@ -111,7 +105,8 @@ class ConvSpec:
 
     @property
     def k_d(self) -> int:
-        return dilated_kernel_size(self.k, self.r)
+        """Spatial extent of the k-tap kernel dilated by r: k + (k-1)*(r-1)."""
+        return self.k + (self.k - 1) * (self.r - 1)
 
     def out_size(self, h: int, w: int) -> tuple[int, int]:
         ho = (h + 2 * self.pad - self.k_d) // self.stride + 1

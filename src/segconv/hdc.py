@@ -30,7 +30,6 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import product
 from pathlib import Path
 
@@ -90,15 +89,6 @@ def max_distance(schedule: DilationSchedule) -> tuple[list[int], bool]:
     return m_values, m <= schedule.kernel and rates[0] == 1
 
 
-def common_factor_check(rates) -> bool:
-    """True when every rate shares a factor > 1 (e.g. [2,4,8]): such stacks
-    sample only a sublattice and always grid."""
-    rates = list(rates)
-    if not rates:
-        raise ValueError("rates must be nonempty")
-    return reduce(math.gcd, rates) > 1
-
-
 @dataclass
 class FootprintMap:
     """Exact contribution counts of the bottom-layer pixels feeding one
@@ -152,26 +142,16 @@ def coverage_report(fp: FootprintMap) -> tuple[int, float, float]:
     return holes, (area - holes) / area, holes / area
 
 
-def rf_increase(groups, kernel: int) -> int:
-    """Receptive-field growth along one axis from a stack of dilated convs.
-
-    `groups` is a list of (count, rate) pairs; every conv contributes
-    (K-1) * rate. Published accountings for comparable stacks sometimes
-    differ by a stem-dependent constant; this function counts the dilated
-    convs only.
-    """
+def rf_increase_for_rates(rates, kernel: int) -> int:
+    """Receptive-field growth along one axis from a stack of dilated convs,
+    one K x K conv per rate: each adds (K-1) * rate. Published accountings
+    for comparable stacks sometimes differ by a stem-dependent constant;
+    this counts the dilated convs only."""
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError(f"kernel size must be odd and >= 1, got {kernel}")
-    total = 0
-    for count, rate in groups:
-        if count < 0 or rate < 1:
-            raise ValueError(f"bad group ({count}, {rate})")
-        total += count * (kernel - 1) * rate
-    return total
-
-
-def rf_increase_for_rates(rates, kernel: int) -> int:
-    return rf_increase([(1, r) for r in rates], kernel)
+    if any(r < 1 for r in rates):
+        raise ValueError(f"all rates must be >= 1, got {rates}")
+    return (kernel - 1) * sum(rates)
 
 
 def schedule_search(n: int, kernel: int, rf_target: int) -> list[DilationSchedule]:
@@ -208,8 +188,9 @@ def schedule_search(n: int, kernel: int, rf_target: int) -> list[DilationSchedul
 
 def schedule_report(schedule: DilationSchedule, fp: FootprintMap | None = None) -> dict:
     """JSON-ready summary: rates, kernel, M values, validity, RF increase,
-    gcd flag, and, when the schedule's footprint fp is given, its hole
-    counts."""
+    gcd flag (the rates share a factor > 1, e.g. [2, 4, 8], so the stack
+    samples a sublattice and always grids) and, when the schedule's
+    footprint fp is given, its hole counts."""
     m_values, valid = max_distance(schedule)
     report = {
         "rates": list(schedule.rates),
@@ -217,7 +198,7 @@ def schedule_report(schedule: DilationSchedule, fp: FootprintMap | None = None) 
         "M_values": m_values,
         "valid": valid,
         "rf_increase": rf_increase_for_rates(schedule.rates, schedule.kernel),
-        "gcd_flag": common_factor_check(schedule.rates),
+        "gcd_flag": math.gcd(*schedule.rates) > 1,
     }
     if fp is not None:
         holes, coverage, gridding = coverage_report(fp)

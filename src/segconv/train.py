@@ -62,6 +62,8 @@ class SgdConfig:
 
 def poly_lr(iteration: int, cfg: SgdConfig) -> float:
     """base_lr * (1 - iter/max_iter) ** power."""
+    if cfg.max_iter == 0:
+        raise ValueError("poly_lr of an empty schedule (max_iter 0)")
     if iteration < 0 or iteration > cfg.max_iter:
         raise ValueError(f"iteration {iteration} outside 0..{cfg.max_iter}")
     return cfg.base_lr * (1.0 - iteration / cfg.max_iter) ** cfg.power
@@ -170,9 +172,9 @@ class ToyNet:
     so replacing one of those module attributes (to trace calls, say)
     reaches every stage of every existing net.
 
-    Every weight and bias lives in one float64 vector, `flat`, laid out in
-    params() order; the layers hold views into it, so one update of `flat`
-    updates them all."""
+    Every weight and bias lives in one float64 vector, `flat`, laid out as
+    param_views() reads it; the layers hold views into it, so one update of
+    `flat` updates them all."""
 
     INPUT_OFFSET = 0.3
     INPUT_SCALE = 2.0
@@ -245,7 +247,8 @@ class ToyNet:
                     f"dec{i}", lambda x, L=L: (transposed_conv_forward(x, L), None),
                     lambda x, g, taps, L=L: transposed_conv_backward(x, L, g), i < last))
 
-        net.flat = np.concatenate([p.ravel() for p in net.params().values()])
+        net.flat = np.concatenate([a.ravel() for _, L in net.named_layers()
+                                   for a in (L.weights, L.bias)])
         views = net.param_views(net.flat)
         for name, layer in net.named_layers():
             layer.weights, layer.bias = views[f"{name}.w"], views[f"{name}.b"]
@@ -260,14 +263,11 @@ class ToyNet:
 
     def params(self) -> dict:
         """Live views of every learnable array, keyed by layer name."""
-        out = {}
-        for name, layer in self.named_layers():
-            out[f"{name}.w"] = layer.weights
-            out[f"{name}.b"] = layer.bias
-        return out
+        return self.param_views(self.flat)
 
     def param_views(self, vec: np.ndarray) -> dict:
-        """Views of a vector laid out like `flat`, shaped and keyed as params()."""
+        """Views of a vector laid out like `flat`: "<layer>.w" then "<layer>.b"
+        for each layer in named_layers() order."""
         out, i = {}, 0
         for name, layer in self.named_layers():
             for key, shape in ((f"{name}.w", layer.spec.weight_shape),
@@ -387,13 +387,6 @@ def _iou(conf: np.ndarray):
     return iou.tolist(), float(np.mean(present)) if present.size else float("nan")
 
 
-def miou(preds: np.ndarray, labels: np.ndarray, classes: int):
-    """Per-class IoU and their mean for one prediction (see _iou)."""
-    if preds.shape != labels.shape:
-        raise ValueError(f"shape mismatch {preds.shape} vs {labels.shape}")
-    return _iou(_confusion(preds, labels, classes))
-
-
 def evaluate(net: ToyNet, samples, oracle: bool = False):
     """Dataset IoU with counts aggregated over all samples. With oracle=True
     the labels are scored against themselves (pipeline sanity mode)."""
@@ -455,8 +448,9 @@ def load_net(dirpath) -> ToyNet:
     .bin."""
     d = Path(dirpath)
     path = d / "net.json"
-    topo = json.loads(path.read_text(encoding="ascii"))
     try:
+        # bad JSON or non-ASCII bytes raise ValueError; a missing file, OSError
+        topo = json.loads(path.read_text(encoding="ascii"))
         if topo["img_channels"] != 1:
             raise ValueError(f"img_channels must be 1, got {topo['img_channels']!r}")
         s = topo["schedule"]

@@ -24,7 +24,8 @@ from segconv.conv import (
     transposed_conv_forward,
 )
 from segconv.data import gen_thin_structures
-from segconv.hdc import DilationSchedule, coverage_report, footprint, max_distance, rf_increase
+from segconv.hdc import (DilationSchedule, coverage_report, footprint, max_distance,
+                         rf_increase_for_rates)
 from segconv.tensor import Rng, he_init
 from segconv.train import SgdConfig, ToyNet, evaluate, softmax_ce_loss, train
 from segconv.upsample import (
@@ -76,15 +77,14 @@ def test_criterion_2_gridding_figure():
 
 def test_criterion_3_rf_accounting():
     with criterion(3, "ramped 23+3 block config totals RF increase 116 exactly"):
-        ramped = [(7, 1), (7, 2), (7, 3), (2, 2), (1, 3), (1, 4), (1, 5)]
-        assert rf_increase(ramped, 3) == 116
+        ramped = [1] * 7 + [2] * 7 + [3] * 7 + [2, 2, 3, 4, 5]
+        assert rf_increase_for_rates(ramped, 3) == 116
         # the flat and wide variants are reported under the same convention;
         # published totals for them (54, 256) follow some other accounting,
         # so they are printed for inspection, not asserted
-        flat = rf_increase([(26, 1)], 3)
-        wide = rf_increase(
-            [(5, 1), (5, 2), (5, 5), (5, 9), (1, 1), (1, 2), (1, 5),
-             (1, 5), (1, 9), (1, 17)], 3)
+        flat = rf_increase_for_rates([1] * 26, 3)
+        wide = rf_increase_for_rates(
+            [1] * 5 + [2] * 5 + [5] * 5 + [9] * 5 + [1, 2, 5, 5, 9, 17], 3)
         print(f"  rf accounting: ramped=116 flat={flat} wide={wide} "
               f"(convention: sum of (K-1)*r per conv)")
 

@@ -511,13 +511,17 @@ def test_eval_non_integer_schedule_in_net_json_names_it(trained_dir, tmp_path, c
     assert not (tmp_path / "eval").exists()
 
 
-@pytest.mark.parametrize("text", ["{", "{}", '{"schedule": 3}'])
+@pytest.mark.parametrize("text", ["{", '{"d": 4,', "{}", '{"schedule": 3}',
+                                  b"\xff\xfe", '{"decoder": "d\u00fcc"}'.encode()])
 def test_eval_malformed_net_json_is_usage_error(trained_dir, tmp_path, capsys, text):
+    # not JSON, not ASCII, or not a topology: each names the file
     net = tmp_path / "net"
     shutil.copytree(trained_dir / "net", net)
-    (net / "net.json").write_text(text)
-    fails(capsys, EXIT_USAGE, "eval", "--net", str(net), "--size", "16",
-          "--out", str(tmp_path / "eval"))
+    (net / "net.json").write_bytes(text.encode() if isinstance(text, str) else text)
+    msg = fails(capsys, EXIT_USAGE, "eval", "--net", str(net), "--size", "16",
+                "--out", str(tmp_path / "eval"))
+    assert msg.startswith(f"usage error: malformed {net / 'net.json'}: ")
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("verb", ["train", "eval"])

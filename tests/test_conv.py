@@ -22,7 +22,6 @@ from segconv.conv import (
     _product_sum,
     conv2d_backward,
     conv2d_forward,
-    dilated_kernel_size,
     same_padding,
     transposed_conv_backward,
     transposed_conv_forward,
@@ -39,22 +38,35 @@ def random_layer(rng, k, r, c_in, c_out, stride=1, pad=0, bias=True):
 
 
 def test_dilated_kernel_size_values():
-    assert dilated_kernel_size(3, 2) == 5
-    assert dilated_kernel_size(3, 1) == 3
-    assert dilated_kernel_size(5, 4) == 17
+    assert ConvSpec(k=3, r=2).k_d == 5
+    assert ConvSpec(k=3, r=1).k_d == 3
+    assert ConvSpec(k=5, r=4).k_d == 17
 
 
 def test_dilated_kernel_size_matches_constructed_mask_extent():
     for k, r in [(3, 2), (5, 4), (3, 3), (1, 5)]:
         taps = [t * r for t in range(k)]
-        assert dilated_kernel_size(k, r) == taps[-1] + 1
+        assert ConvSpec(k=k, r=r).k_d == taps[-1] + 1
 
 
-def test_dilated_kernel_size_rejects_bad_args():
-    with pytest.raises(ValueError):
-        dilated_kernel_size(0, 1)
-    with pytest.raises(ValueError):
-        dilated_kernel_size(3, 0)
+def test_specs_reject_bad_geometry():
+    conv_cases = [(dict(k=0), "kernel size"), (dict(k=-1), "kernel size"),
+                  (dict(k=4), "kernel size"), (dict(r=0), "dilation rate"),
+                  (dict(stride=0), "stride"), (dict(c_in=0), "channel counts"),
+                  (dict(c_out=0), "channel counts"), (dict(pad=-1), "padding")]
+    for bad, field in conv_cases:
+        with pytest.raises(ValueError, match=field):
+            ConvSpec(**(dict(k=3) | bad))
+    # a transposed conv has no dilation and may take an even k (k=4, stride=2
+    # is the usual 2x upsampler)
+    good = dict(k=4, stride=2, c_in=1, c_out=1)
+    TransposedConvSpec(**good)
+    transposed_cases = [(dict(k=0), "kernel size"), (dict(stride=0), "stride"),
+                        (dict(c_in=0), "channel counts"), (dict(c_out=0), "channel counts"),
+                        (dict(pad=-1), "padding")]
+    for bad, field in transposed_cases:
+        with pytest.raises(ValueError, match=field):
+            TransposedConvSpec(**(good | bad))
 
 
 # -- 1-D reference form ------------------------------------------------------
@@ -162,7 +174,7 @@ def test_forward_matches_naive_loop_bitwise_over_geometry_sweep(k):
     for r in (1, 2, 3):
         for stride in (1, 2, 3):
             for pad in (0, 1, 2):
-                kd = dilated_kernel_size(k, r)
+                kd = ConvSpec(k=k, r=r).k_d
                 x = he_init((2, 2, kd + 3, kd + 2), 3, rng)
                 layer = random_layer(rng, k=k, r=r, c_in=2, c_out=3,
                                      stride=stride, pad=pad)
@@ -267,7 +279,7 @@ def test_dilation_equals_zero_stuffed_kernel():
     rng = Rng(12)
     k, r = 3, 3
     layer = random_layer(rng, k=k, r=r, c_in=2, c_out=2, pad=0)
-    kd = dilated_kernel_size(k, r)
+    kd = ConvSpec(k=k, r=r).k_d
     stuffed = np.zeros((2, 2, kd, kd))
     stuffed[:, :, ::r, ::r] = layer.weights
     big_spec = ConvSpec(k=kd, r=1, stride=1, c_in=2, c_out=2, pad=0)
@@ -437,7 +449,7 @@ def test_backward_grad_x_matches_naive_scatter_order_bitwise(k):
         for stride in (1, 2, 3):
             for pad in (0, 1, 2):
                 for c_out in (1, 3, 29):
-                    kd = dilated_kernel_size(k, r)
+                    kd = ConvSpec(k=k, r=r).k_d
                     hw = (kd + 3, kd + 2)
                     x = he_init((2, 2) + hw, 3, rng)
                     layer = random_layer(rng, k=k, r=r, c_in=2, c_out=c_out,

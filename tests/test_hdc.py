@@ -15,14 +15,12 @@ from oracles import (
 from segconv import hdc
 from segconv.hdc import (
     DilationSchedule,
-    common_factor_check,
     coverage_report,
     footprint,
     footprint_1d,
     footprint_to_csv,
     footprint_to_pgm,
     max_distance,
-    rf_increase,
     rf_increase_for_rates,
     schedule_report,
     schedule_search,
@@ -194,7 +192,7 @@ def test_footprint_separability():
 
 def test_gcd_schedules_always_grid():
     for rates in ([2, 2], [2, 4], [3, 6, 9], [2, 4, 8], [4, 2], [6, 3]):
-        assert common_factor_check(rates)
+        assert schedule_report(sched(rates))["gcd_flag"]
         assert footprint(sched(rates)).holes() > 0
 
 
@@ -202,28 +200,30 @@ def test_gcd_schedules_always_grid():
 
 
 def test_common_factor_check_values():
-    assert common_factor_check([2, 4, 8]) is True
-    assert common_factor_check([1, 2, 3]) is False
-    assert common_factor_check([3, 6, 9]) is True
-    with pytest.raises(ValueError):
-        common_factor_check([])
+    # the gcd flag of schedule_report
+    for rates, flag in [([2, 4, 8], True), ([1, 2, 3], False), ([3, 6, 9], True),
+                        ([4], True), ([1], False), ([2, 3], False)]:
+        assert schedule_report(sched(rates))["gcd_flag"] is flag, rates
 
 
 def test_rf_increase_reference_configs():
     # 23-block stage as seven 1,2,3 ramps ending in 2,2 plus a 3,4,5 stage
-    ramped = [(7, 1), (7, 2), (7, 3), (2, 2), (1, 3), (1, 4), (1, 5)]
-    assert rf_increase(ramped, 3) == 116
-    assert rf_increase([(26, 1)], 3) == 52
-    bigger = [(5, 1), (5, 2), (5, 5), (5, 9), (1, 1), (1, 2), (1, 5),
-              (1, 5), (1, 9), (1, 17)]
-    assert rf_increase(bigger, 3) == 248
+    ramped = [1] * 7 + [2] * 7 + [3] * 7 + [2, 2, 3, 4, 5]
+    assert rf_increase_for_rates(ramped, 3) == 116
+    assert rf_increase_for_rates([1] * 26, 3) == 52
+    bigger = [1] * 5 + [2] * 5 + [5] * 5 + [9] * 5 + [1, 2, 5, 5, 9, 17]
+    assert rf_increase_for_rates(bigger, 3) == 248
     assert rf_increase_for_rates([1], 3) == 2
+    assert rf_increase_for_rates([2, 4], 5) == 24
 
 
-def test_rf_increase_matches_flat_expansion():
-    groups = [(3, 2), (1, 5)]
-    flat = [2, 2, 2, 5]
-    assert rf_increase(groups, 3) == rf_increase_for_rates(flat, 3)
+def test_rf_increase_rejects_bad_kernel_and_rates():
+    for kernel in (4, 0, -1):
+        with pytest.raises(ValueError, match="kernel size"):
+            rf_increase_for_rates([1, 2], kernel)
+    for rates in ([1, 0], [-2]):
+        with pytest.raises(ValueError, match="rates must be >= 1"):
+            rf_increase_for_rates(rates, 3)
 
 
 def test_search_finds_canonical_ramp():

@@ -36,3 +36,43 @@ def test_the_check_sees_relative_and_absolute_imports(tmp_path):
     assert private_imports(mod) == ["from .conv import _pad",
                                     "from segconv.tensor import _mask",
                                     "from . import _cli"]
+
+
+BENCH = SRC.parent.parent / "perfbench"
+
+
+def unreferenced_defs(src: Path, bench: Path) -> list[str]:
+    """'module.name' for each module-level function or class of src that no
+    file of src but __init__.py, nor any bench/*.py, reads as a Name or an
+    Attribute: code that only tests (or nothing) call. A def's own name is
+    not a Name node, so a use in its own module counts, a re-export does not."""
+    modules = sorted(p for p in src.glob("*.py") if p.name != "__init__.py")
+    used = set()
+    for path in modules + sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [f"{path.stem}.{node.name}" for path in modules
+            for node in ast.parse(path.read_text(), filename=str(path)).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
+
+
+def test_every_def_has_a_caller_outside_the_tests():
+    assert unreferenced_defs(SRC, BENCH) == []
+
+
+def test_the_caller_check_sees_names_and_attributes(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "__init__.py").write_text("from .a import orphan, helper, Used, by_bench\n")
+    (src / "a.py").write_text("def orphan(): pass\n"
+                              "def helper(): pass\n"
+                              "class Used: pass\n"
+                              "def by_bench(): pass\n"
+                              "def caller(): return helper()\n")
+    (src / "b.py").write_text("from . import a\nx = a.Used\ny = a.caller()\n")
+    (bench / "run.py").write_text("import segconv.a as a\na.by_bench()\n")
+    assert unreferenced_defs(src, bench) == ["a.orphan"]

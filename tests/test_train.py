@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from segconv.train import (
     evaluate,
     load_net,
     majority_downsample,
-    miou,
     poly_lr,
     save_net,
     sgd_step,
@@ -51,6 +51,8 @@ def test_poly_lr_rejects_out_of_range_iteration():
         poly_lr(11, cfg)
     with pytest.raises(ValueError):
         poly_lr(-1, cfg)
+    with pytest.raises(ValueError, match="empty schedule"):
+        poly_lr(0, SgdConfig(max_iter=0))
 
 
 def test_sgd_config_validation():
@@ -224,16 +226,22 @@ def test_majority_downsample_matches_block_loop_oracle(cell):
 # -- mIoU ---------------------------------------------------------------------------
 
 
+def evaluate_fixed(preds, labels, classes):
+    """evaluate() of one sample through a net whose prediction is fixed."""
+    net = SimpleNamespace(classes=classes, predict=lambda image: preds)
+    return evaluate(net, [SimpleNamespace(image=None, labels=labels)])
+
+
 def test_miou_perfect_prediction():
     labels = np.array([[0, 1], [2, 1]], dtype=np.int64)
-    per, mean = miou(labels.copy(), labels, 3)
+    per, mean = evaluate_fixed(labels.copy(), labels, 3)
     assert per == [1.0, 1.0, 1.0] and mean == 1.0
 
 
 def test_miou_disjoint_masks_zero():
     labels = np.array([[1, 1], [0, 0]], dtype=np.int64)
     preds = np.array([[0, 0], [1, 1]], dtype=np.int64)
-    per, mean = miou(preds, labels, 2)
+    per, mean = evaluate_fixed(preds, labels, 2)
     assert per == [0.0, 0.0] and mean == 0.0
 
 
@@ -245,7 +253,7 @@ def test_miou_hand_tallied_confusion():
     preds = labels.copy()
     preds[0, 0] = 1
     preds[3, 3] = 0
-    per, mean = miou(preds, labels, 2)
+    per, mean = evaluate_fixed(preds, labels, 2)
     assert per == [7 / 9, 7 / 9]
     assert mean == 7 / 9
 
@@ -253,7 +261,7 @@ def test_miou_hand_tallied_confusion():
 def test_miou_absent_class_excluded_from_mean():
     labels = np.zeros((2, 2), dtype=np.int64)
     preds = np.zeros((2, 2), dtype=np.int64)
-    per, mean = miou(preds, labels, 3)
+    per, mean = evaluate_fixed(preds, labels, 3)
     assert per[0] == 1.0 and np.isnan(per[1]) and np.isnan(per[2])
     assert mean == 1.0
 
@@ -261,7 +269,7 @@ def test_miou_absent_class_excluded_from_mean():
 def test_miou_respects_ignore():
     labels = np.array([[0, IGNORE_LABEL]], dtype=np.int64)
     preds = np.array([[0, 1]], dtype=np.int64)
-    per, mean = miou(preds, labels, 2)
+    per, mean = evaluate_fixed(preds, labels, 2)
     assert per[0] == 1.0 and np.isnan(per[1])
 
 
