@@ -13,6 +13,17 @@ pre-rearrangement channel chan(l, dy, dx) = l*s*s + dy*s + dx holds the
 prediction for class l at sub-pixel offset (dy, dx). Keeping the s*s offsets
 of one class contiguous makes the class axis of the rearranged map a plain
 reshape away.
+
+Bilinear upsampling is separable: one pass over rows, then one over columns,
+each a fixed (n_in*factor, n_in) matrix with at most two nonzero weights per
+row. The forward gathers those two taps from a cached table of the matrix's
+nonzero entries instead of multiplying by the dense matrix. It is still the
+dense product bit for bit on finite input: a sum of at most two nonzero
+products rounds the same in any order (no FMA), zero-weight terms add only
+signed zeros, and one final + 0.0 gives a zero sum the +0.0 a dense sum gives.
+Each (n, c) plane is gathered on its own, so the result does not depend on
+the batch size. The backward keeps the dense transposed product, the exact
+adjoint of the same matrices; the two share the weights, not a code path.
 """
 
 from __future__ import annotations
@@ -130,22 +141,66 @@ def _bilinear_matrix(n_in: int, factor: int) -> np.ndarray:
     return m
 
 
+@lru_cache
+def _bilinear_taps(n_in: int, factor: int):
+    """_bilinear_matrix's rows as two taps: (first, w_first, last, w_last).
+
+    Output o reads input first[o] and last[o], the first and last nonzero
+    columns of row o, with the row's own weights. A row with one nonzero
+    column (both taps clamped to one pixel, or an output centred on an input
+    pixel) has last == first and w_last == 0.0. Cached per (n_in, factor) and
+    shared by every caller, so read-only."""
+    m = _bilinear_matrix(n_in, factor)
+    n_out = m.shape[0]
+    first = np.empty(n_out, dtype=np.intp)
+    last = np.empty(n_out, dtype=np.intp)
+    for o, row in enumerate(m):
+        cols = np.flatnonzero(row)
+        first[o], last[o] = cols[0], cols[-1]
+    rows = np.arange(n_out)
+    w_first = m[rows, first]
+    w_last = np.where(last == first, 0.0, m[rows, last])
+    for a in (first, w_first, last, w_last):
+        a.flags.writeable = False
+    return first, w_first, last, w_last
+
+
+def _interpolate_axis(x: np.ndarray, axis: int, factor: int) -> np.ndarray:
+    """One separable pass: along axis, output o = w_first[o] * x[first[o]]
+    + w_last[o] * x[last[o]]."""
+    first, w_first, last, w_last = _bilinear_taps(x.shape[axis], factor)
+    trailing = (1,) * (x.ndim - 1 - axis)
+    out = x.take(first, axis=axis)
+    out *= w_first.reshape(-1, *trailing)
+    other = x.take(last, axis=axis)
+    other *= w_last.reshape(-1, *trailing)
+    out += other
+    return out
+
+
 def bilinear_upsample(x: np.ndarray, factor: int) -> np.ndarray:
     """Upscale both spatial axes by an integer factor; each output pixel is a
-    convex combination of at most 4 input pixels."""
+    convex combination of at most 4 input pixels.
+
+    An inf or NaN input pixel makes non-finite only the outputs that weight
+    it; every other output is what any finite value there would give."""
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
-    _, _, h, w = x.shape
-    my = _bilinear_matrix(h, factor)
-    mx = _bilinear_matrix(w, factor)
-    out = np.einsum("oh,nchw->ncow", my, x)
-    return np.einsum("pw,ncow->ncop", mx, out)
+    out = _interpolate_axis(_interpolate_axis(x, 2, factor), 3, factor)
+    out += 0.0  # a zero sum reads +0.0, as the dense product gives
+    return out
 
 
 def bilinear_backward(grad_out: np.ndarray, in_hw: tuple[int, int],
                       factor: int) -> np.ndarray:
-    """Adjoint of bilinear_upsample for gradient routing."""
+    """Adjoint of bilinear_upsample for gradient routing: the transposed
+    dense interpolation matrices, columns first, then rows."""
+    if factor < 1:
+        raise ValueError(f"factor must be >= 1, got {factor}")
     h, w = in_hw
+    if grad_out.shape[2:] != (h * factor, w * factor):
+        raise ValueError(f"grad_out plane {grad_out.shape[2:]} is not "
+                         f"{h}x{w} upsampled by {factor}")
     my = _bilinear_matrix(h, factor)
     mx = _bilinear_matrix(w, factor)
     return np.einsum("oh,ncow->nchw", my, np.einsum("pw,ncop->ncow", mx, grad_out))

@@ -5,6 +5,7 @@ set arithmetic) and never calls the code under test, so a bug would have to
 appear in two unrelated implementations to go unnoticed.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,43 @@ def naive_product_sum(a, b):
             for k in range(t):
                 acc += float(a[k][p]) * float(b[k][j])
             out[j, p] = acc
+    return out
+
+
+def bilinear_weights_1d(n_in, factor):
+    """Align-corners-false, edge-clamped interpolation weights for one axis as
+    a dense (n_in*factor, n_in) array. Output o sits at input coordinate
+    (o + 0.5) / factor - 0.5 and takes 1 - frac of the pixel left of it and
+    frac of the one right of it, each index clamped to the plane; a pixel
+    named twice sums its two weights, starting from 0.0."""
+    weights = np.zeros((n_in * factor, n_in))
+    for o in range(n_in * factor):
+        centre = (o + 0.5) / factor - 0.5
+        left = math.floor(centre)
+        frac = centre - left
+        row = {}
+        for i, wt in ((left, 1.0 - frac), (left + 1, frac)):
+            i = min(max(i, 0), n_in - 1)
+            row[i] = row.get(i, 0.0) + wt
+        for i, wt in row.items():
+            weights[o, i] = wt
+    return weights
+
+
+def naive_bilinear_upsample(x, factor):
+    """Rows first, then columns, each pass accumulating 0.0 + sum of w * x
+    over the summed input axis in index order, one numpy array add per
+    input row (then column). Zero weights are multiplied too, so a
+    non-finite input spreads NaN; use finite inputs."""
+    n, c, h, w = x.shape
+    wy = bilinear_weights_1d(h, factor)
+    wx = bilinear_weights_1d(w, factor)
+    rows = np.zeros((n, c, h * factor, w))
+    for i in range(h):
+        rows += wy[:, i : i + 1] * x[:, :, i : i + 1, :]
+    out = np.zeros((n, c, h * factor, w * factor))
+    for j in range(w):
+        out += wx[:, j] * rows[:, :, :, j : j + 1]
     return out
 
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import (
+    bilinear_weights_1d,
     fd_gradient,
     max_rel_err,
+    naive_bilinear_upsample,
     naive_conv2d,
     naive_conv2d_grad_w,
     naive_conv2d_grad_x,
@@ -22,6 +24,7 @@ from segconv.tensor import Rng, he_init
 from segconv.upsample import (
     DucSpec,
     _bilinear_matrix,
+    _bilinear_taps,
     bilinear_backward,
     bilinear_upsample,
     duc_backward,
@@ -197,14 +200,63 @@ def test_bilinear_rejects_bad_factor():
         bilinear_upsample(np.zeros((1, 1, 2, 2)), 0)
 
 
+@pytest.mark.parametrize("factor", [0, -1])
+def test_bilinear_backward_rejects_bad_factor(factor):
+    with pytest.raises(ValueError, match="factor must be >= 1"):
+        bilinear_backward(np.zeros((1, 1, 2, 2)), (2, 2), factor)
+
+
+@pytest.mark.parametrize("plane", [(8, 12), (12, 8), (11, 12), (3, 4)])
+def test_bilinear_backward_rejects_plane_not_in_hw_times_factor(plane):
+    with pytest.raises(ValueError, match="not 3x4 upsampled by 4"):
+        bilinear_backward(np.zeros((1, 2) + plane), (3, 4), 4)
+
+
+BILINEAR_SHAPES = [(1, 1, 1, 1), (1, 1, 3, 4), (2, 3, 5, 2), (3, 2, 4, 7)]
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("shape", BILINEAR_SHAPES + [(1, 3, 32, 32)])
+def test_bilinear_matches_oracle_bit_for_bit(factor, shape):
+    # signed zeros, tiny and huge magnitudes next to ordinary values: every
+    # product and two-term sum must round as the ordered dense sum does
+    rng = Rng(factor * 10 + shape[3])
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300])
+    picks = (he_init(shape, 2, rng) * 4).astype(np.int64) % special.size
+    for x in (he_init(shape, 2, rng), special[picks], np.where(picks % 2, -0.0, 0.0)):
+        got = bilinear_upsample(x, factor)
+        want = naive_bilinear_upsample(x, factor)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_bilinear_non_finite_input_reaches_only_the_outputs_that_weight_it(bad):
+    # a dense product would spread 0 * inf = NaN over whole rows and columns
+    x = he_init((1, 2, 5, 6), 2, Rng(13))
+    out = bilinear_upsample(x, 3)
+    x[0, 1, 2, 4] = bad
+    with np.errstate(invalid="ignore"):  # 0.0 * inf on a zero-weight second tap
+        hit = bilinear_upsample(x, 3)
+    weighted = np.outer(bilinear_weights_1d(5, 3)[:, 2] != 0.0,
+                        bilinear_weights_1d(6, 3)[:, 4] != 0.0)
+    assert np.array_equal(~np.isfinite(hit[0, 1]), weighted)
+    assert hit[0, 1][~weighted].tobytes() == out[0, 1][~weighted].tobytes()
+    assert hit[0, 0].tobytes() == out[0, 0].tobytes()
+
+
 def test_bilinear_adjoint_consistency():
-    # <up(x), g> == <x, up^T(g)> makes the gradient routing exact
+    # <up(x), g> == <x, up^T(g)> makes the gradient routing exact; the
+    # gather forward and the dense backward share no code path
     rng = Rng(9)
-    x = he_init((1, 2, 3, 4), 2, rng)
-    g = he_init((1, 2, 12, 16), 2, rng)
-    lhs = float(np.sum(bilinear_upsample(x, 4) * g))
-    rhs = float(np.sum(x * bilinear_backward(g, (3, 4), 4)))
-    assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+    for factor in range(1, 6):
+        for n, c, h, w in BILINEAR_SHAPES:
+            x = he_init((n, c, h, w), 2, rng)
+            g = he_init((n, c, h * factor, w * factor), 2, rng)
+            up = bilinear_upsample(x, factor) * g
+            down = x * bilinear_backward(g, (h, w), factor)
+            scale = float(np.sum(np.abs(up)))
+            assert abs(float(np.sum(up)) - float(np.sum(down))) <= 1e-12 * scale, (factor, h, w)
 
 
 def test_bilinear_matrix_is_cached_read_only():
@@ -214,6 +266,14 @@ def test_bilinear_matrix_is_cached_read_only():
     assert m is _bilinear_matrix(3, 4)
     with pytest.raises(ValueError):
         m[0, 0] = 0.0
+
+
+def test_bilinear_taps_are_cached_read_only():
+    taps = _bilinear_taps(3, 4)
+    assert taps is _bilinear_taps(3, 4)
+    for a in taps:
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 # -- transposed convolution -------------------------------------------------------
