@@ -4,7 +4,9 @@ Verbs: check, footprint, rf, search, duc-demo, train, eval.
 
 Exit codes: 0 success (for `check`: schedule valid); 1 usage error (bad
 flags, an image size or class count that does not fit the net, a malformed
-net.json or one whose layer entries its topology does not build), a file
+net.json or one whose layer entries its topology does not build, a `search`
+over hdc.SEARCH_MAX_TUPLES candidate tuples or SEARCH_MAX_LAYERS layers,
+refused before any work unless its target is past the RF bound), a file
 that cannot be read or written, or out of memory (a net too wide to
 allocate, from --channels or a net.json width); 2 schedule invalid (`check`,
 gridding holes predicted) or a failed equivalence (`duc-demo`); 3 training

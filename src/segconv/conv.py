@@ -8,7 +8,8 @@ Conventions, fixed once here:
   (out_y * stride + ky * r, out_x * stride + kx * r). The paper's 1-D
   textbook form lives in tests/oracles.py as a reference.
 * One gather and one scatter serve all four ops. _taps reads a zero-padded
-  copy of its input through one strided view into the im2col matrix
+  copy of its input through one strided np.ndarray view over that copy's
+  buffer (bounds-checked when built) into the im2col matrix
   taps[(c, ky, kx), (n, oy, ox)] (Chellapilla et al., 2006), for the conv
   forward, conv grad_w and the transposed-conv backward. _overlap_add adds
   columns back onto a canvas, for conv grad_x and the transposed-conv
@@ -63,7 +64,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Rng, he_init
 
@@ -213,14 +213,15 @@ def _product_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 def _taps(x: np.ndarray, k: int, r: int, s: int, p: int, ho: int, wo: int) -> np.ndarray:
     """The C-contiguous im2col matrix taps[(c, ky, kx), (n, oy, ox)] ==
     x zero-padded by p at [n, c, oy*s + ky*r, ox*s + kx*r]: the forward's
-    product sum and the backwards' GEMMs read it. The caller keeps
-    (ho-1)*s + (k-1)*r inside both padded spatial axes."""
+    product sum and the backwards' GEMMs read it. The window is one 6-D
+    np.ndarray over the padded copy, checked against its bounds; the caller
+    keeps (ho-1)*s + (k-1)*r inside both padded spatial axes."""
     n, c, h, w = x.shape
     xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float64)
     xp[:, :, p : p + h, p : p + w] = x
     sn, sc, sy, sx = xp.strides
-    win = as_strided(xp, (c, k, k, n, ho, wo),
-                     (sc, sy * r, sx * r, sn, sy * s, sx * s), writeable=False)
+    win = np.ndarray((c, k, k, n, ho, wo), np.float64, buffer=xp, offset=0,
+                     strides=(sc, sy * r, sx * r, sn, sy * s, sx * s))
     return np.ascontiguousarray(win).reshape(c * k * k, n * ho * wo)
 
 

@@ -154,23 +154,42 @@ def rf_increase_for_rates(rates, kernel: int) -> int:
     return (kernel - 1) * sum(rates)
 
 
+SEARCH_MAX_TUPLES = 10**7  # at about 3.5 us a tuple (2-core VM), about 35 s
+SEARCH_MAX_LAYERS = SEARCH_MAX_TUPLES.bit_length()  # 24: past it, 2**n > 10**7
+
+
 def schedule_search(n: int, kernel: int, rf_target: int) -> list[DilationSchedule]:
     """Enumerate rate tuples (each rate in 1..rf_target) and keep those that
     the analytic rule accepts, whose RF increase (K-1) * sum(rates) reaches
     the target, and whose footprint is hole-free. Sorted by RF descending,
     then rates.
 
+    Once the arguments are checked, rf_target > K**n - 1 returns [] at once:
+    a hole-free line covers 1 + (K-1)*sum(rates) positions with K**n tap
+    combinations. Then a query over SEARCH_MAX_LAYERS (which also bounds
+    target 1's one candidate, with its O(n**2) footprint) or
+    SEARCH_MAX_TUPLES raises ValueError. Neither check raises K or
+    rf_target to a huge n.
+
     Call contract: max_distance runs exactly once per enumerated tuple
-    (rf_target**n calls) and footprint once per rule-valid tuple that
-    reaches the target, both looked up as module globals. The benchmark's
-    traced runs wrap those two globals and check the call counts against
-    perfbench/reference.json, so a search that skips or batches either call
-    must land with a re-recorded reference, not before.
+    (rf_target**n calls, none for a query the bound rules out) and
+    footprint once per rule-valid tuple that reaches the target, both looked
+    up as module globals. The benchmark's traced runs wrap those two globals
+    and check the call counts against perfbench/reference.json (its three
+    queries are within the bound and the caps), so a search that skips or
+    batches either call must land with a re-recorded reference, not before.
     """
     if n < 2:
         raise ValueError("search needs at least 2 layers")
     if rf_target < 1:
         raise ValueError("rf_target must be >= 1")
+    DilationSchedule((1,), kernel)  # rejects a bad kernel before the bound
+    # past rf_target's bit length, K**n > rf_target holds anyway
+    if kernel ** min(n, rf_target.bit_length()) <= rf_target:
+        return []
+    if n > SEARCH_MAX_LAYERS or rf_target**n > SEARCH_MAX_TUPLES:
+        raise ValueError(f"search of {rf_target}**{n} candidate tuples is over the limit "
+                         f"of {SEARCH_MAX_TUPLES} tuples and {SEARCH_MAX_LAYERS} layers")
     found = []
     for rates in product(range(1, rf_target + 1), repeat=n):
         sched = DilationSchedule(rates, kernel)

@@ -78,8 +78,11 @@ def sgd_step(p: np.ndarray, g: np.ndarray, v: np.ndarray, cfg: SgdConfig,
     if not p.shape == g.shape == v.shape:
         raise ValueError(f"shape mismatch: p {p.shape}, g {g.shape}, v {v.shape}")
     lr = poly_lr(iteration, cfg)
+    step = np.multiply(p, cfg.weight_decay)  # lr*(g + wd*p) in one temporary
+    step += g
+    step *= lr
     v *= cfg.momentum
-    v -= lr * (g + cfg.weight_decay * p)
+    v -= step
     p += v
 
 
@@ -90,7 +93,9 @@ def softmax_ce_loss(logits: np.ndarray, labels: np.ndarray, mean: bool = False):
     labels is (n, H, W) or (H, W) with values in 0..L-1 or IGNORE_LABEL.
     Returns (loss, grad_logits); the gradient is an array shaped like logits:
     softmax minus one-hot at each contributing pixel (scaled by 1/count when
-    mean=True).
+    mean=True). Both read the true class through one flat index,
+    (n*L + label)*H*W + pixel in (n, y, x) order; only when some pixel is
+    ignored is it filtered and that pixel's gradient zeroed.
     """
     n, L, h, w = logits.shape
     lab = np.asarray(labels, dtype=np.int64)
@@ -102,23 +107,28 @@ def softmax_ce_loss(logits: np.ndarray, labels: np.ndarray, mean: bool = False):
     if np.any((lab < 0) | ((lab >= L) & valid)):
         raise ValueError(f"label values outside 0..{L-1}")
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    # C order, so that the flat index below addresses views of every array
+    shifted = np.subtract(logits, logits.max(axis=1, keepdims=True), order="C")
     ez = np.exp(shifted)
     norm = ez.sum(axis=1, keepdims=True)
-    soft = ez / norm
+    grad = np.divide(ez, norm, out=ez)  # the softmax, then the gradient
     log_soft = shifted - np.log(norm)  # stable even when soft underflows to 0
 
-    grad = soft.copy()
-    ni, yi, xi = np.nonzero(valid)
-    li = lab[ni, yi, xi]
-    loss = float(-log_soft[ni, li, yi, xi].sum())
-    grad[ni, li, yi, xi] -= 1.0
-    grad[~valid[:, None, :, :].repeat(L, axis=1)] = 0.0
+    hw = h * w
+    pos = ((lab.reshape(n, hw) + np.arange(0, n * L, L)[:, None]) * hw
+           + np.arange(hw)).ravel()
+    ignored = not valid.all()
+    if ignored:
+        pos = pos[valid.ravel()]
+    loss = float(-log_soft.reshape(-1)[pos].sum())
+    grad.reshape(-1)[pos] -= 1.0
+    if ignored:
+        np.copyto(grad, 0.0, where=~valid[:, None])
     if mean:
-        count = max(len(ni), 1)
+        count = max(pos.size, 1)
         loss /= count
         grad /= count
-    if len(ni) == 0:
+    if pos.size == 0:
         loss = 0.0
     return loss, grad
 
@@ -159,7 +169,8 @@ class ToyNet:
     decoder: each of its branches makes a ConvLayer (the one layer type; the
     transposed convs hold a TransposedConvSpec) through ConvLayer.initialized
     and appends that layer's stage to one ordered stage list, which is the
-    whole forward pass. A stage is (param name, forward(x) -> (out, taps),
+    whole forward pass. A stage is (grad keys ("<layer>.w", "<layer>.b"),
+    forward(x) -> (out, taps),
     backward(x, g, taps) -> (gx, gw, gb), tanh after?), taps being the conv's
     im2col matrix that its backward reuses for grad_w (None for a transposed
     conv; forward's cache keeps it with the stage's input and activation,
@@ -199,6 +210,10 @@ class ToyNet:
             raise ValueError("cell > 1 only applies to the duc decoder")
         net = ToyNet(d, schedule, decoder, classes, width, cell)
         rng = None if seed is None else Rng(seed)
+
+        def stage(name, fwd, bwd, tanh):
+            net.stages.append(((f"{name}.w", f"{name}.b"), fwd, bwd, tanh))
+
         k, c = schedule.kernel, 1  # one-channel images
         enc = []
         for cw in [width] if d == 2 else [width, 2 * width]:
@@ -209,19 +224,18 @@ class ToyNet:
         for i, spec in enumerate(enc):
             L = ConvLayer.initialized(spec, rng)
             net.encoder_layers.append(L)
-            net.stages.append((f"enc{i}",
-                               lambda x, L=L: conv2d_forward(x, L, return_taps=True),
-                               lambda x, g, taps, L=L, gx=i > 0:
-                                   conv2d_backward(x, L, g, taps, input_grad=gx),
-                               True))
+            stage(f"enc{i}", lambda x, L=L: conv2d_forward(x, L, return_taps=True),
+                  lambda x, g, taps, L=L, gx=i > 0:
+                      conv2d_backward(x, L, g, taps, input_grad=gx),
+                  True)
 
         if decoder == "duc":
             duc = DucSpec(d=d, classes=classes, cell=cell)
             L = ConvLayer.initialized(ConvSpec(k=3, r=1, stride=1, c_in=c,
                                                c_out=duc.conv_channels, pad=1), rng)
             net.decoder_layers.append(L)
-            net.stages.append(("dec0", lambda x: duc_forward(x, L, duc, return_taps=True),
-                               lambda x, g, taps: duc_backward(x, L, duc, g, taps), False))
+            stage("dec0", lambda x: duc_forward(x, L, duc, return_taps=True),
+                  lambda x, g, taps: duc_backward(x, L, duc, g, taps), False)
         elif decoder == "bilinear":
             L = ConvLayer.initialized(ConvSpec(k=3, r=1, stride=1, c_in=c,
                                                c_out=classes, pad=1), rng)
@@ -231,11 +245,10 @@ class ToyNet:
                 out, taps = conv2d_forward(x, L, return_taps=True)
                 return bilinear_upsample(out, d), taps
 
-            net.stages.append((
-                "dec0", upsampled,
-                lambda x, g, taps: conv2d_backward(
-                    x, L, bilinear_backward(g, x.shape[2:], d), taps),
-                False))
+            stage("dec0", upsampled,
+                  lambda x, g, taps: conv2d_backward(
+                      x, L, bilinear_backward(g, x.shape[2:], d), taps),
+                  False)
         else:  # one x2 transposed conv per factor of 2 in d
             last = d // 2 - 1
             for i in range(d // 2):
@@ -243,9 +256,8 @@ class ToyNet:
                                           c_out=classes if i == last else c, pad=1)
                 L = ConvLayer.initialized(spec, rng)
                 net.decoder_layers.append(L)
-                net.stages.append((
-                    f"dec{i}", lambda x, L=L: (transposed_conv_forward(x, L), None),
-                    lambda x, g, taps, L=L: transposed_conv_backward(x, L, g), i < last))
+                stage(f"dec{i}", lambda x, L=L: (transposed_conv_forward(x, L), None),
+                      lambda x, g, taps, L=L: transposed_conv_backward(x, L, g), i < last)
 
         net.flat = np.concatenate([a.ravel() for _, L in net.named_layers()
                                    for a in (L.weights, L.bias)])
@@ -280,15 +292,15 @@ class ToyNet:
     # -- forward / backward -------------------------------------------------
 
     def _run(self, x: np.ndarray, cache: list | None) -> np.ndarray:
-        """Logits for images x (n, 1, H, W); appends (name, backward, input,
-        taps, activation or None) per stage to cache unless it is None."""
+        """Logits for images x (n, 1, H, W); appends (grad keys, backward,
+        input, taps, activation or None) per stage to cache unless it is None."""
         cur = (x - self.INPUT_OFFSET) * self.INPUT_SCALE
-        for name, fwd, bwd, tanh in self.stages:
+        for keys, fwd, bwd, tanh in self.stages:
             out, taps = fwd(cur)
             if tanh:
                 out = np.tanh(out, out=out)
             if cache is not None:
-                cache.append((name, bwd, cur, taps, out if tanh else None))
+                cache.append((keys, bwd, cur, taps, out if tanh else None))
             cur = out
             del taps  # without a cache, no stage's taps outlive it
         return cur
@@ -302,25 +314,43 @@ class ToyNet:
     def backward(self, cache, grad_logits: np.ndarray, grads: dict | None = None) -> dict:
         """Gradients of every parameter, written into grads (views shaped
         and keyed like params(), from param_views()) or else into views of a
-        new vector; returns them."""
+        new vector; returns them. A tanh stage's g*(1 - act*act) takes one
+        buffer."""
         if grads is None:
             grads = self.param_views(np.empty_like(self.flat))
         g = grad_logits
-        for name, bwd, inp, taps, act in reversed(cache):
+        for (w_key, b_key), bwd, inp, taps, act in reversed(cache):
             if act is not None:
-                g = g * (1.0 - act * act)
+                deriv = np.multiply(act, act)
+                g = np.multiply(g, np.subtract(1.0, deriv, out=deriv), out=deriv)
             g, gw, gb = bwd(inp, g, taps)
-            grads[f"{name}.w"][...] = gw
-            grads[f"{name}.b"][...] = gb
+            grads[w_key][...] = gw
+            grads[b_key][...] = gb
         return grads
 
     def predict(self, image: np.ndarray) -> np.ndarray:
         """Argmax label grid at full input resolution (cell blocks repeated);
         keeps no cache."""
-        pred = self._run(image, None).argmax(axis=1)[0]
+        pred = _class_argmax(self._run(image, None)[0])
         if self.cell > 1:
             pred = np.repeat(np.repeat(pred, self.cell, axis=0), self.cell, axis=1)
-        return pred.astype(np.int64)
+        return pred
+
+
+def _class_argmax(planes: np.ndarray) -> np.ndarray:
+    """np.argmax(planes, axis=0) as int64, by compare-select over the (L, H, W)
+    class planes: a strict > keeps the first maximum of a tie, and np.argmax
+    redoes each pixel whose running max is NaN (its first NaN wins)."""
+    best = planes[0]
+    idx = np.zeros(best.shape, dtype=np.int64)
+    for label in range(1, planes.shape[0]):
+        plane = planes[label]
+        np.maximum(idx, (plane > best) * label, out=idx)
+        best = np.maximum(best, plane)
+    nan = np.isnan(best)
+    if nan.any():
+        idx[nan] = planes[:, nan].argmax(axis=0)
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +400,7 @@ def _confusion(preds: np.ndarray, labels: np.ndarray, classes: int) -> np.ndarra
     """(classes, classes) pixel counts, row = label, column = prediction;
     ignored pixels are skipped."""
     valid = labels != IGNORE_LABEL
-    p, t = preds[valid], labels[valid]
+    p, t = (preds.ravel(), labels.ravel()) if valid.all() else (preds[valid], labels[valid])
     if p.size and (min(p.min(), t.min()) < 0 or max(p.max(), t.max()) >= classes):
         raise ValueError(f"predictions or labels outside 0..{classes - 1}")
     flat = np.bincount(t * classes + p, minlength=classes * classes)

@@ -238,6 +238,35 @@ def naive_sgd_step(params, grads, state, lr, momentum, weight_decay):
         p += v
 
 
+def naive_softmax_ce(logits, labels, ignore, mean=False):
+    """Pixelwise cross-entropy, one pixel at a time over Python floats: the
+    logits (n, L, H, W) shifted by the pixel's max, log-sum-exp, loss
+    -log p[label] and gradient softmax minus one-hot. A pixel labelled
+    `ignore` adds nothing and keeps a zero gradient. With mean, loss and
+    gradient are divided by the number of pixels that count, if any.
+    Returns (loss, grad)."""
+    n, classes, h, w = logits.shape
+    grad = np.zeros(logits.shape)
+    loss, count = 0.0, 0
+    for b in range(n):
+        for y in range(h):
+            for x in range(w):
+                label = int(labels[b, y, x])
+                if label == ignore:
+                    continue
+                z = [float(logits[b, c, y, x]) for c in range(classes)]
+                top = max(z)
+                lse = math.log(math.fsum(math.exp(v - top) for v in z))
+                loss -= z[label] - top - lse
+                for c in range(classes):
+                    grad[b, c, y, x] = math.exp(z[c] - top - lse) - (c == label)
+                count += 1
+    if mean and count:
+        loss /= count
+        grad /= count
+    return loss, grad
+
+
 def naive_majority_downsample(labels, cell, ignore):
     """Per-block loop: each cell x cell block's most frequent label among
     the pixels that are not `ignore`, ties to the smaller label, `ignore`

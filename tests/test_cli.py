@@ -8,6 +8,7 @@ import pytest
 
 import segconv
 from oracles import read_pgm
+from segconv import hdc
 from segconv.cli import EXIT_DIVERGED, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 
 SCHEMAS = Path(segconv.__file__).parent / "schemas"
@@ -159,6 +160,30 @@ def test_search_empty_result_still_succeeds(capsys):
                     "--rf-target", "50")
     assert code == EXIT_OK
     assert rep["schedules"] == []
+
+
+@pytest.mark.parametrize("layers,rf_target", [("2", "50"), ("3", str(10**12))])
+def test_search_past_the_rf_bound_is_empty_before_any_work(capsys, monkeypatch,
+                                                          layers, rf_target):
+    # rf_target > 3**layers - 1: no tuple is enumerated, and the size limit
+    # (10**24 tuples for the second) does not apply
+    monkeypatch.setattr(hdc, "max_distance", None)
+    code, rep = run(capsys, "search", "--layers", layers, "--kernel", "3",
+                    "--rf-target", rf_target)
+    assert code == EXIT_OK
+    assert rep["schedules"] == []
+
+
+@pytest.mark.parametrize("layers,rf_target", [("5", "100"), (str(10**9), "100"),
+                                              (str(10**9), "1"), ("25", "1")])
+def test_search_over_the_size_limit_is_refused_before_any_work(capsys, monkeypatch,
+                                                                layers, rf_target):
+    monkeypatch.setattr(hdc, "max_distance", None)
+    msg = fails(capsys, EXIT_USAGE, "search", "--layers", layers, "--kernel", "3",
+                "--rf-target", rf_target)
+    assert msg == (f"usage error: search of {rf_target}**{layers} candidate tuples is "
+                   f"over the limit of {hdc.SEARCH_MAX_TUPLES} tuples and "
+                   f"{hdc.SEARCH_MAX_LAYERS} layers")
 
 
 @pytest.mark.parametrize("layers,rf_target", [("3", "12"), ("2", "50")])

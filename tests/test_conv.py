@@ -20,6 +20,7 @@ from segconv.conv import (
     ConvSpec,
     TransposedConvSpec,
     _product_sum,
+    _taps,
     conv2d_backward,
     conv2d_forward,
     same_padding,
@@ -504,6 +505,16 @@ def test_backward_with_the_forwards_taps_is_identical():
         gx, gw, gb = conv2d_backward(x, layer, g, taps, input_grad=False)
         assert gx is None
         assert gw.tobytes() == built[1].tobytes() and gb.tobytes() == built[2].tobytes()
+
+
+def test_taps_refuses_a_window_past_the_padded_buffer():
+    # the window view is built against the padded copy's bounds, so an
+    # output size the geometry does not fit raises instead of reading
+    # past the buffer
+    x = Rng(25).normal(2 * 3 * 6 * 5).reshape(2, 3, 6, 5)
+    assert _taps(x, 3, 2, 1, 2, 6, 5).shape == (27, 60)
+    with pytest.raises(ValueError, match="size of buffer"):
+        _taps(x, 3, 2, 1, 2, 10, 5)
 
 
 def test_grad_w_matches_the_window_contraction_over_geometry_sweep():

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     footprint_counts_2d,
@@ -240,24 +242,43 @@ def test_search_finds_canonical_ramp():
     assert rfs == sorted(rfs, reverse=True)
 
 
+def brute_force_search(n, k, target):
+    """Every tuple with independent checks: the RF sum, the paper's
+    recurrence, and a gap-free 1-D tap support (the 2-D footprint is its
+    outer product, so this is hole-free); in schedule_search's order."""
+    want = []
+    for rates in itertools.product(range(1, target + 1), repeat=n):
+        rf = (k - 1) * sum(rates)
+        if rf >= target and max_gap_rule(rates, k)[1]:
+            pts = tap_positions_1d(rates, k)
+            if len(pts) == pts[-1] + 1:
+                want.append((-rf, rates))
+    return [rates for _, rates in sorted(want)]
+
+
 def test_search_is_complete_and_in_order():
-    # brute force over every tuple with independent checks: the paper's
-    # recurrence, the RF sum, and a gap-free 1-D tap support (the 2-D
-    # footprint is its outer product, so this is hole-free)
     for n in (2, 3):
         for k in (3, 5):
             for target in (5, 8, 13):
-                want = []
-                for rates in itertools.product(range(1, target + 1), repeat=n):
-                    rf = (k - 1) * sum(rates)
-                    if max_gap_rule(rates, k)[1] and rf >= target:
-                        pts = tap_positions_1d(rates, k)
-                        if len(pts) == pts[-1] + 1:
-                            want.append((-rf, rates))
-                want.sort()
                 found = schedule_search(n, k, target)
-                assert [s.rates for s in found] == [rates for _, rates in want]
+                assert [s.rates for s in found] == brute_force_search(n, k, target)
                 assert all(s.kernel == k for s in found)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(query=st.sampled_from([(2, 3), (2, 5), (3, 3)]).flatmap(
+    lambda nk: st.tuples(st.just(nk[0]), st.just(nk[1]),
+                         st.integers(1, nk[1] ** nk[0] + 3))))
+def test_search_equals_brute_force_around_the_rf_bound(query):
+    # targets up to K**n + 3: past K**n - 1 the search returns [] without
+    # enumerating a tuple, and brute force agrees that none qualifies
+    n, k, target = query
+    calls = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hdc, "max_distance", lambda s, f=hdc.max_distance: calls.append(1) or f(s))
+        found = schedule_search(n, k, target)
+    assert [s.rates for s in found] == brute_force_search(n, k, target)
+    assert (len(calls) == 0) == (target > k**n - 1)
 
 
 def test_search_call_contract_matches_the_benchmark_reference(monkeypatch):
@@ -296,6 +317,13 @@ def test_search_depth_two_cannot_reach_large_rf():
 def test_search_rejects_single_layer():
     with pytest.raises(ValueError):
         schedule_search(1, 3, 4)
+
+
+@pytest.mark.parametrize("kernel", [1, 4, 2.0])
+def test_search_checks_the_kernel_before_the_bound(kernel):
+    # 50 > kernel**2 - 1 for each, so the bound alone would return []
+    with pytest.raises(ValueError, match="kernel"):
+        schedule_search(2, kernel, 50)
 
 
 # -- reports and exports -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -8,8 +9,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from oracles import fd_gradient, max_rel_err, naive_majority_downsample, naive_sgd_step
+from oracles import (fd_gradient, max_rel_err, naive_majority_downsample, naive_sgd_step,
+                     naive_softmax_ce)
 from segconv.data import IGNORE_LABEL, gen_thin_structures
 from segconv.hdc import DilationSchedule, coverage_report, footprint
 from segconv.tensor import Rng
@@ -17,6 +22,7 @@ from segconv.train import (
     SgdConfig,
     ToyNet,
     TrainingDiverged,
+    _class_argmax,
     evaluate,
     load_net,
     majority_downsample,
@@ -187,6 +193,75 @@ def test_loss_stays_finite_for_extreme_logits():
     loss, grad = softmax_ce_loss(logits, labels)
     assert np.isfinite(loss) and loss > 9e3
     assert np.all(np.isfinite(grad))
+
+
+def loss_case(seed, n, classes, ignored, scale=3.0):
+    """Seeded (logits, labels) on 3x5 planes: logits scale * N(0, 1), labels
+    uniform over the classes, then each pixel set to IGNORE_LABEL with
+    probability `ignored` (1.0 ignores them all)."""
+    rng = Rng(seed)
+    logits = scale * rng.normal(n * classes * 15).reshape(n, classes, 3, 5)
+    labels = (rng.next_u64(n * 15) % np.uint64(classes)).astype(np.int64)
+    labels[rng.uniform(n * 15) < ignored] = IGNORE_LABEL
+    return logits, labels.reshape(n, 3, 5)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("classes", [2, 3, 5])
+@pytest.mark.parametrize("ignored", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("mean", [False, True])
+def test_loss_matches_the_per_pixel_oracle(n, classes, ignored, mean):
+    logits, labels = loss_case(100 * n + classes, n, classes, ignored)
+    loss, grad = softmax_ce_loss(logits, labels, mean=mean)
+    want_loss, want_grad = naive_softmax_ce(logits, labels, IGNORE_LABEL, mean=mean)
+    assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+    assert np.abs(grad - want_grad).max() <= 1e-12
+    if ignored == 1.0:
+        assert loss == 0.0 and not grad.any()
+
+
+def test_loss_of_non_c_ordered_logits_equals_the_c_ordered_one():
+    # the true class is read and written through a flat C-order index
+    logits, labels = loss_case(31, 2, 3, 0.4)
+    want_loss, want_grad = softmax_ce_loss(logits, labels)
+    for other in (np.asfortranarray(logits),
+                  np.flip(np.flip(logits, 3).copy(), 3),
+                  np.pad(logits, ((0, 0), (0, 0), (0, 0), (0, 2)))[..., :5]):
+        loss, grad = softmax_ce_loss(other, labels)
+        assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+
+
+# (seed, n, classes, ignored share, logit scale, mean) -> repr of the loss and
+# the first 16 hex digits of the sha256 of the gradient's bytes, recorded
+# before softmax_ce_loss took its one-flat-index form; that rewrite kept
+# every bit, and so must any later one.
+LOSS_BITS = {
+    (102, 1, 2, 0.0, 3.0, False): ("29.88967964634145", "66ebd5923d52a2f0"),
+    (102, 1, 2, 0.4, 3.0, True): ("2.2345692586040307", "eace536e3a2063c9"),
+    (103, 1, 3, 0.0, 3.0, False): ("28.843372221813663", "8ca4bd24ad863765"),
+    (103, 1, 3, 0.4, 3.0, True): ("1.337012167409401", "c2925a41dd2d1dc6"),
+    (105, 1, 5, 0.0, 3.0, False): ("73.17188733792165", "be318756e3280101"),
+    (105, 1, 5, 0.4, 3.0, True): ("4.706131577190444", "e6c8bdcf738d5612"),
+    (202, 2, 2, 0.0, 3.0, False): ("32.293341162600335", "e3b3531c8ad60fae"),
+    (202, 2, 2, 0.4, 3.0, True): ("1.0952128801571739", "4a63fd8da8453ab8"),
+    (203, 2, 3, 0.0, 3.0, False): ("66.1109755541612", "a092645c53040216"),
+    (203, 2, 3, 0.4, 3.0, True): ("2.9884560640011673", "02c69686eb27ef58"),
+    (205, 2, 5, 0.0, 3.0, False): ("123.01799866781145", "108c9262a895cf1b"),
+    (205, 2, 5, 0.4, 3.0, True): ("3.8417260202184194", "5ee96a651389658e"),
+    (7, 1, 3, 0.0, 300.0, False): ("4375.433426606831", "f20120a5a0f587b7"),
+    (8, 2, 5, 0.4, 300.0, True): ("235.3687462802102", "ebdc9cf0b1f760b7"),
+    (9, 2, 3, 1.0, 3.0, False): ("0.0", "fe2f74a1e0b16a66"),
+    (10, 1, 2, 1.0, 3.0, True): ("0.0", "2dfba633817046c7"),
+}
+
+
+def test_loss_bits_match_the_recorded_values():
+    assert len(LOSS_BITS) == 16
+    for (seed, n, classes, ignored, scale, mean), want in LOSS_BITS.items():
+        loss, grad = softmax_ce_loss(*loss_case(seed, n, classes, ignored, scale),
+                                     mean=mean)
+        got = (repr(loss), hashlib.sha256(grad.tobytes()).hexdigest()[:16])
+        assert got == want, (seed, n, classes, ignored, scale, mean)
 
 
 # -- label block reduction ---------------------------------------------------------
@@ -386,6 +461,41 @@ def test_training_determinism_bitwise():
     assert c1 == c2
 
 
+# decoder -> (sha256 of the loss curve's float64 bytes, sha256 of net.flat's
+# bytes), each cut to 16 hex digits
+TRAINING_BITS = {
+    "duc": ("cedb07d518633454", "f98c9a7a6cc906b9"),
+    "bilinear": ("90e8e9ae603d0717", "dc0220ef201340d0"),
+    "deconv": ("ad5a8becbf5fe609", "76bb6101b4bfa31e"),
+}
+
+
+def test_training_bits_match_the_recorded_hashes():
+    """One round of the benchmark's `train` workload at seed 0: criterion 8's
+    config (tests/data/decoder_comparison_runlog.json) trained for 16
+    iterations per decoder, with max_iter 16. The hashes were recorded with
+    numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64, before the bit-identical
+    rewrite of the loss, _taps, sgd_step and the tanh derivative; another
+    numpy, libm or BLAS kernel may round differently. A change that alters
+    the training bits on purpose re-records them and says so in CHANGES.md."""
+    cfg = json.loads((Path(__file__).parent / "data" / "decoder_comparison_runlog.json")
+                     .read_text())["config"]
+    data = gen_thin_structures(cfg["train_size"], cfg["size"], cfg["size"],
+                               cfg["thickness"], cfg["classes"], Rng(cfg["train_data_seed"]))
+    sgd = SgdConfig(base_lr=cfg["base_lr"], power=cfg["power"], max_iter=16,
+                    momentum=cfg["momentum"], weight_decay=cfg["weight_decay"],
+                    batch=cfg["batch"], seed=cfg["net_seed"])
+    sched = DilationSchedule(rates=tuple(cfg["schedule"]), kernel=cfg["kernel"])
+    got = {}
+    for dec in ("duc", "bilinear", "deconv"):
+        net = ToyNet.build(d=cfg["d"], schedule=sched, decoder=dec, classes=cfg["classes"],
+                           seed=cfg["net_seed"], width=cfg["width"])
+        curve = np.array(train(net, data, sgd))
+        got[dec] = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16]
+                         for a in (curve, net.flat))
+    assert got == TRAINING_BITS
+
+
 # Trains one net per decoder at 64x64 and prints each loss curve and the
 # sha256 of the net's final flat parameter vector.
 _TRAIN_AND_HASH = """
@@ -534,6 +644,18 @@ def test_a_loaded_net_trains_in_place():
     train(net, data, SgdConfig(base_lr=1e-2, max_iter=1))
     assert not np.array_equal(net.encoder_layers[0].weights, before)
     assert np.shares_memory(net.encoder_layers[0].weights, net.flat)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(planes=hnp.array_shapes(min_dims=3, max_dims=3, max_side=6).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape, elements=st.sampled_from(
+        [-np.inf, -1.5, -0.0, 0.0, 1.5, np.inf, np.nan]) | st.floats(-3, 3))))
+def test_class_argmax_equals_numpy_argmax(planes):
+    # ties, signed zeros, infinities and NaN: the first maximum wins, and
+    # argmax counts NaN as the maximum
+    got = _class_argmax(planes)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.argmax(planes, axis=0))
 
 
 def test_evaluate_keeps_no_taps_or_cache():
