@@ -6,7 +6,9 @@ Exit codes: 0 success (for `check`: schedule valid); 1 usage error (bad
 flags, an image size or class count that does not fit the net, a malformed
 net.json or one whose layer entries its topology does not build, a `search`
 over hdc.SEARCH_MAX_TUPLES candidate tuples or SEARCH_MAX_LAYERS layers,
-refused before any work unless its target is past the RF bound), a file
+refused before any work unless its target is past the RF bound, a
+`footprint` whose grid side is over FOOTPRINT_MAX_SIDE, refused before any
+work and before the output directory is made), a file
 that cannot be read or written, or out of memory (a net too wide to
 allocate, from --channels or a net.json width); 2 schedule invalid (`check`,
 gridding holes predicted) or a failed equivalence (`duc-demo`); 3 training
@@ -66,6 +68,11 @@ EXIT_INVALID = 2
 EXIT_DIVERGED = 3
 
 
+# The footprint writers build side**2 grids (the pgm's of Python ints): at
+# this side a pgm took 6.8 s and 413 MB, a csv 5.6 s and 189 MB (2-core VM).
+FOOTPRINT_MAX_SIDE = 4097
+
+
 class UsageError(Exception):
     pass
 
@@ -112,6 +119,10 @@ def cmd_check(args) -> int:
 
 def cmd_footprint(args) -> int:
     sched = DilationSchedule(rates=_parse_rates(args.rates), kernel=args.kernel)
+    side = 1 + rf_increase_for_rates(sched.rates, sched.kernel)
+    if side > FOOTPRINT_MAX_SIDE:
+        raise UsageError(f"footprint grid side {side} is over the limit of "
+                         f"{FOOTPRINT_MAX_SIDE}")
     fp = footprint(sched)
     out = Path(args.out) if args.out else _default_out(f"footprint.{args.format}")
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -44,9 +44,10 @@ Conventions, fixed once here:
   of products), test_one_pixel_results_keep_the_sequential_order and
   test_forward_keeps_signed_zeros_of_the_naive_loop.
 * The backward GEMMs have no order contract; tests give them a 1e-12
-  tolerance. Conv grad_w is grad_out[co, (n, oy, ox)] @ taps.T, with the
-  taps that conv2d_forward returns on request (return_taps), so a training
-  step builds them once per conv; its grad_x columns are the weights as
+  tolerance. Conv grad_w is grad_out[co, (n, oy, ox)] @ taps.T. The
+  backward requires the taps that conv2d_forward returns on request
+  (return_taps) and never builds its own, so a training step builds them
+  once per conv. Conv grad_x's columns are the weights as
   [(ky, kx, ci), co] @ that grad_out matrix, then the ordered overlap-add
   (bit for bit when c_out == 1, one product per column element). The
   transposed conv gathers grad_out with _taps (r = 1): grad_x is the
@@ -302,20 +303,19 @@ def _overlap_add(cols: np.ndarray, r: int, s: int, p: int, hw: tuple[int, int]):
 
 
 def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
-                    taps: np.ndarray | None = None, input_grad: bool = True):
+                    taps: np.ndarray, input_grad: bool = True):
     """Exact gradients of sum(grad_out * conv2d_forward(x, layer)).
 
     Returns (grad_x, grad_w, grad_b): arrays shaped like x and the weights
     (grad_x a view into a padded canvas when pad > 0, or None when
-    input_grad is False) and a c_out vector. grad_w is one GEMM against the
-    taps matrix: taps, when given, are those that
-    conv2d_forward(x, layer, return_taps=True) returned for this x;
-    otherwise they are built here.
+    input_grad is False) and a c_out vector. grad_w is one GEMM against
+    taps, which conv2d_forward(x, layer, return_taps=True) returned for x.
     """
     spec, ho, wo = _checked_geometry(layer, ConvSpec, x, grad_out)
+    want = (spec.c_in * spec.k * spec.k, x.shape[0] * ho * wo)
+    if taps.shape != want:
+        raise ValueError(f"taps shape {taps.shape} != {want}")
     grad_b = grad_out.sum(axis=(0, 2, 3))
-    if taps is None:
-        taps = _taps(x, spec.k, spec.r, spec.stride, spec.pad, ho, wo)
     g_mat = grad_out.transpose(1, 0, 2, 3).reshape(spec.c_out, -1)
     grad_w = (g_mat @ taps.T).reshape(spec.weight_shape)
     grad_x = None

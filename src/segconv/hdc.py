@@ -118,20 +118,16 @@ def footprint(schedule: DilationSchedule) -> FootprintMap:
     """Exact oracle: contribution counts of the composed stack over its
     receptive-field square. Counts are exact integers and independent of
     layer order (convolution commutes); grid side = 1 + sum((K-1) * r_i),
-    total mass = K^(2n).
+    total mass = K^(2n). The line, the counts along one axis, is the dilated
+    all-ones K-tap masks convolved.
     """
-    return FootprintMap(line=footprint_1d(schedule), schedule=schedule)
-
-
-def footprint_1d(schedule: DilationSchedule) -> np.ndarray:
-    """1-D counts along one axis: the dilated all-ones K-tap masks convolved."""
     k = schedule.kernel
     line = np.ones(1, dtype=np.int64)
     for r in schedule.rates:
         mask = np.zeros((k - 1) * r + 1, dtype=np.int64)
         mask[::r] = 1
         line = np.convolve(line, mask)
-    return line
+    return FootprintMap(line=line, schedule=schedule)
 
 
 def coverage_report(fp: FootprintMap) -> tuple[int, float, float]:

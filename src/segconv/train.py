@@ -358,12 +358,6 @@ def _class_argmax(planes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _stack_batch(samples) -> tuple[np.ndarray, np.ndarray]:
-    imgs = np.concatenate([s.image for s in samples], axis=0)
-    labs = np.stack([s.labels for s in samples], axis=0)
-    return imgs, labs
-
-
 def train(net: ToyNet, data, cfg: SgdConfig):
     """SGD over randomly drawn full-image batches; returns the loss curve.
     The net's flat vector, one gradient vector and one velocity vector are
@@ -377,7 +371,8 @@ def train(net: ToyNet, data, cfg: SgdConfig):
     curve = []
     for it in range(cfg.max_iter):
         batch = [data[rng.randint(len(data))] for _ in range(cfg.batch)]
-        images, labels = _stack_batch(batch)
+        images = np.concatenate([s.image for s in batch], axis=0)
+        labels = np.stack([s.labels for s in batch], axis=0)
         if net.cell > 1:
             labels = np.stack(
                 [majority_downsample(lab, net.cell) for lab in labels], axis=0

@@ -15,15 +15,14 @@ of one class contiguous makes the class axis of the rearranged map a plain
 reshape away.
 
 Bilinear upsampling is separable: one pass over rows, then one over columns,
-each a fixed (n_in*factor, n_in) matrix with at most two nonzero weights per
-row. The forward gathers those two taps from a cached table of the matrix's
-nonzero entries instead of multiplying by the dense matrix. It is still the
-dense product bit for bit on finite input: a sum of at most two nonzero
-products rounds the same in any order (no FMA), zero-weight terms add only
-signed zeros, and one final + 0.0 gives a zero sum the +0.0 a dense sum gives.
-Each (n, c) plane is gathered on its own, so the result does not depend on
-the batch size. The backward keeps the dense transposed product, the exact
-adjoint of the same matrices; the two share the weights, not a code path.
+each with at most two nonzero weights per output, defined once by the
+closed-form table of _bilinear_taps. The forward gathers those two taps and
+is still the dense product bit for bit on finite input: a sum of at most two
+nonzero products rounds the same in any order (no FMA), zero-weight terms
+add only signed zeros, and one final + 0.0 gives a zero sum the +0.0 a dense
+sum gives. Each (n, c) plane is gathered on its own, so the result does not
+depend on the batch size. The backward, the exact adjoint, multiplies by the
+transposed dense matrices that _bilinear_matrix writes out from that table.
 """
 
 from __future__ import annotations
@@ -108,10 +107,10 @@ def duc_forward(features: np.ndarray, layer: ConvLayer, spec: DucSpec,
 
 
 def duc_backward(features: np.ndarray, layer: ConvLayer, spec: DucSpec,
-                 grad_out: np.ndarray, taps: np.ndarray | None = None):
+                 grad_out: np.ndarray, taps: np.ndarray):
     """Gradients of sum(grad_out * duc_forward(...)); returns
-    (grad_features, grad_w, grad_b). taps, when given, are duc_forward's
-    for these features."""
+    (grad_features, grad_w, grad_b). taps are the ones that
+    duc_forward(features, ..., return_taps=True) returned."""
     grad_conv = duc_rearrange_inverse(grad_out, spec)
     return conv2d_backward(features, layer, grad_conv, taps)
 
@@ -123,46 +122,42 @@ def duc_backward(features: np.ndarray, layer: ConvLayer, spec: DucSpec,
 
 
 @lru_cache
-def _bilinear_matrix(n_in: int, factor: int) -> np.ndarray:
-    """Row-stochastic (n_in*factor, n_in) interpolation matrix for one axis.
-
-    Cached per (n_in, factor) and shared by every caller, so read-only."""
-    n_out = n_in * factor
-    m = np.zeros((n_out, n_in), dtype=np.float64)
-    for o in range(n_out):
-        src = (o + 0.5) / factor - 0.5
-        i0 = int(np.floor(src))
-        w1 = src - i0
-        i0c = min(max(i0, 0), n_in - 1)
-        i1c = min(max(i0 + 1, 0), n_in - 1)
-        m[o, i0c] += 1.0 - w1
-        m[o, i1c] += w1
-    m.flags.writeable = False
-    return m
-
-
-@lru_cache
 def _bilinear_taps(n_in: int, factor: int):
-    """_bilinear_matrix's rows as two taps: (first, w_first, last, w_last).
-
-    Output o reads input first[o] and last[o], the first and last nonzero
-    columns of row o, with the row's own weights. A row with one nonzero
-    column (both taps clamped to one pixel, or an output centred on an input
-    pixel) has last == first and w_last == 0.0. Cached per (n_in, factor) and
-    shared by every caller, so read-only."""
-    m = _bilinear_matrix(n_in, factor)
-    n_out = m.shape[0]
-    first = np.empty(n_out, dtype=np.intp)
-    last = np.empty(n_out, dtype=np.intp)
-    for o, row in enumerate(m):
-        cols = np.flatnonzero(row)
-        first[o], last[o] = cols[0], cols[-1]
-    rows = np.arange(n_out)
-    w_first = m[rows, first]
-    w_last = np.where(last == first, 0.0, m[rows, last])
+    """The one definition of the weights along one axis: (first, w_first,
+    last, w_last). Output o sits at src = (o + 0.5) / factor - 0.5 and reads
+    floor(src) with weight 1 - frac and floor(src) + 1 with frac, each index
+    clamped to the plane. Two taps clamped onto one pixel merge into
+    w_first = (1 - frac) + frac, and a zero frac drops the second tap; either
+    way last == first and w_last == 0.0. Cached per (n_in, factor) and shared
+    by every caller, so read-only."""
+    src = (np.arange(n_in * factor) + 0.5) / factor - 0.5
+    left = np.floor(src)
+    frac = src - left
+    first = np.clip(left, 0, n_in - 1).astype(np.intp)
+    last = np.clip(left + 1, 0, n_in - 1).astype(np.intp)
+    w_first = 1.0 - frac
+    merged = last == first
+    w_first[merged] += frac[merged]
+    single = merged | (frac == 0.0)
+    last[single] = first[single]
+    w_last = np.where(single, 0.0, frac)
     for a in (first, w_first, last, w_last):
         a.flags.writeable = False
     return first, w_first, last, w_last
+
+
+@lru_cache
+def _bilinear_matrix(n_in: int, factor: int) -> np.ndarray:
+    """_bilinear_taps written out as the dense row-stochastic
+    (n_in*factor, n_in) matrix the backward multiplies by. Cached per
+    (n_in, factor) and shared by every caller, so read-only."""
+    first, w_first, last, w_last = _bilinear_taps(n_in, factor)
+    rows = np.arange(first.size)
+    m = np.zeros((first.size, n_in), dtype=np.float64)
+    m[rows, first] = w_first
+    m[rows, last] += w_last
+    m.flags.writeable = False
+    return m
 
 
 def _interpolate_axis(x: np.ndarray, axis: int, factor: int) -> np.ndarray:

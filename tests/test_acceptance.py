@@ -139,7 +139,8 @@ def _fd_conv_instance(rng, tol):
     def obj():
         return float(np.sum(conv2d_forward(x, layer) * g))
 
-    gx, gw, gb = conv2d_backward(x, layer, g)
+    _, taps = conv2d_forward(x, layer, return_taps=True)
+    gx, gw, gb = conv2d_backward(x, layer, g, taps)
     assert max_rel_err(gx, fd_gradient(obj, x)) < tol
     assert max_rel_err(gw, fd_gradient(obj, layer.weights)) < tol
     assert max_rel_err(gb, fd_gradient(obj, layer.bias)) < tol
@@ -177,7 +178,8 @@ def _fd_duc_instance(rng, tol):
     def obj():
         return float(np.sum(duc_forward(feats, layer, spec) * g))
 
-    gx, gw, gb = duc_backward(feats, layer, spec, g)
+    _, taps = duc_forward(feats, layer, spec, return_taps=True)
+    gx, gw, gb = duc_backward(feats, layer, spec, g, taps)
     assert max_rel_err(gx, fd_gradient(obj, feats)) < tol
     assert max_rel_err(gw, fd_gradient(obj, layer.weights)) < tol
     assert max_rel_err(gb, fd_gradient(obj, layer.bias)) < tol

@@ -8,7 +8,7 @@ import pytest
 
 import segconv
 from oracles import read_pgm
-from segconv import hdc
+from segconv import cli, hdc
 from segconv.cli import EXIT_DIVERGED, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 
 SCHEMAS = Path(segconv.__file__).parent / "schemas"
@@ -124,6 +124,25 @@ def test_footprint_unwritable_out_is_io_error(tmp_path, capsys):
     msg = fails(capsys, EXIT_USAGE, "footprint", "--rates", "1,2,3",
                 "--out", str(blocker / "fp.pgm"))
     assert msg.startswith("i/o error:")
+
+
+def test_footprint_past_the_side_limit_is_refused_before_any_work(tmp_path, capsys):
+    # side 1 + 2 * (1 + 2048) = 4099: one step past the limit, in well under
+    # the seconds a pgm at the limit takes, and no directory or file is made
+    assert cli.FOOTPRINT_MAX_SIDE == 4097
+    out = tmp_path / "sub" / "fp.pgm"
+    msg = fails(capsys, EXIT_USAGE, "footprint", "--rates", "1,2048", "--out", str(out))
+    assert msg == "usage error: footprint grid side 4099 is over the limit of 4097"
+    assert not (tmp_path / "sub").exists()
+
+
+def test_footprint_at_the_side_limit_is_accepted(tmp_path, capsys):
+    out = tmp_path / "fp.json"
+    code, rep = run(capsys, "footprint", "--rates", "1,2047", "--out", str(out),
+                    "--format", "json")
+    assert code == EXIT_OK
+    assert rep["side"] == cli.FOOTPRINT_MAX_SIDE
+    assert json.loads(out.read_text())["rf_increase"] == cli.FOOTPRINT_MAX_SIDE - 1
 
 
 # -- rf / search ---------------------------------------------------------------

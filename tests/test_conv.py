@@ -322,6 +322,8 @@ def test_each_op_rejects_the_other_spec_kind(op):
     layer = ConvLayer.initialized(given, Rng(23))
     x = np.ones((1, 4, 8, 8))
     grad = (np.ones((1, 4, 8, 8)),) if op.__name__.endswith("backward") else ()
+    if op is conv2d_backward:
+        grad += (np.ones((36, 64)),)  # taps: the op refuses the layer first
     with pytest.raises(ValueError, match=f"^layer holds a {type(given).__name__}, "
                                          f"the op needs a {needed}$"):
         op(x, layer, *grad)
@@ -354,8 +356,8 @@ def test_backward_zero_grad_out_gives_zero_grads():
     rng = Rng(17)
     layer = random_layer(rng, k=3, r=2, c_in=2, c_out=2, pad=2)
     x = he_init((1, 2, 6, 6), 3, rng)
-    out = conv2d_forward(x, layer)
-    gx, gw, gb = conv2d_backward(x, layer, np.zeros(out.shape))
+    out, taps = conv2d_forward(x, layer, return_taps=True)
+    gx, gw, gb = conv2d_backward(x, layer, np.zeros(out.shape), taps)
     assert not gx.any() and not gw.any() and not gb.any()
 
 
@@ -365,7 +367,8 @@ def test_backward_single_output_element():
     x = np.arange(25, dtype=np.float64).reshape(1, 1, 5, 5)
     layer = random_layer(Rng(18), k=3, r=2, c_in=1, c_out=1)
     g = np.ones((1, 1, 1, 1))
-    gx, gw, gb = conv2d_backward(x, layer, g)
+    _, taps = conv2d_forward(x, layer, return_taps=True)
+    gx, gw, gb = conv2d_backward(x, layer, g, taps)
     assert gb.tolist() == [1.0]
     assert np.array_equal(gw[0, 0], x[0, 0, ::2, ::2])
     assert np.array_equal(gx[0, 0, ::2, ::2], layer.weights[0, 0])
@@ -375,8 +378,9 @@ def test_backward_grad_shape_mismatch_rejected():
     rng = Rng(19)
     layer = random_layer(rng, k=3, r=1, c_in=1, c_out=1, pad=1)
     x = he_init((1, 1, 6, 6), 2, rng)
-    with pytest.raises(ValueError):
-        conv2d_backward(x, layer, np.zeros((1, 1, 3, 3)))
+    _, taps = conv2d_forward(x, layer, return_taps=True)
+    with pytest.raises(ValueError, match="grad_out shape"):
+        conv2d_backward(x, layer, np.zeros((1, 1, 3, 3)), taps)
 
 
 def _fd_check_conv(rng, k, r, h, w, c_in, c_out, pad, tol=1e-4):
@@ -388,7 +392,8 @@ def _fd_check_conv(rng, k, r, h, w, c_in, c_out, pad, tol=1e-4):
     def objective():
         return float(np.sum(conv2d_forward(x, layer) * g))
 
-    gx, gw, gb = conv2d_backward(x, layer, g)
+    _, taps = conv2d_forward(x, layer, return_taps=True)
+    gx, gw, gb = conv2d_backward(x, layer, g, taps)
     assert max_rel_err(gx, fd_gradient(objective, x)) < tol
     assert max_rel_err(gw, fd_gradient(objective, layer.weights)) < tol
     assert max_rel_err(gb, fd_gradient(objective, layer.bias)) < tol
@@ -421,8 +426,9 @@ def test_backward_is_exact_adjoint_over_geometry_sweep():
                                          stride=stride, pad=pad, bias=False)
                     x = he_init((2, 2, 14, 13), 3, rng)
                     g = he_init((2, 3) + layer.spec.out_size(14, 13), 1, rng)
-                    gx, gw, _ = conv2d_backward(x, layer, g)
-                    lhs = float(np.sum(g * conv2d_forward(x, layer)))
+                    out, taps = conv2d_forward(x, layer, return_taps=True)
+                    gx, gw, _ = conv2d_backward(x, layer, g, taps)
+                    lhs = float(np.sum(g * out))
                     tol = 1e-12 * max(1.0, abs(lhs))
                     assert abs(lhs - float(np.sum(x * gx))) < tol
                     assert abs(lhs - float(np.sum(layer.weights * gw))) < tol
@@ -456,7 +462,8 @@ def test_backward_grad_x_matches_naive_scatter_order_bitwise(k):
                     layer = random_layer(rng, k=k, r=r, c_in=2, c_out=c_out,
                                          stride=stride, pad=pad)
                     g = he_init((2, c_out) + layer.spec.out_size(*hw), 1, rng)
-                    gx, _, _ = conv2d_backward(x, layer, g)
+                    _, taps = conv2d_forward(x, layer, return_taps=True)
+                    gx, _, _ = conv2d_backward(x, layer, g, taps)
                     want = naive_conv2d_grad_x(g, layer.weights, hw,
                                                stride=stride, pad=pad, dilation=r)
                     assert grad_x_matches(gx, want, c_out), (r, stride, pad, c_out)
@@ -484,14 +491,15 @@ def test_grad_x_bitwise_on_large_planes(seed, c_in, k, r, c_out, hw, side):
     for co in (c_out, 1):
         layer = random_layer(rng, k=k, r=r, c_in=c_in, c_out=co, pad=pad)
         g = he_init((1, co) + layer.spec.out_size(*hw), 1, rng)
-        gx, _, _ = conv2d_backward(x, layer, g)
+        _, taps = conv2d_forward(x, layer, return_taps=True)
+        gx, _, _ = conv2d_backward(x, layer, g, taps)
         want = naive_conv2d_grad_x(g, layer.weights, hw, pad=pad, dilation=r)
         assert grad_x_matches(gx, want, co), co
 
 
 def test_backward_with_the_forwards_taps_is_identical():
-    # taps from the forward stand in for the ones the backward would build;
-    # skipping grad_x leaves grad_w and grad_b as they are
+    # asking for the taps leaves the forward as it is, and skipping grad_x
+    # leaves grad_w and grad_b as they are
     rng = Rng(24)
     for k, r, stride, pad in ((1, 1, 1, 0), (3, 1, 2, 1), (3, 2, 1, 2), (5, 3, 3, 1)):
         layer = random_layer(rng, k=k, r=r, c_in=3, c_out=4, stride=stride, pad=pad)
@@ -499,12 +507,25 @@ def test_backward_with_the_forwards_taps_is_identical():
         out, taps = conv2d_forward(x, layer, return_taps=True)
         assert np.array_equal(out, conv2d_forward(x, layer))
         g = he_init(out.shape, 1, rng)
-        built = conv2d_backward(x, layer, g)
-        for got, want in zip(conv2d_backward(x, layer, g, taps), built):
-            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        full = conv2d_backward(x, layer, g, taps)
         gx, gw, gb = conv2d_backward(x, layer, g, taps, input_grad=False)
         assert gx is None
-        assert gw.tobytes() == built[1].tobytes() and gb.tobytes() == built[2].tobytes()
+        assert gw.tobytes() == full[1].tobytes() and gb.tobytes() == full[2].tobytes()
+
+
+@pytest.mark.parametrize("batch, k, r", [(1, 3, 2), (2, 3, 1), (2, 1, 1)],
+                         ids=["other-batch", "other-rate", "other-kernel"])
+def test_backward_refuses_taps_of_another_shape(batch, k, r):
+    # taps of another input or geometry would fail inside the GEMM, or
+    # give grad_w a wrong reshape; the backward names them instead
+    rng = Rng(26)
+    layer = random_layer(rng, k=3, r=2, c_in=2, c_out=3, pad=2)
+    x = he_init((2, 2, 7, 6), 3, rng)
+    other = random_layer(rng, k=k, r=r, c_in=2, c_out=3, pad=2)
+    _, taps = conv2d_forward(x[:batch], other, return_taps=True)
+    g = he_init((2, 3, 7, 6), 1, rng)
+    with pytest.raises(ValueError, match=r"^taps shape \(\d+, \d+\) != \(18, 84\)$"):
+        conv2d_backward(x, layer, g, taps)
 
 
 def test_taps_refuses_a_window_past_the_padded_buffer():
@@ -529,7 +550,8 @@ def test_grad_w_matches_the_window_contraction_over_geometry_sweep():
                                          stride=stride, pad=pad, bias=False)
                     x = he_init((2, 2, 14, 13), 3, rng)
                     g = he_init((2, 3) + layer.spec.out_size(14, 13), 1, rng)
-                    _, gw, _ = conv2d_backward(x, layer, g)
+                    _, taps = conv2d_forward(x, layer, return_taps=True)
+                    _, gw, _ = conv2d_backward(x, layer, g, taps)
                     want = window_conv2d_grad_w(x, g, k, stride=stride, pad=pad,
                                                 dilation=r)
                     assert np.allclose(gw, want, rtol=1e-12, atol=1e-12), \

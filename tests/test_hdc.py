@@ -19,7 +19,6 @@ from segconv.hdc import (
     DilationSchedule,
     coverage_report,
     footprint,
-    footprint_1d,
     footprint_to_csv,
     footprint_to_pgm,
     max_distance,
@@ -186,10 +185,10 @@ def test_footprint_total_mass_and_center():
 
 
 def test_footprint_separability():
+    # the independent 2-D counts are the outer product of the 1-D line
     for rates, k in [([1, 2, 3], 3), ([2, 4], 5), ([3], 3)]:
-        line = footprint_1d(sched(rates, k))
-        grid = footprint(sched(rates, k)).grid
-        assert np.array_equal(grid, np.outer(line, line))
+        line = footprint(sched(rates, k)).line
+        assert np.array_equal(footprint_counts_2d(rates, k), np.outer(line, line))
 
 
 def test_gcd_schedules_always_grid():

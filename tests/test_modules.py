@@ -42,10 +42,12 @@ BENCH = SRC.parent.parent / "perfbench"
 
 
 def unreferenced_defs(src: Path, bench: Path) -> list[str]:
-    """'module.name' for each module-level function or class of src that no
-    file of src but __init__.py, nor any bench/*.py, reads as a Name or an
-    Attribute: code that only tests (or nothing) call. A def's own name is
-    not a Name node, so a use in its own module counts, a re-export does not."""
+    """'module.name' for each module-level function or class of src, and
+    'module.Class.name' for each method or property of such a class
+    (dunders aside), that no file of src but __init__.py, nor any
+    bench/*.py, reads as a Name or an Attribute: code that only tests (or
+    nothing) call. A def's own name is not a Name node, so a use in its own
+    module counts, a re-export does not."""
     modules = sorted(p for p in src.glob("*.py") if p.name != "__init__.py")
     used = set()
     for path in modules + sorted(bench.glob("*.py")):
@@ -54,9 +56,18 @@ def unreferenced_defs(src: Path, bench: Path) -> list[str]:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    return [f"{path.stem}.{node.name}" for path in modules
-            for node in ast.parse(path.read_text(), filename=str(path)).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
+    found = []
+    for path in modules:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in used:
+                found.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found += [f"{path.stem}.{node.name}.{m.name}" for m in node.body
+                          if isinstance(m, ast.FunctionDef) and m.name not in used
+                          and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return found
 
 
 def test_every_def_has_a_caller_outside_the_tests():
@@ -76,3 +87,22 @@ def test_the_caller_check_sees_names_and_attributes(tmp_path):
     (src / "b.py").write_text("from . import a\nx = a.Used\ny = a.caller()\n")
     (bench / "run.py").write_text("import segconv.a as a\na.by_bench()\n")
     assert unreferenced_defs(src, bench) == ["a.orphan"]
+
+
+def test_the_caller_check_sees_class_members(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "a.py").write_text("class Net:\n"
+                              "    def __init__(self): self.size = self.width\n"
+                              "    def __len__(self): return 0\n"
+                              "    @property\n"
+                              "    def width(self): return 1\n"
+                              "    @property\n"
+                              "    def depth(self): return 2\n"
+                              "    def step(self): pass\n"
+                              "    def by_bench(self): pass\n"
+                              "    def orphan(self): pass\n"
+                              "def run(): Net().step()\n")
+    (bench / "run.py").write_text("import segconv.a as a\na.run()\na.Net().by_bench()\n")
+    assert unreferenced_defs(src, bench) == ["a.Net.depth", "a.Net.orphan"]

@@ -430,7 +430,7 @@ def test_skipping_the_image_gradient_keeps_every_parameter_gradient(decoder,
     train_module = importlib.import_module("segconv.train")  # the package exports train()
     real = train_module.conv2d_backward
 
-    def with_image_gradient(x, layer, g, taps=None, input_grad=True):
+    def with_image_gradient(x, layer, g, taps, input_grad=True):
         asked.append(input_grad)
         return real(x, layer, g, taps)
 
