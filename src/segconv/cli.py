@@ -8,7 +8,8 @@ net.json or one whose layer entries its topology does not build, a `search`
 over hdc.SEARCH_MAX_TUPLES candidate tuples or SEARCH_MAX_LAYERS layers,
 refused before any work unless its target is past the RF bound, a
 `footprint` whose grid side is over FOOTPRINT_MAX_SIDE, refused before any
-work and before the output directory is made), a file
+work and before the output directory is made, and either verb where
+K**layers, and so a count, is over int64's hdc.FOOTPRINT_MAX_COUNT), a file
 that cannot be read or written, or out of memory (a net too wide to
 allocate, from --channels or a net.json width); 2 schedule invalid (`check`,
 gridding holes predicted) or a failed equivalence (`duc-demo`); 3 training
@@ -45,6 +46,7 @@ from .hdc import (
 )
 from .tensor import Rng, he_init
 from .train import (
+    DECODERS,
     SgdConfig,
     ToyNet,
     TrainingDiverged,
@@ -68,8 +70,8 @@ EXIT_INVALID = 2
 EXIT_DIVERGED = 3
 
 
-# The footprint writers build side**2 grids (the pgm's of Python ints): at
-# this side a pgm took 6.8 s and 413 MB, a csv 5.6 s and 189 MB (2-core VM).
+# The footprint writers stream rows from the 1-D line, so this caps file size
+# and time: a pgm or csv is about 34 MB, written in 3.5 s or 1.3 s (2-core VM).
 FOOTPRINT_MAX_SIDE = 4097
 
 
@@ -342,7 +344,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_duc_demo)
 
     p = sub.add_parser("train", help="train the toy net on synthetic data")
-    p.add_argument("--decoder", choices=("duc", "bilinear", "deconv"), default="duc")
+    p.add_argument("--decoder", choices=DECODERS, default="duc")
     p.add_argument("--schedule", default="1,2,3")
     p.add_argument("--kernel", type=int, default=3)
     p.add_argument("--d", type=int, default=4)

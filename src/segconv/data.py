@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Rng, pgm_text
+from .tensor import Rng, write_pgm
 
 IGNORE_LABEL = 255
 
@@ -91,5 +91,4 @@ def write_sample_pgm(sample: SegSample, path_prefix) -> None:
     prefix = Path(path_prefix)
     img = np.clip(np.rint(sample.image[0, 0] * 255.0), 0, 255).astype(np.int64)
     for suffix, grid in (("_img", img), ("_lab", sample.labels)):
-        path = prefix.parent / f"{prefix.name}{suffix}.pgm"
-        path.write_text(pgm_text(grid), encoding="ascii")
+        write_pgm(prefix.parent / f"{prefix.name}{suffix}.pgm", grid.tolist(), *grid.shape)

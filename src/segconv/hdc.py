@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import pgm_text
+from .tensor import write_pgm
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -100,10 +100,6 @@ class FootprintMap:
     schedule: DilationSchedule = field(repr=False)
 
     @property
-    def grid(self) -> np.ndarray:
-        return np.outer(self.line, self.line)
-
-    @property
     def side(self) -> int:
         return self.line.size
 
@@ -114,14 +110,21 @@ class FootprintMap:
         return self.side**2 - int(np.count_nonzero(self.line)) ** 2
 
 
+FOOTPRINT_MAX_COUNT = int(np.iinfo(np.int64).max)
+
+
 def footprint(schedule: DilationSchedule) -> FootprintMap:
     """Exact oracle: contribution counts of the composed stack over its
     receptive-field square. Counts are exact integers and independent of
     layer order (convolution commutes); grid side = 1 + sum((K-1) * r_i),
     total mass = K^(2n). The line, the counts along one axis, is the dilated
-    all-ones K-tap masks convolved.
+    all-ones K-tap masks convolved in int64, exact for counts up to K**n;
+    a K**n over FOOTPRINT_MAX_COUNT (int64's maximum) raises ValueError.
     """
-    k = schedule.kernel
+    k, n = schedule.kernel, len(schedule.rates)
+    if k**n > FOOTPRINT_MAX_COUNT:
+        raise ValueError(f"footprint counts of {k}**{n} are over the int64 limit "
+                         f"of {FOOTPRINT_MAX_COUNT}")
     line = np.ones(1, dtype=np.int64)
     for r in schedule.rates:
         mask = np.zeros((k - 1) * r + 1, dtype=np.int64)
@@ -164,7 +167,8 @@ def schedule_search(n: int, kernel: int, rf_target: int) -> list[DilationSchedul
     a hole-free line covers 1 + (K-1)*sum(rates) positions with K**n tap
     combinations. Then a query over SEARCH_MAX_LAYERS (which also bounds
     target 1's one candidate, with its O(n**2) footprint) or
-    SEARCH_MAX_TUPLES raises ValueError. Neither check raises K or
+    SEARCH_MAX_TUPLES, or whose K**n is over FOOTPRINT_MAX_COUNT (first at
+    K=7 with 23 layers), raises ValueError. No check raises K or
     rf_target to a huge n.
 
     Call contract: max_distance runs exactly once per enumerated tuple
@@ -183,9 +187,11 @@ def schedule_search(n: int, kernel: int, rf_target: int) -> list[DilationSchedul
     # past rf_target's bit length, K**n > rf_target holds anyway
     if kernel ** min(n, rf_target.bit_length()) <= rf_target:
         return []
-    if n > SEARCH_MAX_LAYERS or rf_target**n > SEARCH_MAX_TUPLES:
-        raise ValueError(f"search of {rf_target}**{n} candidate tuples is over the limit "
-                         f"of {SEARCH_MAX_TUPLES} tuples and {SEARCH_MAX_LAYERS} layers")
+    if (n > SEARCH_MAX_LAYERS or rf_target**n > SEARCH_MAX_TUPLES
+            or kernel**n > FOOTPRINT_MAX_COUNT):
+        raise ValueError(f"search of {rf_target}**{n} candidate tuples with K={kernel} is "
+                         f"over the limit of {SEARCH_MAX_TUPLES} tuples, {SEARCH_MAX_LAYERS} "
+                         f"layers and footprint counts of {FOOTPRINT_MAX_COUNT}")
     found = []
     for rates in product(range(1, rf_target + 1), repeat=n):
         sched = DilationSchedule(rates, kernel)
@@ -224,26 +230,24 @@ def schedule_report(schedule: DilationSchedule, fp: FootprintMap | None = None) 
 
 
 # ---------------------------------------------------------------------------
-# exports: P2 (ASCII) PGM, CSV of raw counts, JSON report
+# exports: P2 (ASCII) PGM and CSV of the counts, row by row from the line; JSON
 # ---------------------------------------------------------------------------
 
 
-def footprint_to_pgm(fp: FootprintMap) -> str:
-    """Counts linearly mapped to 0..255; zero-count cells stay 0."""
-    grid = fp.grid.astype(object)  # Python-int arithmetic, exact for any count
-    return pgm_text(grid * 255 // grid.max())
-
-
-def footprint_to_csv(fp: FootprintMap) -> str:
-    return "\n".join(",".join(str(int(v)) for v in row) for row in fp.grid) + "\n"
-
-
 def write_footprint(path, fp: FootprintMap, fmt: str) -> None:
+    """fp's counts as a pgm (mapped linearly to 0..255; only zero counts
+    give 0) or a csv, each row y written as line[y] * line in exact Python
+    ints, so no side**2 grid is built; or its schedule_report as json."""
     path = Path(path)
+    line = fp.line.tolist()
     if fmt == "pgm":
-        path.write_text(footprint_to_pgm(fp), encoding="ascii")
+        peak = max(line) ** 2
+        rows = ([a * b * 255 // peak for b in line] for a in line)
+        write_pgm(path, rows, fp.side, fp.side)
     elif fmt == "csv":
-        path.write_text(footprint_to_csv(fp), encoding="ascii")
+        with path.open("w", encoding="ascii") as f:
+            for a in line:
+                f.write(",".join([str(a * b) for b in line]) + "\n")
     elif fmt == "json":
         path.write_text(
             json.dumps(schedule_report(fp.schedule, fp), sort_keys=True, indent=1) + "\n",

@@ -5,7 +5,7 @@ There is no array wrapper: the layers take and return plain float64
 here are C-contiguous (row-major). Every index formula elsewhere in the
 package assumes this axis order. This module holds what carries the
 determinism contract: the counter-based ``Rng``, ``he_init``, the ``.bin``
-format and the ASCII PGM text of the image dumps.
+format and the ASCII PGM writer of the image and footprint dumps.
 """
 
 from __future__ import annotations
@@ -124,12 +124,14 @@ def he_init(shape, fan_in: int, rng: Rng | None) -> np.ndarray:
 _HEADER = struct.Struct("<4I")
 
 
-def tensor_to_bytes(t: np.ndarray) -> bytes:
+def save_tensor(path, t: np.ndarray) -> None:
     shape = _check_shape(t.shape)
-    return _HEADER.pack(*shape) + np.ascontiguousarray(t, dtype="<f8").tobytes()
+    blob = _HEADER.pack(*shape) + np.ascontiguousarray(t, dtype="<f8").tobytes()
+    Path(path).write_bytes(blob)
 
 
-def tensor_from_bytes(blob: bytes) -> np.ndarray:
+def load_tensor(path) -> np.ndarray:
+    blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise ValueError("tensor blob shorter than its 16-byte header")
     shape = _check_shape(_HEADER.unpack_from(blob, 0))
@@ -141,16 +143,10 @@ def tensor_from_bytes(blob: bytes) -> np.ndarray:
     return flat.astype(np.float64).reshape(shape)
 
 
-def save_tensor(path, t: np.ndarray) -> None:
-    Path(path).write_bytes(tensor_to_bytes(t))
-
-
-def load_tensor(path) -> np.ndarray:
-    return tensor_from_bytes(Path(path).read_bytes())
-
-
-def pgm_text(grid: np.ndarray) -> str:
-    """ASCII (P2) PGM of a 2-D grid of integers in 0..255, one row per line."""
-    h, w = grid.shape
-    rows = "\n".join(" ".join(str(int(v)) for v in row) for row in grid)
-    return f"P2\n{w} {h}\n255\n{rows}\n"
+def write_pgm(path, rows, h: int, w: int) -> None:
+    """ASCII (P2) PGM of h rows, each w integers in 0..255, written one row
+    per line as the rows arrive, so the caller never holds the whole grid."""
+    with Path(path).open("w", encoding="ascii") as f:
+        f.write(f"P2\n{w} {h}\n255\n")
+        for row in rows:
+            f.write(" ".join(map(str, row)) + "\n")

@@ -311,13 +311,10 @@ class ToyNet:
         cache = []
         return self._run(x, cache), cache
 
-    def backward(self, cache, grad_logits: np.ndarray, grads: dict | None = None) -> dict:
+    def backward(self, cache, grad_logits: np.ndarray, grads: dict) -> dict:
         """Gradients of every parameter, written into grads (views shaped
-        and keyed like params(), from param_views()) or else into views of a
-        new vector; returns them. A tanh stage's g*(1 - act*act) takes one
-        buffer."""
-        if grads is None:
-            grads = self.param_views(np.empty_like(self.flat))
+        and keyed like params(), from param_views()); returns them. A tanh
+        stage's g*(1 - act*act) takes one buffer."""
         g = grad_logits
         for (w_key, b_key), bwd, inp, taps, act in reversed(cache):
             if act is not None:

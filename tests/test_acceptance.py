@@ -70,7 +70,7 @@ def test_criterion_2_gridding_figure():
     with criterion(2, "single dilated layer K=3 r=2 uses 9 of 25 pixels"):
         fp = footprint(DilationSchedule(rates=(2,), kernel=3))
         assert fp.side == 5
-        assert int(np.count_nonzero(fp.grid)) == 9
+        assert int(np.count_nonzero(np.outer(fp.line, fp.line))) == 9
         holes, coverage, _ = coverage_report(fp)
         assert coverage == 0.36 and holes == 16
 
@@ -121,7 +121,8 @@ def test_criterion_5_footprint_invariance_and_mass():
                 j = rng.randint(i + 1)
                 perm[i], perm[j] = perm[j], perm[i]
             fp_p = footprint(DilationSchedule(rates=tuple(perm), kernel=k))
-            assert np.array_equal(fp.grid, fp_p.grid)
+            assert np.array_equal(np.outer(fp.line, fp.line),
+                                  np.outer(fp_p.line, fp_p.line))
 
 
 def _fd_conv_instance(rng, tol):
@@ -216,7 +217,8 @@ def test_criterion_6_gradient_suite():
         params = net.params()
         logits, cache = net.forward(sample.image)
         loss, grad_logits = softmax_ce_loss(logits, sample.labels)
-        grads = net.backward(cache, grad_logits)
+        grads = net.backward(cache, grad_logits,
+                             net.param_views(np.empty_like(net.flat)))
 
         def net_loss():
             lg, _ = net.forward(sample.image)

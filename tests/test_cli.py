@@ -136,6 +136,16 @@ def test_footprint_past_the_side_limit_is_refused_before_any_work(tmp_path, caps
     assert not (tmp_path / "sub").exists()
 
 
+def test_footprint_with_counts_past_int64_is_refused(tmp_path, capsys):
+    # side 81 is far under the side limit, but 3**40 counts overflow int64
+    out = tmp_path / "sub" / "fp.pgm"
+    msg = fails(capsys, EXIT_USAGE, "footprint", "--rates", ",".join(["1"] * 40),
+                "--out", str(out))
+    assert msg == (f"usage error: footprint counts of 3**40 are over the int64 "
+                   f"limit of {hdc.FOOTPRINT_MAX_COUNT}")
+    assert not (tmp_path / "sub").exists()
+
+
 def test_footprint_at_the_side_limit_is_accepted(tmp_path, capsys):
     out = tmp_path / "fp.json"
     code, rep = run(capsys, "footprint", "--rates", "1,2047", "--out", str(out),
@@ -200,9 +210,10 @@ def test_search_over_the_size_limit_is_refused_before_any_work(capsys, monkeypat
     monkeypatch.setattr(hdc, "max_distance", None)
     msg = fails(capsys, EXIT_USAGE, "search", "--layers", layers, "--kernel", "3",
                 "--rf-target", rf_target)
-    assert msg == (f"usage error: search of {rf_target}**{layers} candidate tuples is "
-                   f"over the limit of {hdc.SEARCH_MAX_TUPLES} tuples and "
-                   f"{hdc.SEARCH_MAX_LAYERS} layers")
+    assert msg == (f"usage error: search of {rf_target}**{layers} candidate tuples "
+                   f"with K=3 is over the limit of {hdc.SEARCH_MAX_TUPLES} tuples, "
+                   f"{hdc.SEARCH_MAX_LAYERS} layers and footprint counts of "
+                   f"{hdc.FOOTPRINT_MAX_COUNT}")
 
 
 @pytest.mark.parametrize("layers,rf_target", [("3", "12"), ("2", "50")])

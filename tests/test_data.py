@@ -108,5 +108,17 @@ def test_pgm_dump_roundtrips(tmp_path):
     assert img.min() >= 0 and img.max() <= 255
 
 
+def test_pgm_dump_keeps_its_bytes(tmp_path):
+    # sha256 recorded from the whole-file writer that write_pgm replaced
+    s = gen_thin_structures(1, 16, 12, 1, 3, Rng(5))[0]
+    write_sample_pgm(s, tmp_path / "s")
+    digest = {k: hashlib.sha256((tmp_path / f"s_{k}.pgm").read_bytes()).hexdigest()
+              for k in ("img", "lab")}
+    assert digest == {
+        "img": "267cefe60d9f5ba3783ea03cd5e0391556d36ddce8ccb65a8b0233e89fac0a2b",
+        "lab": "1d1108c1a5200b8b58a77e1f0a3aa5c2ac3d4efc0f34475b5af69bec81d3a9bb",
+    }
+
+
 def test_ignore_label_constant():
     assert IGNORE_LABEL == 255

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +21,6 @@ from segconv.hdc import (
     DilationSchedule,
     coverage_report,
     footprint,
-    footprint_to_csv,
-    footprint_to_pgm,
     max_distance,
     rf_increase_for_rates,
     schedule_report,
@@ -120,7 +120,7 @@ def test_recurrence_matches_the_papers_rule_exhaustively():
 def test_single_dilated_layer_covers_9_of_25():
     fp = footprint(sched([2]))
     assert fp.side == 5
-    assert int(np.count_nonzero(fp.grid)) == 9
+    assert int(np.count_nonzero(np.outer(fp.line, fp.line))) == 9
     holes, coverage, gridding = coverage_report(fp)
     assert holes == 16
     assert coverage == 9 / 25
@@ -130,7 +130,7 @@ def test_single_dilated_layer_covers_9_of_25():
 def test_uniform_stack_checkerboard_fraction():
     fp = footprint(sched([2, 2, 2]))
     assert fp.side == 13
-    ys, xs = np.nonzero(fp.grid)
+    ys, xs = np.nonzero(np.outer(fp.line, fp.line))
     assert np.all(ys % 2 == 0) and np.all(xs % 2 == 0)
     holes, coverage, _ = coverage_report(fp)
     assert coverage == 49 / 169
@@ -156,7 +156,7 @@ def test_footprint_matches_independent_counting_oracle():
         rates = [1 + rng.randint(4) for _ in range(n)]
         fp = footprint(sched(rates, k))
         want = footprint_counts_2d(rates, k)
-        assert np.array_equal(fp.grid, want)
+        assert np.array_equal(np.outer(fp.line, fp.line), want)
         # the counts read off the 1-D line match the independent 2-D grid's
         assert fp.side == want.shape[0] == want.shape[1]
         assert fp.total() == int(want.sum())
@@ -172,8 +172,8 @@ def test_footprint_order_invariance():
         for i in range(len(perm) - 1, 0, -1):  # seeded Fisher-Yates
             j = rng.randint(i + 1)
             perm[i], perm[j] = perm[j], perm[i]
-        assert np.array_equal(footprint(sched(rates)).grid,
-                              footprint(sched(perm)).grid)
+        line, line_p = footprint(sched(rates)).line, footprint(sched(perm)).line
+        assert np.array_equal(np.outer(line, line), np.outer(line_p, line_p))
 
 
 def test_footprint_total_mass_and_center():
@@ -181,7 +181,7 @@ def test_footprint_total_mass_and_center():
         fp = footprint(sched(rates, k))
         assert fp.total() == k ** (2 * len(rates))
         mid = fp.side // 2
-        assert fp.grid[mid, mid] >= 1
+        assert np.outer(fp.line, fp.line)[mid, mid] >= 1
 
 
 def test_footprint_separability():
@@ -189,6 +189,18 @@ def test_footprint_separability():
     for rates, k in [([1, 2, 3], 3), ([2, 4], 5), ([3], 3)]:
         line = footprint(sched(rates, k)).line
         assert np.array_equal(footprint_counts_2d(rates, k), np.outer(line, line))
+
+
+def test_footprint_counts_are_exact_up_to_the_int64_limit():
+    # 3**39 < 2**63 - 1 < 3**40: the int64 line stays exact for 39 layers
+    fp = footprint(sched([1] * 39))
+    exact = [1]
+    for _ in range(39):  # the trinomial coefficients, in Python ints
+        exact = [sum(exact[max(0, i - 2):i + 1]) for i in range(len(exact) + 2)]
+    assert fp.line.tolist() == exact
+    assert fp.total() == 3 ** 78
+    with pytest.raises(ValueError, match=r"3\*\*40 are over the int64 limit"):
+        footprint(sched([1] * 40))
 
 
 def test_gcd_schedules_always_grid():
@@ -325,6 +337,22 @@ def test_search_checks_the_kernel_before_the_bound(kernel):
         schedule_search(2, kernel, 50)
 
 
+@pytest.mark.parametrize("n,k,target,ok", [(23, 7, 2, False), (22, 7, 2, True),
+                                            (24, 7, 1, False), (24, 5, 1, True),
+                                            (24, 3, 1, True)])
+def test_search_refuses_counts_over_int64_before_any_work(monkeypatch, n, k, target, ok):
+    # within the 24-layer cap only K >= 7 can pass int64's maximum; each
+    # query is under the tuple cap
+    assert (k**n <= hdc.FOOTPRINT_MAX_COUNT) == ok
+    monkeypatch.setattr(hdc, "max_distance", None)
+    if ok:
+        with pytest.raises(TypeError):  # reached the enumeration
+            schedule_search(n, k, target)
+    else:
+        with pytest.raises(ValueError, match="footprint counts of 9223372036854775807"):
+            schedule_search(n, k, target)
+
+
 # -- reports and exports -----------------------------------------------------------
 
 
@@ -343,30 +371,77 @@ def test_schedule_report_fields():
 
 def test_pgm_export_roundtrip(tmp_path):
     fp = footprint(sched([1, 2]))
+    grid = np.outer(fp.line, fp.line)
     path = tmp_path / "fp.pgm"
     write_footprint(path, fp, "pgm")
     img = read_pgm(path)
-    assert img.shape == fp.grid.shape
-    peak = fp.grid.max()
-    assert np.array_equal(img, fp.grid * 255 // peak)
+    assert img.shape == grid.shape
+    peak = grid.max()
+    assert np.array_equal(img, grid * 255 // peak)
     # zero-count cells map to 0 and only they do
-    assert np.array_equal(img == 0, fp.grid == 0)
+    assert np.array_equal(img == 0, grid == 0)
 
 
 def test_pgm_single_rate1_layer_all_ones(tmp_path):
     fp = footprint(sched([1]))
-    assert fp.grid.shape == (3, 3)
-    assert np.all(fp.grid == 1)
-    text = footprint_to_pgm(fp)
-    assert text.splitlines()[0] == "P2"
+    grid = np.outer(fp.line, fp.line)
+    assert grid.shape == (3, 3)
+    assert np.all(grid == 1)
+    path = tmp_path / "fp.pgm"
+    write_footprint(path, fp, "pgm")
+    text = path.read_text(encoding="ascii")
+    assert text.splitlines()[:3] == ["P2", "3 3", "255"]
     assert all(v == "255" for v in " ".join(text.splitlines()[3:]).split())
 
 
-def test_csv_export_raw_counts():
-    fp = footprint(sched([2]))
-    rows = footprint_to_csv(fp).strip().splitlines()
+def test_csv_export_raw_counts(tmp_path):
+    path = tmp_path / "fp.csv"
+    write_footprint(path, footprint(sched([2])), "csv")
+    rows = path.read_text(encoding="ascii").strip().splitlines()
     assert rows[0] == "1,0,1,0,1"
     assert rows[1] == "0,0,0,0,0"
+
+
+# sha256 of the pgm and csv bytes, recorded from the side**2-grid writers
+# that the row-by-row ones replaced; the last schedule has side 343
+EXPORT_SHA256 = {
+    ((1, 2), 3): ("59ff93adeada1fb75b4c96c48107e89179ff2364f797f5f5c6f46d5f9cd0558c",
+                  "264f29590615359a94cd658431624c388c157715c951d3ea47c03d153e8970bd"),
+    ((2, 2, 2), 3): ("2391138f96c480be9e780242637c9605966b2db1885a663551d3ad1907d62aa2",
+                     "b81ac5d637d9e109076d86066ba374ebdfa3b63d66abc7bda30ce96202c4721f"),
+    ((1, 2, 5), 3): ("69ca3839103642517356f4acbdd3248829ad31c80665bc6fbf777f6eb321b335",
+                     "8670f0421b23ed171d4514691391eedd21d37ac2a70e1647e273dd08a27ed596"),
+    ((1, 2, 5), 5): ("8b11cc5db5839a477432e0176c8219d0d531a66f07018958bf2f9565c37f7883",
+                     "27ae10cdee97499176d3b03dafb4e0390d25ee028f134cba631be6b2c414d17d"),
+    ((1, 3, 9, 12), 3): ("0eac081edc4931e919af21fe9cb0a51f7eb924ae4e075d6ae3241f2d4a8b7e8e",
+                         "a73d8790ac08e2fa99fdcce532b299c32b29d7b382ae6ed243a66807be6da012"),
+    ((1, 2, 67, 101), 3): ("59855dd39b2bcdccae2c63ddf7dcdbb810134fed3271ef43b30a1ae1a0d20ceb",
+                           "cbacf5611eec06d84aec6860dc5798cc406cfc07e91dfc1b84cbeaad72d7a129"),
+}
+
+
+@pytest.mark.parametrize("rates,k", sorted(EXPORT_SHA256))
+def test_pgm_and_csv_exports_keep_their_bytes(tmp_path, rates, k):
+    fp = footprint(sched(rates, k))
+    for fmt, want in zip(("pgm", "csv"), EXPORT_SHA256[rates, k]):
+        path = tmp_path / f"fp.{fmt}"
+        write_footprint(path, fp, fmt)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want, fmt
+
+
+@pytest.mark.parametrize("fmt", ["pgm", "csv"])
+def test_exports_hold_no_side_squared_grid(tmp_path, fmt):
+    # side 513: a 513**2 grid of int64 alone is 2.1 MB, the text of a row
+    # a few kB
+    fp = footprint(sched([1, 255]))
+    assert fp.side == 513
+    tracemalloc.start()
+    try:
+        write_footprint(tmp_path / f"fp.{fmt}", fp, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_json_export_is_valid_report(tmp_path):

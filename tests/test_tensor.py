@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segconv.tensor import Rng, he_init, tensor_from_bytes, tensor_to_bytes
+from segconv.tensor import Rng, he_init, load_tensor, save_tensor
 
 # frozen from the documented splitmix64 + Box-Muller recipe; regression only
 HE_INIT_GOLDEN = [
@@ -17,18 +17,21 @@ HE_INIT_GOLDEN = [
 
 
 @pytest.mark.parametrize("shape", [(1, 0, 2, 2), (0, 1, 1, 1), (1, 1, -1, 2), (2, 2, 2)])
-def test_invalid_dims_rejected(shape):
+def test_invalid_dims_rejected(shape, tmp_path):
     """he_init, the .bin writer and the .bin reader each reject a shape that
-    is not 4 dims of at least 1 (the writer would otherwise emit a blob its
-    reader rejects, or fail inside struct)."""
+    is not 4 dims of at least 1 (the writer would otherwise emit a file its
+    reader rejects, or fail inside struct); the writer makes no file."""
     with pytest.raises(ValueError):
         he_init(shape, 1, Rng(0))
+    path = tmp_path / "t.bin"
     if min(shape) >= 0:
         with pytest.raises(ValueError):
-            tensor_to_bytes(np.zeros(shape))
+            save_tensor(path, np.zeros(shape))
+        assert not path.exists()
     if len(shape) == 4 and min(shape) == 0:
+        path.write_bytes(struct.pack("<4I", *shape))
         with pytest.raises(ValueError):
-            tensor_from_bytes(struct.pack("<4I", *shape))
+            load_tensor(path)
 
 
 def test_rng_equal_seeds_equal_streams():
@@ -127,23 +130,33 @@ def test_he_init_rejects_bad_fan_in():
         he_init((1, 1, 1, 1), 0, Rng(0))
 
 
-def test_binary_roundtrip_bit_exact():
+def test_binary_roundtrip_bit_exact(tmp_path):
     t = he_init((2, 3, 5, 4), 3, Rng(21))
-    blob = tensor_to_bytes(t)
-    assert len(blob) == 16 + 8 * t.size
-    back = tensor_from_bytes(blob)
+    path = tmp_path / "t.bin"
+    save_tensor(path, t)
+    assert path.stat().st_size == 16 + 8 * t.size
+    back = load_tensor(path)
     assert back.shape == t.shape
     assert np.array_equal(back, t)
 
 
-def test_binary_header_is_little_endian_uint32():
-    t = np.full((1, 2, 3, 4), 0.5)
-    blob = tensor_to_bytes(t)
-    assert blob[:16] == (b"\x01\x00\x00\x00" b"\x02\x00\x00\x00"
-                         b"\x03\x00\x00\x00" b"\x04\x00\x00\x00")
+def test_binary_header_is_little_endian_uint32(tmp_path):
+    path = tmp_path / "t.bin"
+    save_tensor(path, np.full((1, 2, 3, 4), 0.5))
+    assert path.read_bytes()[:16] == (b"\x01\x00\x00\x00" b"\x02\x00\x00\x00"
+                                      b"\x03\x00\x00\x00" b"\x04\x00\x00\x00")
 
 
-def test_binary_rejects_truncated_blob():
-    blob = tensor_to_bytes(np.zeros((1, 1, 2, 2)))
-    with pytest.raises(ValueError):
-        tensor_from_bytes(blob[:-8])
+def test_binary_rejects_truncated_blob(tmp_path):
+    path = tmp_path / "t.bin"
+    save_tensor(path, np.zeros((1, 1, 2, 2)))
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="has 40 bytes, expected 48"):
+        load_tensor(path)
+
+
+def test_binary_rejects_a_short_header(tmp_path):
+    path = tmp_path / "t.bin"
+    path.write_bytes(struct.pack("<3I", 1, 1, 1))
+    with pytest.raises(ValueError, match="shorter than its 16-byte header"):
+        load_tensor(path)

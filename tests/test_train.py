@@ -391,7 +391,8 @@ def test_full_net_gradients_match_finite_differences(decoder):
 
     logits, cache = net.forward(sample.image)
     loss, grad_logits = softmax_ce_loss(logits, sample.labels)
-    grads = net.backward(cache, grad_logits)
+    grads = net.backward(cache, grad_logits,
+                         net.param_views(np.empty_like(net.flat)))
 
     def loss_fn():
         lg, _ = net.forward(sample.image)
@@ -424,7 +425,8 @@ def test_skipping_the_image_gradient_keeps_every_parameter_gradient(decoder,
     net = small_net(decoder, seed=5)
     logits, cache = net.forward(sample.image)
     _, grad_logits = softmax_ce_loss(logits, sample.labels)
-    skipped = net.backward(cache, grad_logits)
+    skipped = net.backward(cache, grad_logits,
+                           net.param_views(np.empty_like(net.flat)))
 
     asked = []
     train_module = importlib.import_module("segconv.train")  # the package exports train()
@@ -435,7 +437,8 @@ def test_skipping_the_image_gradient_keeps_every_parameter_gradient(decoder,
         return real(x, layer, g, taps)
 
     monkeypatch.setattr(train_module, "conv2d_backward", with_image_gradient)
-    forced = net.backward(cache, grad_logits)
+    forced = net.backward(cache, grad_logits,
+                          net.param_views(np.empty_like(net.flat)))
     assert asked.count(False) == 1 and asked[-1] is False  # enc0 runs last
     for name, g in skipped.items():
         assert g.tobytes() == forced[name].tobytes(), name
