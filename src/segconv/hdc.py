@@ -30,7 +30,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import groupby, product
 from pathlib import Path
 
 import numpy as np
@@ -237,17 +237,27 @@ def schedule_report(schedule: DilationSchedule, fp: FootprintMap | None = None) 
 def write_footprint(path, fp: FootprintMap, fmt: str) -> None:
     """fp's counts as a pgm (mapped linearly to 0..255; only zero counts
     give 0) or a csv, each row y written as line[y] * line in exact Python
-    ints, so no side**2 grid is built; or its schedule_report as json."""
+    ints, so no side**2 grid is built; or its schedule_report as json. Rows
+    of equal consecutive counts are equal, so each run of them is formatted
+    once and written again."""
     path = Path(path)
     line = fp.line.tolist()
     if fmt == "pgm":
         peak = max(line) ** 2
-        rows = ([a * b * 255 // peak for b in line] for a in line)
-        write_pgm(path, rows, fp.side, fp.side)
+
+        def rows():
+            for a, run in groupby(line):
+                row = [a * b * 255 // peak for b in line]
+                for _ in run:
+                    yield row
+
+        write_pgm(path, rows(), fp.side, fp.side)
     elif fmt == "csv":
         with path.open("w", encoding="ascii") as f:
-            for a in line:
-                f.write(",".join([str(a * b) for b in line]) + "\n")
+            for a, run in groupby(line):
+                text = ",".join([str(a * b) for b in line]) + "\n"
+                for _ in run:
+                    f.write(text)
     elif fmt == "json":
         path.write_text(
             json.dumps(schedule_report(fp.schedule, fp), sort_keys=True, indent=1) + "\n",

@@ -54,11 +54,18 @@ class Rng:
         negligible for the small ranges used here and keeps the recipe one
         line)
 
+    Draw i depends only on the seed and i, never on the draws before it. So
+    a caller may step past draws now and compute them later, in any grouping,
+    with the same bits: reserve(n) advances the counter by n and returns the
+    first reserved counter, and draws_at(counters) and normal_at(counters)
+    evaluate the recipe at any counters, reading no state but the seed.
+
     The recipe is written twice. randint, the scalar draw, computes it in
-    Python integers masked to 64 bits, with no array; next_u64 (and so
-    uniform and normal) computes it over a numpy uint64 counter array.
-    Both advance the same counter, so they are one stream, and the stream
-    position never depends on which of them drew.
+    Python integers masked to 64 bits, with no array; draws_at computes it
+    over a numpy uint64 counter array, and normal evaluates the counters it
+    takes from reserve through it. randint and reserve advance the same
+    counter, so there is one stream, and the stream position never depends
+    on which of them drew.
 
     The raw integer stream is bit-reproducible on any platform; the float
     transforms are reproducible for a fixed libm.
@@ -70,26 +77,45 @@ class Rng:
         self.seed = int(seed) & _MASK64
         self._count = 0
 
-    def next_u64(self, n: int = 1) -> np.ndarray:
+    def reserve(self, n: int) -> int:
+        """Step past n draws without computing them and return the counter
+        of the first (counters start at 1); draws_at or normal_at give those
+        draws later with the bits that drawing them now would have given."""
         n = int(n)
         if n < 0:
             raise ValueError("draw count must be >= 0")
-        with np.errstate(over="ignore"):
-            idx = (np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
-                   * _U64(_GAMMA)) + _U64(self.seed)
-            z = (idx ^ (idx >> _U64(30))) * _U64(_MUL1)
-            z = (z ^ (z >> _U64(27))) * _U64(_MUL2)
-            z = z ^ (z >> _U64(31))
         self._count += n
+        return self._count - n + 1
+
+    def draws_at(self, counters: np.ndarray) -> np.ndarray:
+        """The raw draws at the given uint64 counters, in their order."""
+        with np.errstate(over="ignore"):
+            z = counters * _U64(_GAMMA)
+            z += _U64(self.seed)
+            z ^= z >> _U64(30)
+            z *= _U64(_MUL1)
+            z ^= z >> _U64(27)
+            z *= _U64(_MUL2)
+            z ^= z >> _U64(31)
         return z
 
-    def uniform(self, n: int = 1) -> np.ndarray:
-        return (self.next_u64(n) >> _U64(11)).astype(np.float64) * _TWO_POW_NEG53
+    def normal_at(self, counters: np.ndarray) -> np.ndarray:
+        """Standard normals from the draws at the given uint64 counters, read
+        in consecutive pairs (u1, u2): one normal per two counters."""
+        u = (self.draws_at(counters) >> _U64(11)).astype(np.float64)
+        u *= _TWO_POW_NEG53
+        r = np.negative(u[0::2])
+        np.log1p(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        c = np.multiply(u[1::2], 2.0 * np.pi)
+        np.cos(c, out=c)
+        r *= c
+        return r
 
     def normal(self, n: int = 1) -> np.ndarray:
-        u = self.uniform(2 * int(n))
-        u1, u2 = u[0::2], u[1::2]
-        return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+        first = self.reserve(2 * int(n))
+        return self.normal_at(np.arange(first, first + 2 * int(n), dtype=np.uint64))
 
     def randint(self, n: int) -> int:
         """One draw % n; n is any integer (numpy ones too) in 1..2**64."""
@@ -145,8 +171,13 @@ def load_tensor(path) -> np.ndarray:
 
 def write_pgm(path, rows, h: int, w: int) -> None:
     """ASCII (P2) PGM of h rows, each w integers in 0..255, written one row
-    per line as the rows arrive, so the caller never holds the whole grid."""
+    per line as the rows arrive, so the caller never holds the whole grid.
+    A row object passed again right after itself is written from the text
+    already formatted for it, so a caller repeats an equal row for free."""
     with Path(path).open("w", encoding="ascii") as f:
         f.write(f"P2\n{w} {h}\n255\n")
+        last, text = None, ""
         for row in rows:
-            f.write(" ".join(map(str, row)) + "\n")
+            if row is not last:
+                last, text = row, " ".join(map(str, row)) + "\n"
+            f.write(text)

@@ -366,3 +366,52 @@ def read_pgm(path) -> np.ndarray:
     if len(vals) != w * h or any(v < 0 or v > maxval for v in vals):
         raise ValueError("malformed PGM payload")
     return np.array(vals, dtype=np.int64).reshape(h, w)
+
+
+def gen_thin_structures_per_image(n, height, width, thickness, rng):
+    """The thin-structure generator as one pass over the images: each image
+    draws its labels and then its noise through rng.normal before the next
+    image draws anything. Base intensities 0.1 / 0.9 / 0.5 (background, thin,
+    blob), noise std 0.05, 2 blobs and 3 poles per image. Returns a list of
+    ((1, 1, H, W) image, (H, W) labels) pairs."""
+    base_intensity = np.array([0.1, 0.9, 0.5])
+    out = []
+    for _ in range(n):
+        labels = np.zeros((height, width), dtype=np.int64)
+        for _ in range(2):
+            bh = height // 4 + rng.randint(height // 4 + 1)
+            bw = width // 4 + rng.randint(width // 4 + 1)
+            y0 = rng.randint(height - bh + 1)
+            x0 = rng.randint(width - bw + 1)
+            labels[y0 : y0 + bh, x0 : x0 + bw] = 2
+        taken = {True: [], False: []}
+        for _ in range(3):
+            vertical = rng.randint(2) == 0
+            span = height if vertical else width
+            cross = width if vertical else height
+            length = (3 * span) // 4 + rng.randint(span // 4 + 1)
+            start = rng.randint(span - length + 1)
+            slots = cross - thickness + 1
+
+            def clear(off):
+                return all(abs(off - o) > thickness for o in taken[vertical])
+
+            off = rng.randint(slots)
+            tries = 0
+            while not clear(off) and tries < 50:
+                off = rng.randint(slots)
+                tries += 1
+            if not clear(off):
+                allowed = [o for o in range(slots) if clear(o)]
+                if not allowed:
+                    continue
+                off = allowed[rng.randint(len(allowed))]
+            taken[vertical].append(off)
+            if vertical:
+                labels[start : start + length, off : off + thickness] = 1
+            else:
+                labels[off : off + thickness, start : start + length] = 1
+        noise = rng.normal(height * width).reshape(height, width) * 0.05
+        image = (base_intensity[labels] + noise).reshape(1, 1, height, width)
+        out.append((image, labels))
+    return out

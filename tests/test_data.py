@@ -1,11 +1,16 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import read_pgm
+import segconv.data as data_module
+from oracles import gen_thin_structures_per_image, read_pgm
 from segconv.data import (
     IGNORE_LABEL,
+    NOISE_BATCH,
     gen_thin_structures,
     write_sample_pgm,
 )
@@ -29,6 +34,68 @@ def test_criterion_8_labels_keep_their_digest():
         "b9ff1317a0df5fc66385ff06d63a09edcb3d0576d7ea06734856f5428b20c094")
 
 
+def _digest(arrays, dtype):
+    return hashlib.sha256(np.stack(arrays).astype(dtype).tobytes()).hexdigest()
+
+
+def test_criterion_8_images_keep_their_digest():
+    # recorded from the one-pass generator, which drew each image's noise
+    # right after its labels; covers the libm-dependent Box-Muller bits too
+    rng = Rng(17)
+    samples = gen_thin_structures(200, 32, 32, 1, 3, rng)
+    assert _digest([s.image for s in samples], "<f8") == (
+        "b11b1d3e789195d240a5cd8ad6f5eec53a9550e2ad566f722e4e8021441e1fe1")
+    assert rng.randint(2**64) == 4901638480783760948
+
+
+def test_benchmark_eval_images_keep_their_digest():
+    # eight 128x128 images from Rng(99), the benchmark's seed-0 eval set:
+    # 16,384 normals each, so the noise pass runs one batch per image
+    rng = Rng(99)
+    samples = gen_thin_structures(8, 128, 128, 1, 3, rng)
+    assert _digest([s.image for s in samples], "<f8") == (
+        "fa6e74b494064a617696f94988c74274bfe3bc47efa04608ea4b22fc42f84c44")
+    assert _digest([s.labels for s in samples], "<i8") == (
+        "843239d8482c90858a3d5a3cd5d1c2dfefbe2d02b47716b79a9c653784271414")
+    assert rng.randint(2**64) == 11619935203544281381
+
+
+def _assert_two_passes_equal_the_reference(n, height, width, thickness, seed, batch):
+    rng, ref_rng = Rng(seed), Rng(seed)
+    with mock.patch.object(data_module, "NOISE_BATCH", batch):
+        got = gen_thin_structures(n, height, width, thickness, 3, rng)
+    want = gen_thin_structures_per_image(n, height, width, thickness, ref_rng)
+    assert len(got) == len(want) == n
+    for s, (image, labels) in zip(got, want):
+        assert s.image.shape == image.shape and s.image.tobytes() == image.tobytes()
+        assert s.labels.dtype == labels.dtype and np.array_equal(s.labels, labels)
+    assert rng.randint(2**64) == ref_rng.randint(2**64)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data(), height=st.integers(8, 128), width=st.integers(8, 128),
+       seed=st.integers(0, 2**64 - 1),
+       batch=st.sampled_from([1, 1000, NOISE_BATCH, 2 * NOISE_BATCH]))
+def test_two_pass_generator_equals_the_per_image_reference(data, height, width, seed,
+                                                           batch):
+    # at 128x128 a batch of 1 or NOISE_BATCH normals holds one image; n
+    # runs past two batches and may end the last one early
+    per_batch = max(1, batch // (height * width))
+    n = data.draw(st.integers(0, min(2 * per_batch + 1, 40)), label="n")
+    thickness = data.draw(st.integers(1, min(height, width)), label="thickness")
+    _assert_two_passes_equal_the_reference(n, height, width, thickness, seed, batch)
+
+
+@pytest.mark.parametrize("n,size,thickness,seed", [
+    (1025, 8, 2, 7),    # 256 images per batch, one left for the last
+    (200, 32, 8, 0),    # retries run out: one offset left clear, or none
+    (200, 64, 20, 1),   # retries run out with two offsets left clear
+    (200, 16, 4, 15),   # the last retry's draw is clear, so it is kept
+])
+def test_two_pass_generator_equals_the_reference_on_fixed_sets(n, size, thickness, seed):
+    _assert_two_passes_equal_the_reference(n, size, size, thickness, seed, NOISE_BATCH)
+
+
 def test_different_seed_differs():
     a = gen_thin_structures(1, 32, 32, 1, 3, Rng(17))[0]
     b = gen_thin_structures(1, 32, 32, 1, 3, Rng(18))[0]
@@ -46,15 +113,28 @@ def test_all_samples_contain_thin_structures_of_requested_width():
         assert s.labels.min() >= 0
 
 
+def _has_full_square(mask, side):
+    # is some side x side window all True? (a 2-D prefix sum per window)
+    c = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
+    c[1:, 1:] = mask.cumsum(0).cumsum(1)
+    win = c[side:, side:] - c[:-side, side:] - c[side:, :-side] + c[:-side, :-side]
+    return bool((win == side * side).any())
+
+
 def test_thin_structures_never_stack_beyond_thickness():
-    # construction guarantee: same-orientation poles keep their distance, so
-    # no 2x2 all-thin block can form at thickness 1 (crossings make a plus)
-    for seed in range(10):
-        for s in gen_thin_structures(5, 32, 32, 1, 3, Rng(seed)):
+    # construction guarantee: same-orientation poles keep a gap, so no
+    # (t+1) x (t+1) all-thin block can form at thickness t (a crossing makes
+    # a plus; any t+1 consecutive columns hold one outside every vertical
+    # pole, whose t+1 cells horizontal poles, each t rows with gaps between,
+    # cannot cover). The thick geometries exhaust the 50 offset retries.
+    cases = [(32, 1, seed, 5) for seed in range(10)] + [
+        (8, 2, 7, 200), (12, 3, 7, 200), (16, 4, 7, 200), (32, 8, 7, 200),
+        (64, 16, 7, 200)]
+    for size, thickness, seed, n in cases:
+        for s in gen_thin_structures(n, size, size, thickness, 3, Rng(seed)):
             thin = s.labels == 1
             assert thin.any()
-            squares = thin[:-1, :-1] & thin[1:, :-1] & thin[:-1, 1:] & thin[1:, 1:]
-            assert not squares.any()
+            assert not _has_full_square(thin, thickness + 1), (size, thickness)
 
 
 def test_thickness_below_stride_defeats_label_downsampling():
@@ -96,6 +176,14 @@ def test_generator_rejects_bad_args():
         gen_thin_structures(1, 32, 32, 1, 2, Rng(0))
     with pytest.raises(ValueError):
         gen_thin_structures(1, 4, 4, 1, 3, Rng(0))
+
+
+def test_generator_rejects_a_negative_count_before_any_draw():
+    rng = Rng(0)
+    with pytest.raises(ValueError, match="sample count"):
+        gen_thin_structures(-1, 32, 32, 1, 3, rng)
+    assert rng.randint(2**64) == Rng(0).randint(2**64)
+    assert gen_thin_structures(0, 32, 32, 1, 3, rng) == []
 
 
 def test_pgm_dump_roundtrips(tmp_path):

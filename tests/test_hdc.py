@@ -417,6 +417,16 @@ EXPORT_SHA256 = {
                          "a73d8790ac08e2fa99fdcce532b299c32b29d7b382ae6ed243a66807be6da012"),
     ((1, 2, 67, 101), 3): ("59855dd39b2bcdccae2c63ddf7dcdbb810134fed3271ef43b30a1ae1a0d20ceb",
                            "cbacf5611eec06d84aec6860dc5798cc406cfc07e91dfc1b84cbeaad72d7a129"),
+    # recorded before runs of equal rows were written from one formatted
+    # row: a sparse line (side 513), a flat one (every count 1, side 729)
+    # and a dense one (side 329)
+    ((1, 255), 3): ("d338ca573b2acbe71592bba15381c89973aa28ec7a6e5172142304db6d3845c1",
+                    "7ad0542e6c2ec9fcc54756f5f20e84106a47a6bb1e513ec07007c09d0a3f56cf"),
+    ((1, 3, 9, 27, 81, 243), 3): (
+        "5afef12525eac4b6f44997fda49352df03384a03f7668bcc421561f7a160dd20",
+        "0241f47f687cabcfb060dd4ffe2fdfaf5d17af301513f21230c3c3f1674c542c"),
+    ((5, 17, 60), 5): ("458532ba2a738b4b1dfc6432d81f23c7369987eeb6576fda73bea67980d62367",
+                       "16fbd57d53d72ad108216bba2b7c7fd2ea69f7b860be61c7cda9d8663316b4a0"),
 }
 
 

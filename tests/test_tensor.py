@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segconv.tensor import Rng, he_init, load_tensor, save_tensor
+from segconv.tensor import Rng, he_init, load_tensor, save_tensor, write_pgm
 
 # frozen from the documented splitmix64 + Box-Muller recipe; regression only
 HE_INIT_GOLDEN = [
@@ -14,6 +14,12 @@ HE_INIT_GOLDEN = [
     0.08879028322514922,
     0.10351401185465846,
 ]
+
+
+def next_u64(rng, n):
+    """The next n raw draws as an array: reserved, then evaluated."""
+    first = rng.reserve(n)
+    return rng.draws_at(np.arange(first, first + n, dtype=np.uint64))
 
 
 @pytest.mark.parametrize("shape", [(1, 0, 2, 2), (0, 1, 1, 1), (1, 1, -1, 2), (2, 2, 2)])
@@ -36,15 +42,15 @@ def test_invalid_dims_rejected(shape, tmp_path):
 
 def test_rng_equal_seeds_equal_streams():
     n = 1_000_000
-    a = Rng(123).next_u64(n)
-    b = Rng(123).next_u64(n)
+    a = next_u64(Rng(123), n)
+    b = next_u64(Rng(123), n)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, Rng(124).next_u64(n))
+    assert not np.array_equal(a, next_u64(Rng(124), n))
 
 
 def test_rng_first_draw_is_the_published_splitmix64_output():
     # the first SplitMix64 output for seed 0, as published with the algorithm
-    assert Rng(0).next_u64(1)[0] == 0xE220A8397B1DCDAF
+    assert next_u64(Rng(0), 1)[0] == 0xE220A8397B1DCDAF
     assert Rng(0).randint(2**64) == 0xE220A8397B1DCDAF
 
 
@@ -52,6 +58,7 @@ _DRAWS = st.lists(st.one_of(
     st.tuples(st.just("randint"), st.sampled_from([1, 2, 3, 2**63 + 1, 2**64])),
     st.tuples(st.just("next_u64"), st.integers(0, 5)),
     st.tuples(st.just("normal"), st.integers(0, 3)),
+    st.tuples(st.just("reserve"), st.integers(0, 6)),
 ), max_size=12)
 
 
@@ -60,32 +67,48 @@ _DRAWS = st.lists(st.one_of(
                       st.integers(0, 2**64 - 1)),
        draws=_DRAWS)
 def test_scalar_and_vector_draws_are_one_stream(seed, draws):
-    """randint computes the recipe in Python integers and next_u64 in numpy
+    """randint computes the recipe in Python integers and draws_at in numpy
     arrays; interleaved in any order they must read one stream, each
-    randint being int(next_u64) % n of a fresh Rng at the same position."""
+    randint being int(next_u64) % n of a fresh Rng at the same position.
+    Draws stepped past by reserve, evaluated after every other draw through
+    draws_at and normal_at, read the same stream."""
     rng = Rng(seed)
-    raw = [int(v) for v in Rng(seed).next_u64(sum(
-        {"randint": 1, "next_u64": k, "normal": 2 * k}[op] for op, k in draws))]
+    raw = [int(v) for v in next_u64(Rng(seed), sum(
+        {"randint": 1, "next_u64": k, "normal": 2 * k, "reserve": k}[op]
+        for op, k in draws))]
     pos = 0
+    reserved = []
     for op, k in draws:
         if op == "randint":
             got = rng.randint(k)
             assert type(got) is int and got == raw[pos] % k, (pos, k)
             pos += 1
         elif op == "next_u64":
-            assert [int(v) for v in rng.next_u64(k)] == raw[pos : pos + k]
+            assert [int(v) for v in next_u64(rng, k)] == raw[pos : pos + k]
+            pos += k
+        elif op == "reserve":
+            assert rng.reserve(k) == pos + 1
+            reserved.append((pos, k))
             pos += k
         else:
             at = Rng(seed)
-            at.next_u64(pos)
+            at.reserve(pos)
             assert np.array_equal(rng.normal(k), at.normal(k))
             pos += 2 * k
-    assert rng.randint(2**64) == int(Rng(seed).next_u64(pos + 1)[-1])
+    assert rng.randint(2**64) == int(next_u64(Rng(seed), pos + 1)[-1])
+    for start, k in reserved:
+        counters = np.arange(start + 1, start + k + 1, dtype=np.uint64)
+        assert [int(v) for v in rng.draws_at(counters)] == raw[start : start + k]
+        assert [int(v) for v in rng.draws_at(counters[::-1])] == raw[start : start + k][::-1]
+        if k % 2 == 0:
+            at = Rng(seed)
+            at.reserve(start)
+            assert np.array_equal(rng.normal_at(counters), at.normal(k // 2))
 
 
 def test_randint_takes_n_through_operator_index():
     # numpy integers work (z % np.int64(n) would overflow once z >= 2**63)
-    want = int(Rng(5).next_u64(1)[0])
+    want = int(next_u64(Rng(5), 1)[0])
     assert Rng(5).randint(np.uint64(2**64 - 1)) == want % (2**64 - 1)
     assert Rng(5).randint(np.int64(2**63 - 1)) == want % (2**63 - 1)
     assert Rng(5).randint(np.int32(7)) == want % 7
@@ -98,13 +121,21 @@ def test_randint_rejects_ranges_outside_one_to_two_pow_64(n):
     rng = Rng(0)
     with pytest.raises(ValueError, match=r"1\.\.2\*\*64"):
         rng.randint(n)
-    assert rng.randint(2**64) == int(Rng(0).next_u64(1)[0])  # no draw consumed
+    assert rng.randint(2**64) == int(next_u64(Rng(0), 1)[0])  # no draw consumed
+
+
+def test_reserve_rejects_a_negative_count_without_moving():
+    rng = Rng(3)
+    with pytest.raises(ValueError, match=">= 0"):
+        rng.reserve(-1)
+    assert rng.reserve(0) == 1
+    assert rng.randint(2**64) == int(next_u64(Rng(3), 1)[0])
 
 
 def test_rng_stream_position_independent_of_chunking():
-    whole = Rng(9).next_u64(100)
+    whole = next_u64(Rng(9), 100)
     r = Rng(9)
-    parts = np.concatenate([r.next_u64(1), r.next_u64(49), r.next_u64(50)])
+    parts = np.concatenate([next_u64(r, 1), next_u64(r, 49), next_u64(r, 50)])
     assert np.array_equal(whole, parts)
 
 
@@ -160,3 +191,18 @@ def test_binary_rejects_a_short_header(tmp_path):
     path.write_bytes(struct.pack("<3I", 1, 1, 1))
     with pytest.raises(ValueError, match="shorter than its 16-byte header"):
         load_tensor(path)
+
+
+def test_write_pgm_formats_a_row_passed_again_once(tmp_path):
+    class Row(list):
+        formatted = 0
+
+        def __iter__(self):
+            Row.formatted += 1
+            return super().__iter__()
+
+    a, b = Row([0, 255, 7]), Row([1, 2, 3])
+    write_pgm(tmp_path / "r.pgm", [a, a, a, b, a], 5, 3)
+    assert (tmp_path / "r.pgm").read_text(encoding="ascii") == (
+        "P2\n3 5\n255\n0 255 7\n0 255 7\n0 255 7\n1 2 3\n0 255 7\n")
+    assert Row.formatted == 3

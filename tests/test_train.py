@@ -201,8 +201,11 @@ def loss_case(seed, n, classes, ignored, scale=3.0):
     probability `ignored` (1.0 ignores them all)."""
     rng = Rng(seed)
     logits = scale * rng.normal(n * classes * 15).reshape(n, classes, 3, 5)
-    labels = (rng.next_u64(n * 15) % np.uint64(classes)).astype(np.int64)
-    labels[rng.uniform(n * 15) < ignored] = IGNORE_LABEL
+    first = rng.reserve(2 * n * 15)
+    raw = rng.draws_at(np.arange(first, first + 2 * n * 15, dtype=np.uint64))
+    labels = (raw[: n * 15] % np.uint64(classes)).astype(np.int64)
+    uniform = (raw[n * 15 :] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    labels[uniform < ignored] = IGNORE_LABEL
     return logits, labels.reshape(n, 3, 5)
 
 
