@@ -44,7 +44,7 @@ from .hdc import (
     schedule_search,
     write_footprint,
 )
-from .tensor import Rng, he_init
+from .tensor import Rng, he_init, write_json, write_rows
 from .train import (
     DECODERS,
     SgdConfig,
@@ -180,7 +180,7 @@ def cmd_duc_demo(args) -> int:
     conv = ConvLayer.initialized(
         ConvSpec(k=3, r=1, stride=1, c_in=args.channels,
                  c_out=spec.conv_channels, pad=1), rng)
-    out = duc_forward(feats, conv, spec)
+    out = duc_forward(feats, conv, spec)[0]
 
     pre = he_init((1, spec.conv_channels, args.size, args.size),
                   spec.conv_channels, rng)
@@ -194,7 +194,7 @@ def cmd_duc_demo(args) -> int:
     duc_layer, duc_spec = duc_weights_from_transposed(tlayer)
     same = bool(np.array_equal(
         transposed_conv_forward(feats, tlayer),
-        duc_forward(feats, duc_layer, duc_spec),
+        duc_forward(feats, duc_layer, duc_spec)[0],
     ))
 
     _emit({
@@ -244,16 +244,13 @@ def cmd_train(args) -> int:
         dump.mkdir(parents=True, exist_ok=True)
         for i, s in enumerate(data):
             write_sample_pgm(s, dump / f"sample{i:04d}")
-    lines = ["iteration,lr,loss"]
-    for it, loss in enumerate(curve):
-        lines.append(f"{it},{poly_lr(it, cfg)!r},{loss!r}")
-    (out / "loss_curve.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_rows(out / "loss_curve.csv", [("iteration", "lr", "loss"), *(
+        (it, poly_lr(it, cfg), loss) for it, loss in enumerate(curve))], ",")
     save_net(out / "net", net)
     config = {k: v for k, v in vars(args).items()
               if k not in ("verb", "func", "out", "dump_data")}
     config.update(schedule=list(sched.rates), version=__version__)
-    (out / "config.json").write_text(
-        json.dumps(config, sort_keys=True, indent=1) + "\n", encoding="ascii")
+    write_json(out / "config.json", config)
     _emit({
         "out": str(out),
         "iterations": len(curve),
@@ -280,11 +277,8 @@ def cmd_eval(args) -> int:
     out = Path(args.out) if args.out else _default_out("eval")
     out.mkdir(parents=True, exist_ok=True)
     per_class, mean = evaluate(net, samples, oracle=args.oracle)
-    lines = ["class,iou"]
-    for c, iou in enumerate(per_class):
-        lines.append(f"{c},{iou!r}")
-    lines.append(f"mean,{mean!r}")
-    (out / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_rows(out / "metrics.csv",
+               [("class", "iou"), *enumerate(per_class), ("mean", mean)], ",")
     _emit({
         "per_class_iou": [_json_iou(v) for v in per_class],
         "miou": _json_iou(mean),

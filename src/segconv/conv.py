@@ -45,11 +45,11 @@ Conventions, fixed once here:
   test_forward_keeps_signed_zeros_of_the_naive_loop.
 * The backward GEMMs have no order contract; tests give them a 1e-12
   tolerance. Conv grad_w is grad_out[co, (n, oy, ox)] @ taps.T. The
-  backward requires the taps that conv2d_forward returns on request
-  (return_taps) and never builds its own, so a training step builds them
-  once per conv. Conv grad_x's columns are the weights as
-  [(ky, kx, ci), co] @ that grad_out matrix, then the ordered overlap-add
-  (bit for bit when c_out == 1, one product per column element). The
+  backward requires the taps that conv2d_forward returns with its output
+  and never builds its own, so a training step builds them once per conv.
+  Conv grad_x's columns are the weights as [(ky, kx, ci), co] @ that
+  grad_out matrix, then the ordered overlap-add (bit for bit when
+  c_out == 1, one product per column element). The
   transposed conv gathers grad_out with _taps (r = 1): grad_x is the
   weights as [ci, (co, ky, kx)] @ taps, grad_w is x[ci, (n, y, x)] @ taps.T.
 
@@ -226,10 +226,10 @@ def _taps(x: np.ndarray, k: int, r: int, s: int, p: int, ho: int, wo: int) -> np
     return np.ascontiguousarray(win).reshape(c * k * k, n * ho * wo)
 
 
-def conv2d_forward(x: np.ndarray, layer: ConvLayer, return_taps: bool = False):
+def conv2d_forward(x: np.ndarray, layer: ConvLayer):
     """Dilated cross-correlation of the zero-padded input (n, c_in, h, w),
-    plus bias; returns a C-contiguous (n, c_out, ho, wo) array, or with
-    return_taps the pair (output, taps) whose taps conv2d_backward takes
+    plus bias; returns the pair (output, taps): a C-contiguous
+    (n, c_out, ho, wo) array and the taps matrix that conv2d_backward takes
     for this same x.
 
     One ordered product sum over the (c_in, ky, kx) taps of the taps matrix
@@ -244,7 +244,7 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, return_taps: bool = False):
     _product_sum(taps, wgt, out)
     out = np.ascontiguousarray(out.reshape(spec.c_out, n, ho, wo).transpose(1, 0, 2, 3))
     out += layer.bias[None, :, None, None]
-    return (out, taps) if return_taps else out
+    return out, taps
 
 
 # The overlap-add is one np.bincount when the columns hold fewer elements than
@@ -304,12 +304,12 @@ def _overlap_add(cols: np.ndarray, r: int, s: int, p: int, hw: tuple[int, int]):
 
 def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
                     taps: np.ndarray, input_grad: bool = True):
-    """Exact gradients of sum(grad_out * conv2d_forward(x, layer)).
+    """Exact gradients of sum(grad_out * out), out = conv2d_forward(x, layer)[0].
 
     Returns (grad_x, grad_w, grad_b): arrays shaped like x and the weights
     (grad_x a view into a padded canvas when pad > 0, or None when
     input_grad is False) and a c_out vector. grad_w is one GEMM against
-    taps, which conv2d_forward(x, layer, return_taps=True) returned for x.
+    taps, which conv2d_forward(x, layer) returned for x.
     """
     spec, ho, wo = _checked_geometry(layer, ConvSpec, x, grad_out)
     want = (spec.c_in * spec.k * spec.k, x.shape[0] * ho * wo)

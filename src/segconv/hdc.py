@@ -26,16 +26,14 @@ the same inequality; its footprint still shows r_1 > 1 sampling gaps.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass, field
 from itertools import groupby, product
-from pathlib import Path
 
 import numpy as np
 
-from .tensor import write_pgm
+from .tensor import write_json, write_pgm, write_rows
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -238,30 +236,24 @@ def write_footprint(path, fp: FootprintMap, fmt: str) -> None:
     """fp's counts as a pgm (mapped linearly to 0..255; only zero counts
     give 0) or a csv, each row y written as line[y] * line in exact Python
     ints, so no side**2 grid is built; or its schedule_report as json. Rows
-    of equal consecutive counts are equal, so each run of them is formatted
-    once and written again."""
-    path = Path(path)
-    line = fp.line.tolist()
-    if fmt == "pgm":
-        peak = max(line) ** 2
-
-        def rows():
-            for a, run in groupby(line):
-                row = [a * b * 255 // peak for b in line]
-                for _ in run:
-                    yield row
-
-        write_pgm(path, rows(), fp.side, fp.side)
-    elif fmt == "csv":
-        with path.open("w", encoding="ascii") as f:
-            for a, run in groupby(line):
-                text = ",".join([str(a * b) for b in line]) + "\n"
-                for _ in run:
-                    f.write(text)
-    elif fmt == "json":
-        path.write_text(
-            json.dumps(schedule_report(fp.schedule, fp), sort_keys=True, indent=1) + "\n",
-            encoding="ascii",
-        )
-    else:
+    of equal consecutive counts are equal, so each run of them is one row
+    object, formatted once and written again."""
+    if fmt == "json":
+        write_json(path, schedule_report(fp.schedule, fp))
+        return
+    if fmt not in ("pgm", "csv"):
         raise ValueError(f"unknown footprint format {fmt!r}")
+    line = fp.line.tolist()
+    peak = max(line) ** 2
+
+    def rows():
+        for a, run in groupby(line):
+            row = ([a * b * 255 // peak for b in line] if fmt == "pgm"
+                   else [a * b for b in line])
+            for _ in run:
+                yield row
+
+    if fmt == "pgm":
+        write_pgm(path, rows(), fp.side, fp.side)
+    else:
+        write_rows(path, rows(), ",")

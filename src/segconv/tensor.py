@@ -5,13 +5,17 @@ There is no array wrapper: the layers take and return plain float64
 here are C-contiguous (row-major). Every index formula elsewhere in the
 package assumes this axis order. This module holds what carries the
 determinism contract: the counter-based ``Rng``, ``he_init``, the ``.bin``
-format and the ASCII PGM writer of the image and footprint dumps.
+format, and the writers of every text artifact: ``write_rows`` (each CSV,
+and the ASCII PGM of the image and footprint dumps) and ``write_json``.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import operator
 import struct
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +85,7 @@ class Rng:
         """Step past n draws without computing them and return the counter
         of the first (counters start at 1); draws_at or normal_at give those
         draws later with the bits that drawing them now would have given."""
-        n = int(n)
+        n = operator.index(n)
         if n < 0:
             raise ValueError("draw count must be >= 0")
         self._count += n
@@ -114,8 +118,9 @@ class Rng:
         return r
 
     def normal(self, n: int = 1) -> np.ndarray:
-        first = self.reserve(2 * int(n))
-        return self.normal_at(np.arange(first, first + 2 * int(n), dtype=np.uint64))
+        n = operator.index(n)
+        first = self.reserve(2 * n)
+        return self.normal_at(np.arange(first, first + 2 * n, dtype=np.uint64))
 
     def randint(self, n: int) -> int:
         """One draw % n; n is any integer (numpy ones too) in 1..2**64."""
@@ -139,7 +144,7 @@ def he_init(shape, fan_in: int, rng: Rng | None) -> np.ndarray:
     if rng is None:
         return np.zeros(shape)
     std = float(np.sqrt(2.0 / fan_in))
-    return (rng.normal(int(np.prod(shape))) * std).reshape(shape)
+    return (rng.normal(math.prod(shape)) * std).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +166,7 @@ def load_tensor(path) -> np.ndarray:
     if len(blob) < _HEADER.size:
         raise ValueError("tensor blob shorter than its 16-byte header")
     shape = _check_shape(_HEADER.unpack_from(blob, 0))
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     expected = _HEADER.size + 8 * count
     if len(blob) != expected:
         raise ValueError(f"tensor blob has {len(blob)} bytes, expected {expected}")
@@ -169,15 +174,24 @@ def load_tensor(path) -> np.ndarray:
     return flat.astype(np.float64).reshape(shape)
 
 
-def write_pgm(path, rows, h: int, w: int) -> None:
-    """ASCII (P2) PGM of h rows, each w integers in 0..255, written one row
-    per line as the rows arrive, so the caller never holds the whole grid.
-    A row object passed again right after itself is written from the text
-    already formatted for it, so a caller repeats an equal row for free."""
+def write_rows(path, rows, sep: str) -> None:
+    """One line per row, its values' str() (for a float, the shortest
+    round-trip repr) joined by sep, written as the rows arrive. A row
+    object passed again right after itself is written from the text already
+    formatted for it, so a caller repeats an equal row for free."""
     with Path(path).open("w", encoding="ascii") as f:
-        f.write(f"P2\n{w} {h}\n255\n")
         last, text = None, ""
         for row in rows:
             if row is not last:
-                last, text = row, " ".join(map(str, row)) + "\n"
+                last, text = row, sep.join(map(str, row)) + "\n"
             f.write(text)
+
+
+def write_pgm(path, rows, h: int, w: int) -> None:
+    """ASCII (P2) PGM of h rows of w integers in 0..255, streamed."""
+    write_rows(path, chain([("P2",), (w, h), (255,)], rows), " ")
+
+
+def write_json(path, obj) -> None:
+    """The JSON artifact format: ASCII, sorted keys, indent 1, final newline."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n", encoding="ascii")

@@ -20,7 +20,7 @@ from .conv import (ConvLayer, ConvSpec, TransposedConvSpec, conv2d_backward, con
                    same_padding, transposed_conv_backward, transposed_conv_forward)
 from .data import IGNORE_LABEL
 from .hdc import DilationSchedule
-from .tensor import Rng, load_tensor, save_tensor
+from .tensor import Rng, load_tensor, save_tensor, write_json
 from .upsample import DucSpec, bilinear_backward, bilinear_upsample, duc_backward, duc_forward
 
 DECODERS = ("duc", "bilinear", "deconv")
@@ -31,8 +31,6 @@ class TrainingDiverged(RuntimeError):
 
     def __init__(self, iteration: int, lr: float, what: str = "loss"):
         super().__init__(f"non-finite {what} at iteration {iteration} (lr={lr!r})")
-        self.iteration = iteration
-        self.lr = lr
 
 
 @dataclass(frozen=True)
@@ -224,7 +222,7 @@ class ToyNet:
         for i, spec in enumerate(enc):
             L = ConvLayer.initialized(spec, rng)
             net.encoder_layers.append(L)
-            stage(f"enc{i}", lambda x, L=L: conv2d_forward(x, L, return_taps=True),
+            stage(f"enc{i}", lambda x, L=L: conv2d_forward(x, L),
                   lambda x, g, taps, L=L, gx=i > 0:
                       conv2d_backward(x, L, g, taps, input_grad=gx),
                   True)
@@ -234,7 +232,7 @@ class ToyNet:
             L = ConvLayer.initialized(ConvSpec(k=3, r=1, stride=1, c_in=c,
                                                c_out=duc.conv_channels, pad=1), rng)
             net.decoder_layers.append(L)
-            stage("dec0", lambda x: duc_forward(x, L, duc, return_taps=True),
+            stage("dec0", lambda x: duc_forward(x, L, duc),
                   lambda x, g, taps: duc_backward(x, L, duc, g, taps), False)
         elif decoder == "bilinear":
             L = ConvLayer.initialized(ConvSpec(k=3, r=1, stride=1, c_in=c,
@@ -242,7 +240,7 @@ class ToyNet:
             net.decoder_layers.append(L)
 
             def upsampled(x):
-                out, taps = conv2d_forward(x, L, return_taps=True)
+                out, taps = conv2d_forward(x, L)
                 return bilinear_upsample(out, d), taps
 
             stage("dec0", upsampled,
@@ -449,9 +447,7 @@ def save_net(dirpath, net: ToyNet) -> None:
     }
     for name, layer in net.named_layers():
         save_tensor(d / f"{name}.bin", layer.weights)
-    (d / "net.json").write_text(
-        json.dumps(topo, sort_keys=True, indent=1) + "\n", encoding="ascii"
-    )
+    write_json(d / "net.json", topo)
 
 
 def _geometry(entries) -> list:

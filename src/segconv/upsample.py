@@ -91,26 +91,23 @@ def duc_rearrange_inverse(y: np.ndarray, spec: DucSpec) -> np.ndarray:
     return v.reshape(n, spec.conv_channels, h, w)
 
 
-def duc_forward(features: np.ndarray, layer: ConvLayer, spec: DucSpec,
-                return_taps: bool = False):
-    """Decode conv then rearrange: (n, c, h, w) -> (n, L, h*s, w*s); with
-    return_taps, the pair (output, the conv's taps) for duc_backward."""
+def duc_forward(features: np.ndarray, layer: ConvLayer, spec: DucSpec):
+    """Decode conv then rearrange: (n, c, h, w) -> (n, L, h*s, w*s); returns
+    the pair (output, the conv's taps), the taps for duc_backward."""
     if layer.spec.c_out != spec.conv_channels:
         raise ValueError(
             f"decode conv produces {layer.spec.c_out} channels, "
             f"spec needs {spec.conv_channels}"
         )
-    if return_taps:
-        out, taps = conv2d_forward(features, layer, return_taps=True)
-        return duc_rearrange(out, spec), taps
-    return duc_rearrange(conv2d_forward(features, layer), spec)
+    out, taps = conv2d_forward(features, layer)
+    return duc_rearrange(out, spec), taps
 
 
 def duc_backward(features: np.ndarray, layer: ConvLayer, spec: DucSpec,
                  grad_out: np.ndarray, taps: np.ndarray):
-    """Gradients of sum(grad_out * duc_forward(...)); returns
+    """Gradients of sum(grad_out * duc_forward(...)[0]); returns
     (grad_features, grad_w, grad_b). taps are the ones that
-    duc_forward(features, ..., return_taps=True) returned."""
+    duc_forward(features, ...) returned."""
     grad_conv = duc_rearrange_inverse(grad_out, spec)
     return conv2d_backward(features, layer, grad_conv, taps)
 

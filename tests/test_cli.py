@@ -279,6 +279,19 @@ def test_train_writes_artifacts(trained_dir):
     assert len(lines) == 41
 
 
+def test_train_mean_loss_divides_the_summed_loss_by_the_batch_pixels(tmp_path, capsys):
+    first = {}
+    for name, extra in (("summed", ()), ("mean", ("--mean-loss",))):
+        out = tmp_path / name
+        code, _ = run(capsys, "train", "--iters", "1", "--batch", "2", "--train-size", "2",
+                      "--size", "32", "--out", str(out), *extra)
+        assert code == EXIT_OK
+        rows = (out / "loss_curve.csv").read_text(encoding="ascii").splitlines()
+        first[name] = float(rows[1].split(",")[2])
+        assert json.loads((out / "config.json").read_text())["mean_loss"] is (name == "mean")
+    assert first["mean"] == first["summed"] / (2 * 32 * 32)
+
+
 def test_eval_runs_on_trained_net(trained_dir, tmp_path, capsys):
     code, rep = run(capsys, "eval", "--net", str(trained_dir),
                     "--eval-size", "3", "--size", "16",

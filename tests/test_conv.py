@@ -120,7 +120,7 @@ def test_conv1d_too_short_sequence_rejected():
 def test_forward_all_zero_input_yields_bias():
     rng = Rng(3)
     layer = random_layer(rng, k=3, r=2, c_in=2, c_out=4, pad=2)
-    out = conv2d_forward(np.zeros((2, 2, 7, 7)), layer)
+    out = conv2d_forward(np.zeros((2, 2, 7, 7)), layer)[0]
     for co in range(4):
         assert np.all(out[:, co] == layer.bias[co])
 
@@ -132,7 +132,7 @@ def test_forward_delta_input_reads_center_tap():
     x[0, 0, 2, 2] = 1.0
     rng = Rng(4)
     layer = random_layer(rng, k=3, r=2, c_in=1, c_out=1, bias=False)
-    out = conv2d_forward(x, layer)
+    out = conv2d_forward(x, layer)[0]
     assert out.shape == (1, 1, 1, 1)
     assert out[0, 0, 0, 0] == layer.weights[0, 0, 1, 1]
     expect = naive_conv2d(x, layer.weights, layer.bias, dilation=2)
@@ -143,7 +143,7 @@ def test_forward_matches_naive_loop_bitwise():
     rng = Rng(8)
     x = he_init((1, 2, 8, 8), 5, rng)
     layer = random_layer(rng, k=3, r=3, c_in=2, c_out=3, pad=3)
-    got = conv2d_forward(x, layer)
+    got = conv2d_forward(x, layer)[0]
     expect = naive_conv2d(x, layer.weights, layer.bias, pad=3, dilation=3)
     assert np.array_equal(got, expect)
 
@@ -161,7 +161,7 @@ def test_forward_r1_matches_naive_loop_on_random_instances():
         x = he_init((n, c_in, h, w), 5, rng)
         layer = random_layer(rng, k=3, r=1, c_in=c_in, c_out=c_out,
                              stride=stride, pad=pad)
-        got = conv2d_forward(x, layer)
+        got = conv2d_forward(x, layer)[0]
         expect = naive_conv2d(x, layer.weights, layer.bias,
                               stride=stride, pad=pad, dilation=1)
         assert np.array_equal(got, expect)
@@ -179,7 +179,7 @@ def test_forward_matches_naive_loop_bitwise_over_geometry_sweep(k):
                 x = he_init((2, 2, kd + 3, kd + 2), 3, rng)
                 layer = random_layer(rng, k=k, r=r, c_in=2, c_out=3,
                                      stride=stride, pad=pad)
-                got = conv2d_forward(x, layer)
+                got = conv2d_forward(x, layer)[0]
                 expect = naive_conv2d(x, layer.weights, layer.bias,
                                       stride=stride, pad=pad, dilation=r)
                 assert np.array_equal(got, expect), (r, stride, pad)
@@ -199,7 +199,7 @@ def test_forward_bitwise_on_large_planes(seed, c_in, k, r, c_out, hw):
     x = he_init((1, c_in) + hw, 3, rng)
     pad = same_padding(k, r)
     layer = random_layer(rng, k=k, r=r, c_in=c_in, c_out=c_out, pad=pad)
-    got = conv2d_forward(x, layer)
+    got = conv2d_forward(x, layer)[0]
     expect = naive_conv2d(x, layer.weights, layer.bias, pad=pad, dilation=r)
     assert np.array_equal(got, expect)
 
@@ -212,7 +212,7 @@ def test_forward_keeps_signed_zeros_of_the_naive_loop():
     layer.weights[...] = -np.abs(layer.weights) - 0.5
     layer.bias[:] = -0.0
     x = np.zeros((2, 2, 5, 5))
-    got = conv2d_forward(x, layer)
+    got = conv2d_forward(x, layer)[0]
     expect = naive_conv2d(x, layer.weights, layer.bias, pad=1)
     assert got.tobytes() == expect.tobytes()
 
@@ -226,7 +226,7 @@ def test_one_pixel_results_keep_the_sequential_order(channels):
     layer = random_layer(rng, k=3, r=1, c_in=2, c_out=channels)
     x = he_init((1, 2, 3, 3), 3, rng)
     expect = naive_conv2d(x, layer.weights, layer.bias)
-    assert np.array_equal(conv2d_forward(x, layer), expect)
+    assert np.array_equal(conv2d_forward(x, layer)[0], expect)
 
     layer = ConvLayer.initialized(TransposedConvSpec(k=1, stride=1, c_in=29,
                                                      c_out=channels), rng)
@@ -271,8 +271,8 @@ def test_forward_linearity_with_zero_bias():
     x2 = he_init((1, 2, 9, 9), 3, rng)
     a, b = 0.7, -1.3
     mix = a * x1 + b * x2
-    lhs = conv2d_forward(mix, layer)
-    rhs = a * conv2d_forward(x1, layer) + b * conv2d_forward(x2, layer)
+    lhs = conv2d_forward(mix, layer)[0]
+    rhs = a * conv2d_forward(x1, layer)[0] + b * conv2d_forward(x2, layer)[0]
     assert max_rel_err(lhs, rhs) < 1e-10
 
 
@@ -286,8 +286,8 @@ def test_dilation_equals_zero_stuffed_kernel():
     big_spec = ConvSpec(k=kd, r=1, stride=1, c_in=2, c_out=2, pad=0)
     big = ConvLayer(big_spec, stuffed, layer.bias)
     x = he_init((1, 2, 11, 11), 4, rng)
-    assert np.array_equal(conv2d_forward(x, layer),
-                          conv2d_forward(x, big))
+    assert np.array_equal(conv2d_forward(x, layer)[0],
+                          conv2d_forward(x, big)[0])
 
 
 def test_translation_equivariance_on_interior():
@@ -297,8 +297,8 @@ def test_translation_equivariance_on_interior():
     dy, dx = 2, 1
     shifted = np.zeros_like(x)
     shifted[:, :, dy:, dx:] = x[:, :, :-dy, :-dx]
-    out = conv2d_forward(x, layer)
-    out_shifted = conv2d_forward(shifted, layer)
+    out = conv2d_forward(x, layer)[0]
+    out_shifted = conv2d_forward(shifted, layer)[0]
     m = layer.spec.k_d  # margin where the two receptive fields sample the same content
     assert np.array_equal(out_shifted[:, :, m + dy : -m, m + dx : -m],
                           out[:, :, m : -m - dy, m : -m - dx])
@@ -345,7 +345,7 @@ def test_same_padding_preserves_size():
     rng = Rng(16)
     for r in (1, 2, 3):
         layer = random_layer(rng, k=3, r=r, c_in=1, c_out=1, pad=same_padding(3, r))
-        out = conv2d_forward(he_init((1, 1, 10, 10), 2, rng), layer)
+        out = conv2d_forward(he_init((1, 1, 10, 10), 2, rng), layer)[0]
         assert out.shape == (1, 1, 10, 10)
 
 
@@ -356,7 +356,7 @@ def test_backward_zero_grad_out_gives_zero_grads():
     rng = Rng(17)
     layer = random_layer(rng, k=3, r=2, c_in=2, c_out=2, pad=2)
     x = he_init((1, 2, 6, 6), 3, rng)
-    out, taps = conv2d_forward(x, layer, return_taps=True)
+    out, taps = conv2d_forward(x, layer)
     gx, gw, gb = conv2d_backward(x, layer, np.zeros(out.shape), taps)
     assert not gx.any() and not gw.any() and not gb.any()
 
@@ -367,7 +367,7 @@ def test_backward_single_output_element():
     x = np.arange(25, dtype=np.float64).reshape(1, 1, 5, 5)
     layer = random_layer(Rng(18), k=3, r=2, c_in=1, c_out=1)
     g = np.ones((1, 1, 1, 1))
-    _, taps = conv2d_forward(x, layer, return_taps=True)
+    _, taps = conv2d_forward(x, layer)
     gx, gw, gb = conv2d_backward(x, layer, g, taps)
     assert gb.tolist() == [1.0]
     assert np.array_equal(gw[0, 0], x[0, 0, ::2, ::2])
@@ -378,7 +378,7 @@ def test_backward_grad_shape_mismatch_rejected():
     rng = Rng(19)
     layer = random_layer(rng, k=3, r=1, c_in=1, c_out=1, pad=1)
     x = he_init((1, 1, 6, 6), 2, rng)
-    _, taps = conv2d_forward(x, layer, return_taps=True)
+    _, taps = conv2d_forward(x, layer)
     with pytest.raises(ValueError, match="grad_out shape"):
         conv2d_backward(x, layer, np.zeros((1, 1, 3, 3)), taps)
 
@@ -390,9 +390,9 @@ def _fd_check_conv(rng, k, r, h, w, c_in, c_out, pad, tol=1e-4):
     g = he_init(gshape, 1, rng)
 
     def objective():
-        return float(np.sum(conv2d_forward(x, layer) * g))
+        return float(np.sum(conv2d_forward(x, layer)[0] * g))
 
-    _, taps = conv2d_forward(x, layer, return_taps=True)
+    _, taps = conv2d_forward(x, layer)
     gx, gw, gb = conv2d_backward(x, layer, g, taps)
     assert max_rel_err(gx, fd_gradient(objective, x)) < tol
     assert max_rel_err(gw, fd_gradient(objective, layer.weights)) < tol
@@ -426,7 +426,7 @@ def test_backward_is_exact_adjoint_over_geometry_sweep():
                                          stride=stride, pad=pad, bias=False)
                     x = he_init((2, 2, 14, 13), 3, rng)
                     g = he_init((2, 3) + layer.spec.out_size(14, 13), 1, rng)
-                    out, taps = conv2d_forward(x, layer, return_taps=True)
+                    out, taps = conv2d_forward(x, layer)
                     gx, gw, _ = conv2d_backward(x, layer, g, taps)
                     lhs = float(np.sum(g * out))
                     tol = 1e-12 * max(1.0, abs(lhs))
@@ -462,7 +462,7 @@ def test_backward_grad_x_matches_naive_scatter_order_bitwise(k):
                     layer = random_layer(rng, k=k, r=r, c_in=2, c_out=c_out,
                                          stride=stride, pad=pad)
                     g = he_init((2, c_out) + layer.spec.out_size(*hw), 1, rng)
-                    _, taps = conv2d_forward(x, layer, return_taps=True)
+                    _, taps = conv2d_forward(x, layer)
                     gx, _, _ = conv2d_backward(x, layer, g, taps)
                     want = naive_conv2d_grad_x(g, layer.weights, hw,
                                                stride=stride, pad=pad, dilation=r)
@@ -491,21 +491,19 @@ def test_grad_x_bitwise_on_large_planes(seed, c_in, k, r, c_out, hw, side):
     for co in (c_out, 1):
         layer = random_layer(rng, k=k, r=r, c_in=c_in, c_out=co, pad=pad)
         g = he_init((1, co) + layer.spec.out_size(*hw), 1, rng)
-        _, taps = conv2d_forward(x, layer, return_taps=True)
+        _, taps = conv2d_forward(x, layer)
         gx, _, _ = conv2d_backward(x, layer, g, taps)
         want = naive_conv2d_grad_x(g, layer.weights, hw, pad=pad, dilation=r)
         assert grad_x_matches(gx, want, co), co
 
 
 def test_backward_with_the_forwards_taps_is_identical():
-    # asking for the taps leaves the forward as it is, and skipping grad_x
-    # leaves grad_w and grad_b as they are
+    # skipping grad_x leaves grad_w and grad_b as they are
     rng = Rng(24)
     for k, r, stride, pad in ((1, 1, 1, 0), (3, 1, 2, 1), (3, 2, 1, 2), (5, 3, 3, 1)):
         layer = random_layer(rng, k=k, r=r, c_in=3, c_out=4, stride=stride, pad=pad)
         x = he_init((2, 3, 17, 15), 3, rng)
-        out, taps = conv2d_forward(x, layer, return_taps=True)
-        assert np.array_equal(out, conv2d_forward(x, layer))
+        out, taps = conv2d_forward(x, layer)
         g = he_init(out.shape, 1, rng)
         full = conv2d_backward(x, layer, g, taps)
         gx, gw, gb = conv2d_backward(x, layer, g, taps, input_grad=False)
@@ -522,7 +520,7 @@ def test_backward_refuses_taps_of_another_shape(batch, k, r):
     layer = random_layer(rng, k=3, r=2, c_in=2, c_out=3, pad=2)
     x = he_init((2, 2, 7, 6), 3, rng)
     other = random_layer(rng, k=k, r=r, c_in=2, c_out=3, pad=2)
-    _, taps = conv2d_forward(x[:batch], other, return_taps=True)
+    _, taps = conv2d_forward(x[:batch], other)
     g = he_init((2, 3, 7, 6), 1, rng)
     with pytest.raises(ValueError, match=r"^taps shape \(\d+, \d+\) != \(18, 84\)$"):
         conv2d_backward(x, layer, g, taps)
@@ -550,7 +548,7 @@ def test_grad_w_matches_the_window_contraction_over_geometry_sweep():
                                          stride=stride, pad=pad, bias=False)
                     x = he_init((2, 2, 14, 13), 3, rng)
                     g = he_init((2, 3) + layer.spec.out_size(14, 13), 1, rng)
-                    _, taps = conv2d_forward(x, layer, return_taps=True)
+                    _, taps = conv2d_forward(x, layer)
                     _, gw, _ = conv2d_backward(x, layer, g, taps)
                     want = window_conv2d_grad_w(x, g, k, stride=stride, pad=pad,
                                                 dilation=r)

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segconv.tensor import Rng, he_init, load_tensor, save_tensor, write_pgm
+from segconv.tensor import (Rng, he_init, load_tensor, save_tensor, write_json, write_pgm,
+                            write_rows)
 
 # frozen from the documented splitmix64 + Box-Muller recipe; regression only
 HE_INIT_GOLDEN = [
@@ -132,6 +134,20 @@ def test_reserve_rejects_a_negative_count_without_moving():
     assert rng.randint(2**64) == int(next_u64(Rng(3), 1)[0])
 
 
+@pytest.mark.parametrize("draw", ["reserve", "normal"])
+def test_draw_counts_go_through_operator_index(draw):
+    # a float count raises instead of being truncated; numpy integers work
+    rng = Rng(4)
+    for n in (2.7, 2.0, np.float64(2.5)):
+        with pytest.raises(TypeError):
+            getattr(rng, draw)(n)
+    assert rng.reserve(0) == 1  # no draw consumed
+    getattr(rng, draw)(np.int64(3))
+    getattr(rng, draw)(np.uint8(2))
+    per = 1 if draw == "reserve" else 2
+    assert rng.reserve(0) == 1 + 5 * per
+
+
 def test_rng_stream_position_independent_of_chunking():
     whole = next_u64(Rng(9), 100)
     r = Rng(9)
@@ -186,6 +202,15 @@ def test_binary_rejects_truncated_blob(tmp_path):
         load_tensor(path)
 
 
+def test_binary_size_check_counts_elements_without_wrapping(tmp_path):
+    # 65536**4 == 2**64 elements: an int64 product would wrap to 0 and pass
+    # a 16-byte blob that holds no value
+    path = tmp_path / "t.bin"
+    path.write_bytes(struct.pack("<4I", 65536, 65536, 65536, 65536))
+    with pytest.raises(ValueError, match=f"^tensor blob has 16 bytes, expected {16 + 8 * 2**64}$"):
+        load_tensor(path)
+
+
 def test_binary_rejects_a_short_header(tmp_path):
     path = tmp_path / "t.bin"
     path.write_bytes(struct.pack("<3I", 1, 1, 1))
@@ -206,3 +231,15 @@ def test_write_pgm_formats_a_row_passed_again_once(tmp_path):
     assert (tmp_path / "r.pgm").read_text(encoding="ascii") == (
         "P2\n3 5\n255\n0 255 7\n0 255 7\n0 255 7\n1 2 3\n0 255 7\n")
     assert Row.formatted == 3
+
+
+def test_write_rows_joins_str_values_and_write_json_sorts_keys(tmp_path):
+    # str of a float is its shortest round-trip repr, so a header row is a
+    # tuple of strings and a value row holds the numbers themselves
+    write_rows(tmp_path / "c.csv", [("it", "loss"), (0, 0.1 + 0.2), (1, float("nan"))], ",")
+    assert (tmp_path / "c.csv").read_text(encoding="ascii") == (
+        "it,loss\n0,0.30000000000000004\n1,nan\n")
+    write_json(tmp_path / "o.json", {"b": [1, 2.5], "a": True})
+    text = (tmp_path / "o.json").read_text(encoding="ascii")
+    assert text == '{\n "a": true,\n "b": [\n  1,\n  2.5\n ]\n}\n'
+    assert json.loads(text) == {"a": True, "b": [1, 2.5]}

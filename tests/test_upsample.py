@@ -111,7 +111,7 @@ def test_duc_forward_channel_and_shape_accounting():
     spec = DucSpec(d=8, classes=19, cell=1)
     assert spec.conv_channels == 1216
     layer = duc_layer(rng, 4, spec)
-    out = duc_forward(he_init((1, 4, 4, 4), 2, rng), layer, spec)
+    out = duc_forward(he_init((1, 4, 4, 4), 2, rng), layer, spec)[0]
     assert out.shape == (1, 19, 32, 32)
 
 
@@ -120,7 +120,7 @@ def test_duc_cell2_quarters_channels_and_halves_output():
     assert spec.conv_channels == 304
     rng = Rng(4)
     layer = duc_layer(rng, 4, spec)
-    out = duc_forward(he_init((1, 4, 4, 4), 2, rng), layer, spec)
+    out = duc_forward(he_init((1, 4, 4, 4), 2, rng), layer, spec)[0]
     assert out.shape == (1, 19, 16, 16)
 
 
@@ -132,7 +132,7 @@ def test_duc_constant_bias_floods_one_class():
     for dy in range(4):
         for dx in range(4):
             layer.bias[1 * 16 + dy * 4 + dx] = beta  # chan(1, dy, dx) at s = 4
-    out = duc_forward(he_init((1, 2, 4, 4), 2, Rng(5)), layer, spec)
+    out = duc_forward(he_init((1, 2, 4, 4), 2, Rng(5)), layer, spec)[0]
     assert np.all(out[0, 1] == beta)
     assert np.all(out[0, 0] == 0.0) and np.all(out[0, 2] == 0.0)
 
@@ -142,7 +142,7 @@ def test_duc_backward_zero_grad():
     spec = DucSpec(d=2, classes=2, cell=1)
     layer = duc_layer(rng, 2, spec)
     feats = he_init((1, 2, 3, 3), 2, rng)
-    _, taps = duc_forward(feats, layer, spec, return_taps=True)
+    _, taps = duc_forward(feats, layer, spec)
     gx, gw, gb = duc_backward(feats, layer, spec, np.zeros((1, 2, 6, 6)), taps)
     assert not gx.any() and not gw.any() and not gb.any()
 
@@ -155,9 +155,9 @@ def test_duc_backward_matches_finite_differences():
     g = he_init((1, 2, 6, 6), 1, rng)
 
     def objective():
-        return float(np.sum(duc_forward(feats, layer, spec) * g))
+        return float(np.sum(duc_forward(feats, layer, spec)[0] * g))
 
-    _, taps = duc_forward(feats, layer, spec, return_taps=True)
+    _, taps = duc_forward(feats, layer, spec)
     gx, gw, gb = duc_backward(feats, layer, spec, g, taps)
     assert max_rel_err(gx, fd_gradient(objective, feats)) < 1e-4
     assert max_rel_err(gw, fd_gradient(objective, layer.weights)) < 1e-4
@@ -168,14 +168,14 @@ def test_duc_backward_matches_finite_differences():
 
 
 def test_duc_taps_pass_through_to_the_backward():
-    # asking duc_forward for its taps leaves the output as it is, and
-    # duc_backward hands them to the conv backward, which checks their shape
+    # duc_forward returns its decode conv's taps, and duc_backward hands
+    # them to the conv backward, which checks their shape
     rng = Rng(8)
     spec = DucSpec(d=4, classes=3)
     layer = duc_layer(rng, 5, spec)
     feats = he_init((2, 5, 3, 4), 2, rng)
-    out, taps = duc_forward(feats, layer, spec, return_taps=True)
-    assert np.array_equal(out, duc_forward(feats, layer, spec))
+    out, taps = duc_forward(feats, layer, spec)
+    assert np.array_equal(taps, conv2d_forward(feats, layer)[1])
     g = he_init(out.shape, 1, rng)
     gx, gw, gb = duc_backward(feats, layer, spec, g, taps)
     assert gx.shape == feats.shape and gw.shape == layer.weights.shape
@@ -367,7 +367,7 @@ def test_transposed_equals_conv_input_gradient():
         conv = ConvLayer.initialized(conv_spec, rng)
         x_up = he_init((1, c_up, 7, 7), 2, rng)
         g = he_init((1, c_low) + conv_spec.out_size(7, 7), 1, rng)
-        _, taps = conv2d_forward(x_up, conv, return_taps=True)
+        _, taps = conv2d_forward(x_up, conv)
         gx, _, _ = conv2d_backward(x_up, conv, g, taps)
 
         tspec = TransposedConvSpec(k=k, stride=s, c_in=c_low, c_out=c_up, pad=pad)
@@ -511,7 +511,7 @@ def test_duc_reproduces_nonoverlapping_transposed_conv_bitwise(seed):
                     2, rng)
     want = transposed_conv_forward(feats, tlayer)
     clayer, duc_spec = duc_weights_from_transposed(tlayer)
-    got = duc_forward(feats, clayer, duc_spec)
+    got = duc_forward(feats, clayer, duc_spec)[0]
     assert got.shape == want.shape
     assert np.array_equal(got, want)  # exact, same accumulation order
 
