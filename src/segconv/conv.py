@@ -234,7 +234,7 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer):
 
     One ordered product sum over the (c_in, ky, kx) taps of the taps matrix
     gives each output element a scalar loop's exact order. Bias is added
-    last.
+    last, to the (c_out, pixels) product before its one relayout.
     """
     spec, ho, wo = _checked_geometry(layer, ConvSpec, x)
     n = x.shape[0]
@@ -242,8 +242,8 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer):
     wgt = layer.weights.transpose(1, 2, 3, 0).reshape(-1, spec.c_out)  # [(ci, ky, kx), co]
     out = np.empty((spec.c_out, n * ho * wo), dtype=np.float64)
     _product_sum(taps, wgt, out)
+    out += layer.bias[:, None]
     out = np.ascontiguousarray(out.reshape(spec.c_out, n, ho, wo).transpose(1, 0, 2, 3))
-    out += layer.bias[None, :, None, None]
     return out, taps
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -84,16 +85,33 @@ def sgd_step(p: np.ndarray, g: np.ndarray, v: np.ndarray, cfg: SgdConfig,
     p += v
 
 
+@lru_cache
+def _class_offsets(n: int, classes: int, hw: int) -> np.ndarray:
+    """Read-only flat index n*classes*hw + pixel of class 0 at each pixel of
+    C-ordered (n, classes, hw) logits, in (n, pixel) order; cached per
+    geometry, like conv._overlap_index."""
+    off = (np.arange(0, n * classes * hw, classes * hw)[:, None] + np.arange(hw)).ravel()
+    off.flags.writeable = False
+    return off
+
+
 def softmax_ce_loss(logits: np.ndarray, labels: np.ndarray, mean: bool = False):
     """Pixelwise cross-entropy of (n, L, H, W) logits, summed over every
     non-ignored pixel.
 
-    labels is (n, H, W) or (H, W) with values in 0..L-1 or IGNORE_LABEL.
+    labels is (n, H, W) or (H, W) with values in 0..L-1 or IGNORE_LABEL,
+    which is ignored for any L, also when L > IGNORE_LABEL. One compare of
+    the labels' maximum, read as unsigned, against min(L, IGNORE_LABEL)
+    passes a batch with no ignored pixel and no label out of range; only a
+    batch it flags is checked value by value.
+
     Returns (loss, grad_logits); the gradient is an array shaped like logits:
     softmax minus one-hot at each contributing pixel (scaled by 1/count when
     mean=True). Both read the true class through one flat index,
-    (n*L + label)*H*W + pixel in (n, y, x) order; only when some pixel is
-    ignored is it filtered and that pixel's gradient zeroed.
+    label*H*W + _class_offsets(n, L, H*W), in (n, y, x) order: the loss sums
+    only the gathered shifted logits minus their pixels' log-norms. Only
+    when some pixel is ignored is the index filtered and that pixel's
+    gradient zeroed.
     """
     n, L, h, w = logits.shape
     lab = np.asarray(labels, dtype=np.int64)
@@ -101,26 +119,36 @@ def softmax_ce_loss(logits: np.ndarray, labels: np.ndarray, mean: bool = False):
         lab = lab[None, :, :]
     if lab.shape != (n, h, w):
         raise ValueError(f"labels shape {lab.shape} != {(n, h, w)}")
-    valid = lab != IGNORE_LABEL
-    if np.any((lab < 0) | ((lab >= L) & valid)):
-        raise ValueError(f"label values outside 0..{L-1}")
+    valid = None  # None: every pixel counts
+    # as unsigned, a negative label compares above every class
+    if lab.view(np.uint64).max(initial=0) >= min(L, IGNORE_LABEL):
+        valid = lab != IGNORE_LABEL
+        if np.any((lab < 0) | ((lab >= L) & valid)):
+            raise ValueError(f"label values outside 0..{L-1}")
+        if valid.all():
+            valid = None
 
     # C order, so that the flat index below addresses views of every array
     shifted = np.subtract(logits, logits.max(axis=1, keepdims=True), order="C")
     ez = np.exp(shifted)
     norm = ez.sum(axis=1, keepdims=True)
     grad = np.divide(ez, norm, out=ez)  # the softmax, then the gradient
-    log_soft = shifted - np.log(norm)  # stable even when soft underflows to 0
+    log_norm = np.log(norm).reshape(-1)  # stable even when soft underflows to 0
 
     hw = h * w
-    pos = ((lab.reshape(n, hw) + np.arange(0, n * L, L)[:, None]) * hw
-           + np.arange(hw)).ravel()
-    ignored = not valid.all()
-    if ignored:
-        pos = pos[valid.ravel()]
-    loss = float(-log_soft.reshape(-1)[pos].sum())
-    grad.reshape(-1)[pos] -= 1.0
-    if ignored:
+    pos = np.multiply(lab.reshape(-1), hw)
+    pos += _class_offsets(n, L, hw)
+    if valid is not None:
+        keep = valid.reshape(-1)
+        pos, log_norm = pos[keep], log_norm[keep]
+    picked = shifted.reshape(-1).take(pos)
+    picked -= log_norm
+    loss = float(-picked.sum())
+    flat = grad.reshape(-1)
+    picked = flat.take(pos)
+    picked -= 1.0
+    flat.put(pos, picked)
+    if valid is not None:
         np.copyto(grad, 0.0, where=~valid[:, None])
     if mean:
         count = max(pos.size, 1)
@@ -353,12 +381,25 @@ def _class_argmax(planes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _check_sides(net: ToyNet, samples) -> None:
+    """Refuse, before any forward, an image side that net.d does not divide:
+    the logits would miss the label grid."""
+    for side in {side for s in samples for side in s.image.shape[2:]}:
+        if side % net.d:
+            raise ValueError(f"image side {side} is not a multiple of the net's "
+                             f"downsampling factor d={net.d}")
+
+
 def train(net: ToyNet, data, cfg: SgdConfig):
     """SGD over randomly drawn full-image batches; returns the loss curve.
     The net's flat vector, one gradient vector and one velocity vector are
-    the whole update."""
+    the whole update. Each batch's labels are joined into one (n, H, W)
+    array for softmax_ce_loss, which treats IGNORE_LABEL as ignored for any
+    class count and reads the true class through its cached offsets. An
+    image side that the net's d does not divide is refused before any work."""
     if not data:
         raise ValueError("training data must be nonempty")
+    _check_sides(net, data)
     rng = Rng(cfg.seed)
     flat_grad = np.empty_like(net.flat)
     grads = net.param_views(flat_grad)
@@ -367,14 +408,14 @@ def train(net: ToyNet, data, cfg: SgdConfig):
     for it in range(cfg.max_iter):
         batch = [data[rng.randint(len(data))] for _ in range(cfg.batch)]
         images = np.concatenate([s.image for s in batch], axis=0)
-        labels = np.stack([s.labels for s in batch], axis=0)
+        labels = np.concatenate([s.labels[None] for s in batch])
         if net.cell > 1:
             labels = np.stack(
                 [majority_downsample(lab, net.cell) for lab in labels], axis=0
             )
         logits, cache = net.forward(images)
         loss, grad = softmax_ce_loss(logits, labels, mean=cfg.mean_loss)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise TrainingDiverged(it, poly_lr(it, cfg))
         net.backward(cache, grad, grads)
         sgd_step(net.flat, flat_grad, velocity, cfg, it)
@@ -409,7 +450,10 @@ def _iou(conf: np.ndarray):
 
 def evaluate(net: ToyNet, samples, oracle: bool = False):
     """Dataset IoU with counts aggregated over all samples. With oracle=True
-    the labels are scored against themselves (pipeline sanity mode)."""
+    the labels are scored against themselves (pipeline sanity mode). An
+    image side that the net's d does not divide is refused before any
+    forward."""
+    _check_sides(net, samples)
     conf = np.zeros((net.classes, net.classes), dtype=np.int64)
     for s in samples:
         pred = s.labels.copy() if oracle else net.predict(s.image)

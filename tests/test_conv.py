@@ -19,6 +19,7 @@ from segconv.conv import (
     ConvLayer,
     ConvSpec,
     TransposedConvSpec,
+    _overlap_index,
     _product_sum,
     _taps,
     conv2d_backward,
@@ -524,6 +525,15 @@ def test_backward_refuses_taps_of_another_shape(batch, k, r):
     g = he_init((2, 3, 7, 6), 1, rng)
     with pytest.raises(ValueError, match=r"^taps shape \(\d+, \d+\) != \(18, 84\)$"):
         conv2d_backward(x, layer, g, taps)
+
+
+def test_overlap_index_is_cached_read_only():
+    # one array serves every overlap-add of the same geometry; a caller that
+    # wrote to it would misplace every later grad_x of that shape
+    idx = _overlap_index(16, 3, 2, 1, 1, 8, 8, 12, 12)
+    assert idx is _overlap_index(16, 3, 2, 1, 1, 8, 8, 12, 12)
+    with pytest.raises(ValueError):
+        idx[0] = 1
 
 
 def test_taps_refuses_a_window_past_the_padded_buffer():

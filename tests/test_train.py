@@ -24,6 +24,7 @@ from segconv.train import (
     ToyNet,
     TrainingDiverged,
     _class_argmax,
+    _class_offsets,
     evaluate,
     load_net,
     majority_downsample,
@@ -187,6 +188,36 @@ def test_label_out_of_range_rejected():
         softmax_ce_loss(logits, labels)
 
 
+@pytest.mark.parametrize("labels", [
+    [[0, 1], [-1, 2]],  # below 0
+    [[3, IGNORE_LABEL], [IGNORE_LABEL, 0]],  # == L, next to ignored pixels
+])
+def test_label_outside_the_classes_rejected(labels):
+    with pytest.raises(ValueError, match="outside 0..2"):
+        softmax_ce_loss(np.zeros((1, 3, 2, 2)), np.array(labels, dtype=np.int64))
+
+
+def test_ignore_label_stays_ignored_with_more_classes_than_it():
+    # with 300 classes, 255 is below L; a plain >= L compare would score it
+    logits = 3.0 * Rng(5).normal(300 * 6).reshape(1, 300, 2, 3)
+    labels = np.array([[[IGNORE_LABEL, 0, 299], [256, IGNORE_LABEL, 254]]], dtype=np.int64)
+    loss, grad = softmax_ce_loss(logits, labels)
+    want_loss, want_grad = naive_softmax_ce(logits, labels, IGNORE_LABEL)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert np.abs(grad - want_grad).max() <= 1e-12
+    assert not grad[0, :, 0, 0].any() and not grad[0, :, 1, 1].any()
+
+
+def test_class_offsets_are_cached_read_only():
+    # one array serves every loss of the same geometry; a write would move
+    # every later true-class read of that shape
+    off = _class_offsets(2, 3, 1024)
+    assert off is _class_offsets(2, 3, 1024)
+    assert off.tolist() == [n * 3 * 1024 + p for n in range(2) for p in range(1024)]
+    with pytest.raises(ValueError):
+        off[0] = 1
+
+
 def test_loss_stays_finite_for_extreme_logits():
     logits = np.zeros((1, 3, 1, 1))
     logits[0, 0, 0, 0] = 1e4  # true-class probability underflows to 0
@@ -196,18 +227,19 @@ def test_loss_stays_finite_for_extreme_logits():
     assert np.all(np.isfinite(grad))
 
 
-def loss_case(seed, n, classes, ignored, scale=3.0):
-    """Seeded (logits, labels) on 3x5 planes: logits scale * N(0, 1), labels
-    uniform over the classes, then each pixel set to IGNORE_LABEL with
-    probability `ignored` (1.0 ignores them all)."""
+def loss_case(seed, n, classes, ignored, scale=3.0, plane=(3, 5)):
+    """Seeded (logits, labels) on h x w planes (3x5 by default): logits
+    scale * N(0, 1), labels uniform over the classes, then each pixel set to
+    IGNORE_LABEL with probability `ignored` (1.0 ignores them all)."""
     rng = Rng(seed)
-    logits = scale * rng.normal(n * classes * 15).reshape(n, classes, 3, 5)
-    first = rng.reserve(2 * n * 15)
-    raw = rng.draws_at(np.arange(first, first + 2 * n * 15, dtype=np.uint64))
-    labels = (raw[: n * 15] % np.uint64(classes)).astype(np.int64)
-    uniform = (raw[n * 15 :] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    hw = plane[0] * plane[1]
+    logits = scale * rng.normal(n * classes * hw).reshape(n, classes, *plane)
+    first = rng.reserve(2 * n * hw)
+    raw = rng.draws_at(np.arange(first, first + 2 * n * hw, dtype=np.uint64))
+    labels = (raw[: n * hw] % np.uint64(classes)).astype(np.int64)
+    uniform = (raw[n * hw :] >> np.uint64(11)).astype(np.float64) * 2.0**-53
     labels[uniform < ignored] = IGNORE_LABEL
-    return logits, labels.reshape(n, 3, 5)
+    return logits, labels.reshape(n, *plane)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -235,37 +267,47 @@ def test_loss_of_non_c_ordered_logits_equals_the_c_ordered_one():
         assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
 
 
-# (seed, n, classes, ignored share, logit scale, mean) -> repr of the loss and
-# the first 16 hex digits of the sha256 of the gradient's bytes, recorded
-# before softmax_ce_loss took its one-flat-index form; that rewrite kept
-# every bit, and so must any later one.
+# (seed, n, classes, ignored share, logit scale, mean, plane) -> repr of the
+# loss and the first 16 hex digits of the sha256 of the gradient's bytes. The
+# 3x5 cases were recorded before softmax_ce_loss took its one-flat-index form,
+# the 32x32 ones (criterion 8's training plane) before its one-compare label
+# check; both rewrites kept every bit, and so must any later one.
 LOSS_BITS = {
-    (102, 1, 2, 0.0, 3.0, False): ("29.88967964634145", "66ebd5923d52a2f0"),
-    (102, 1, 2, 0.4, 3.0, True): ("2.2345692586040307", "eace536e3a2063c9"),
-    (103, 1, 3, 0.0, 3.0, False): ("28.843372221813663", "8ca4bd24ad863765"),
-    (103, 1, 3, 0.4, 3.0, True): ("1.337012167409401", "c2925a41dd2d1dc6"),
-    (105, 1, 5, 0.0, 3.0, False): ("73.17188733792165", "be318756e3280101"),
-    (105, 1, 5, 0.4, 3.0, True): ("4.706131577190444", "e6c8bdcf738d5612"),
-    (202, 2, 2, 0.0, 3.0, False): ("32.293341162600335", "e3b3531c8ad60fae"),
-    (202, 2, 2, 0.4, 3.0, True): ("1.0952128801571739", "4a63fd8da8453ab8"),
-    (203, 2, 3, 0.0, 3.0, False): ("66.1109755541612", "a092645c53040216"),
-    (203, 2, 3, 0.4, 3.0, True): ("2.9884560640011673", "02c69686eb27ef58"),
-    (205, 2, 5, 0.0, 3.0, False): ("123.01799866781145", "108c9262a895cf1b"),
-    (205, 2, 5, 0.4, 3.0, True): ("3.8417260202184194", "5ee96a651389658e"),
-    (7, 1, 3, 0.0, 300.0, False): ("4375.433426606831", "f20120a5a0f587b7"),
-    (8, 2, 5, 0.4, 300.0, True): ("235.3687462802102", "ebdc9cf0b1f760b7"),
-    (9, 2, 3, 1.0, 3.0, False): ("0.0", "fe2f74a1e0b16a66"),
-    (10, 1, 2, 1.0, 3.0, True): ("0.0", "2dfba633817046c7"),
+    (102, 1, 2, 0.0, 3.0, False, (3, 5)): ("29.88967964634145", "66ebd5923d52a2f0"),
+    (102, 1, 2, 0.4, 3.0, True, (3, 5)): ("2.2345692586040307", "eace536e3a2063c9"),
+    (103, 1, 3, 0.0, 3.0, False, (3, 5)): ("28.843372221813663", "8ca4bd24ad863765"),
+    (103, 1, 3, 0.4, 3.0, True, (3, 5)): ("1.337012167409401", "c2925a41dd2d1dc6"),
+    (105, 1, 5, 0.0, 3.0, False, (3, 5)): ("73.17188733792165", "be318756e3280101"),
+    (105, 1, 5, 0.4, 3.0, True, (3, 5)): ("4.706131577190444", "e6c8bdcf738d5612"),
+    (202, 2, 2, 0.0, 3.0, False, (3, 5)): ("32.293341162600335", "e3b3531c8ad60fae"),
+    (202, 2, 2, 0.4, 3.0, True, (3, 5)): ("1.0952128801571739", "4a63fd8da8453ab8"),
+    (203, 2, 3, 0.0, 3.0, False, (3, 5)): ("66.1109755541612", "a092645c53040216"),
+    (203, 2, 3, 0.4, 3.0, True, (3, 5)): ("2.9884560640011673", "02c69686eb27ef58"),
+    (205, 2, 5, 0.0, 3.0, False, (3, 5)): ("123.01799866781145", "108c9262a895cf1b"),
+    (205, 2, 5, 0.4, 3.0, True, (3, 5)): ("3.8417260202184194", "5ee96a651389658e"),
+    (7, 1, 3, 0.0, 300.0, False, (3, 5)): ("4375.433426606831", "f20120a5a0f587b7"),
+    (8, 2, 5, 0.4, 300.0, True, (3, 5)): ("235.3687462802102", "ebdc9cf0b1f760b7"),
+    (9, 2, 3, 1.0, 3.0, False, (3, 5)): ("0.0", "fe2f74a1e0b16a66"),
+    (10, 1, 2, 1.0, 3.0, True, (3, 5)): ("0.0", "2dfba633817046c7"),
+    (3210, 1, 3, 0.0, 3.0, False, (32, 32)): ("2972.848810395999", "38b4b9d5068809ad"),
+    (3210, 1, 3, 0.0, 3.0, True, (32, 32)): ("2.9031726664023427", "2155ca351fda6915"),
+    (3214, 1, 3, 0.4, 3.0, False, (32, 32)): ("1845.3540539362193", "2a9199933fdf99d1"),
+    (3214, 1, 3, 0.4, 3.0, True, (32, 32)): ("2.981185870656251", "b48cdf7640ecc62d"),
+    (3220, 2, 3, 0.0, 3.0, False, (32, 32)): ("5942.612600071057", "805074d7a5f15a1c"),
+    (3220, 2, 3, 0.0, 3.0, True, (32, 32)): ("2.901666308628446", "762228d5fe62615e"),
+    (3224, 2, 3, 0.4, 3.0, False, (32, 32)): ("3327.921318808438", "11cecfb9fcc13a76"),
+    (3224, 2, 3, 0.4, 3.0, True, (32, 32)): ("2.761760430546422", "5be4d7dbe0d05d19"),
 }
 
 
 def test_loss_bits_match_the_recorded_values():
-    assert len(LOSS_BITS) == 16
-    for (seed, n, classes, ignored, scale, mean), want in LOSS_BITS.items():
-        loss, grad = softmax_ce_loss(*loss_case(seed, n, classes, ignored, scale),
+    assert len(LOSS_BITS) == 24
+    for key, want in LOSS_BITS.items():
+        seed, n, classes, ignored, scale, mean, plane = key
+        loss, grad = softmax_ce_loss(*loss_case(seed, n, classes, ignored, scale, plane),
                                      mean=mean)
         got = (repr(loss), hashlib.sha256(grad.tobytes()).hexdigest()[:16])
-        assert got == want, (seed, n, classes, ignored, scale, mean)
+        assert got == want, key
 
 
 # -- label block reduction ---------------------------------------------------------
@@ -306,9 +348,11 @@ def test_majority_downsample_matches_block_loop_oracle(cell):
 
 
 def evaluate_fixed(preds, labels, classes):
-    """evaluate() of one sample through a net whose prediction is fixed."""
-    net = SimpleNamespace(classes=classes, predict=lambda image: preds)
-    return evaluate(net, [SimpleNamespace(image=None, labels=labels)])
+    """evaluate() of one sample through a net whose prediction is fixed (and
+    whose d = 1 divides any image side)."""
+    net = SimpleNamespace(classes=classes, d=1, predict=lambda image: preds)
+    image = np.zeros((1, 1) + labels.shape)
+    return evaluate(net, [SimpleNamespace(image=image, labels=labels)])
 
 
 def test_miou_perfect_prediction():
@@ -683,6 +727,24 @@ def test_evaluate_oracle_mode_perfect():
     data = gen_thin_structures(3, 16, 16, 1, 3, Rng(10))
     per, mean = evaluate(small_net(), data, oracle=True)
     assert mean == 1.0
+
+
+@pytest.mark.parametrize("run", [
+    lambda net, data: evaluate(net, data),
+    lambda net, data: train(net, data, SgdConfig(max_iter=1)),
+])
+def test_an_image_side_that_d_does_not_divide_is_refused_before_any_forward(
+        monkeypatch, run):
+    def no_forward(*args):
+        raise AssertionError("the net ran a forward")
+
+    monkeypatch.setattr(ToyNet, "predict", no_forward)
+    monkeypatch.setattr(ToyNet, "forward", no_forward)
+    data = gen_thin_structures(2, 32, 32, 1, 3, Rng(3)) + gen_thin_structures(
+        1, 33, 33, 1, 3, Rng(4))
+    with pytest.raises(ValueError, match=r"^image side 33 is not a multiple of the "
+                                         r"net's downsampling factor d=2$"):
+        run(small_net(d=2), data)
 
 
 def test_schedule_coverage_link():
